@@ -1,4 +1,4 @@
-"""Brute-force isoperimetry: boundaries, profiles, Folner search and the
+"""Exhaustive isoperimetry: boundaries, profiles, Folner search and the
 configuration-graph machinery behind the wreath Folner lower bound.
 
 Graphs are plain adjacency lists here so the same code serves percolation
@@ -39,7 +39,7 @@ __all__ = [
 
 WREATH_FOLNER_C1 = np.log(2) / 9
 WREATH_FOLNER_C2 = 1.0 / 1000.0
-BRUTE_FORCE_LIMIT = 24
+WREATH_FOLNER_MAX_VERTICES = 24
 
 
 def neighbor_masks(adjacency: Sequence[Sequence[int]]) -> list:
@@ -237,49 +237,37 @@ class FolnerProfile:
                       f"{exact},{self.connected_only},{self.cap}\n")
 
 
-def _folner_connected(adjacency, k: float, size_cap: int) -> int | None:
+def _folner_minima(adjacency, k_list: Sequence[float], size_cap: int) -> dict:
+    """Smallest |U| <= size_cap with k |boundary(U)| <= |U|, for every k at once.
+
+    Maps each k to its minimum, None when no set under the cap qualifies.
+    One connected-subset pass serves all k, and the boundary of a subset is
+    skipped once its size cannot improve any k.  The search is exact: the
+    components of a qualifying set split its boundary between them, so one
+    component qualifies too and is no larger.
+    """
+    if any(k <= 0 for k in k_list):
+        raise ValueError("k must be positive")
     nbr = neighbor_masks(adjacency)
-    best = None
+    best: dict[float, int | None] = dict.fromkeys(k_list)
+    ceiling = None  # max of best once every k has a value
     for mask in iter_connected_subsets(adjacency, size_cap):
         size = mask.bit_count()
-        if best is not None and size >= best:
+        if ceiling is not None and size >= ceiling:
             continue
-        if k * mask_boundary(nbr, mask) <= size:
-            best = size
+        b = mask_boundary(nbr, mask)
+        improved = False
+        for k, value in best.items():
+            if (value is None or size < value) and k * b <= size:
+                best[k] = size
+                improved = True
+        if improved and None not in best.values():
+            ceiling = max(best.values())
     return best
-
-
-def _folner_bruteforce_multi(adjacency, k_list: Sequence[float],
-                             size_cap: int) -> dict:
-    """Exact minima over ALL subsets for several k at once, up to 24 vertices."""
-    n = len(adjacency)
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"{n} vertices is past the brute-force limit")
-    nbr = [np.uint32(m) for m in neighbor_masks(adjacency)]
-    best: dict[float, int | None] = {k: None for k in k_list}
-    chunk = 1 << 21
-    for start in range(1, 1 << n, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
-        sizes = np.bitwise_count(masks).astype(np.int64)
-        boundary = np.zeros(masks.size, dtype=np.int64)
-        for v in range(n):
-            inside = (masks >> np.uint32(v)) & np.uint32(1)
-            boundary += inside.astype(np.int64) * \
-                np.bitwise_count(nbr[v] & ~masks).astype(np.int64)
-        for k in k_list:
-            ok = (k * boundary <= sizes) & (sizes <= size_cap)
-            if np.any(ok):
-                m = int(sizes[ok].min())
-                best[k] = m if best[k] is None else min(best[k], m)
-    return best
-
-
-def _folner_bruteforce(adjacency, k: float, size_cap: int) -> int | None:
-    return _folner_bruteforce_multi(adjacency, [k], size_cap)[k]
 
 
 def folner_function(adjacency: Sequence[Sequence[int]], k: float,
-                    size_cap: int = 20, connected_only: bool = True) -> tuple:
+                    size_cap: int = 20) -> tuple:
     """Smallest |U| with |boundary(U)| / |U| <= 1/k, internal boundary.
 
     Returns (value, exact).  ``value`` is None with ``exact`` False when no
@@ -288,38 +276,38 @@ def folner_function(adjacency: Sequence[Sequence[int]], k: float,
     component no larger (so the connected restriction loses nothing) and
     the enumeration under the cap is exhaustive.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if connected_only:
-        value = _folner_connected(adjacency, k, size_cap)
-    else:
-        value = _folner_bruteforce(adjacency, k, size_cap)
+    value = _folner_minima(adjacency, [k], size_cap)[k]
     return value, value is not None
 
 
-def folner_profile(adjacency, k_list: Sequence[float], size_cap: int = 20,
-                   connected_only: bool = True) -> FolnerProfile:
-    entries = []
-    for k in k_list:
-        value, exact = folner_function(adjacency, k, size_cap, connected_only)
-        entries.append((k, value, exact))
-    return FolnerProfile(entries, connected_only, size_cap)
+def folner_profile(adjacency, k_list: Sequence[float],
+                   size_cap: int = 20) -> FolnerProfile:
+    k_list = list(k_list)
+    values = _folner_minima(adjacency, k_list, size_cap)
+    entries = [(k, values[k], values[k] is not None) for k in k_list]
+    return FolnerProfile(entries, True, size_cap)
 
 
 def folner_lower_bound_check(base: ClusterGraph, k_list: Sequence[float]) -> list:
     """Exact check of Fol_wreath(k) >= exp(C1 Fol_base(C2 k)) per k.
 
-    Both sides are computed exactly: the base by subset brute force, the
-    wreath likewise (which caps the base at 4 vertices, 64-vertex wreaths
-    being out of brute-force reach).
+    Both sides are exact Folner minima from one connected-subset pass each,
+    the wreath side for all k and the base side for all C2 k.  Searching
+    connected subsets only loses nothing: the components of a qualifying
+    set split its boundary, so some component qualifies and is no larger.
+    The wreath over an m-vertex base has m 2^m vertices; the search is
+    capped at WREATH_FOLNER_MAX_VERTICES = 24, i.e. bases of at most 3
+    vertices.
     """
     wreath = WreathGraph(base)
-    if wreath.n_vertices > BRUTE_FORCE_LIMIT:
-        raise ValueError("wreath too large for an exact Folner computation")
+    if wreath.n_vertices > WREATH_FOLNER_MAX_VERTICES:
+        raise ValueError(
+            f"wreath has {wreath.n_vertices} vertices, exact Folner search "
+            f"capped at {WREATH_FOLNER_MAX_VERTICES}")
     wreath_adj = wreath.adjacency_lists()
     k_list = list(k_list)
-    wreath_vals = _folner_bruteforce_multi(wreath_adj, k_list, wreath.n_vertices)
-    base_vals = _folner_bruteforce_multi(
+    wreath_vals = _folner_minima(wreath_adj, k_list, wreath.n_vertices)
+    base_vals = _folner_minima(
         base.adjacency, [WREATH_FOLNER_C2 * k for k in k_list], base.n_vertices)
     out = []
     for k in k_list:
@@ -485,8 +473,7 @@ def lemma_neud_check(wreath: WreathGraph, subset: Iterable[int], k: float,
             f"subset boundary ratio {ratio:.4g} exceeds 1/(1000k); lemma not applicable")
     if phi_k is None:
         phi_k, exact = folner_function(wreath.base.adjacency, k,
-                                       wreath.base.n_vertices,
-                                       connected_only=False)
+                                       wreath.base.n_vertices)
         if phi_k is None:
             raise ValueError("base Folner value not attained; supply phi_k")
     K = configuration_graph(wreath, U)

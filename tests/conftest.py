@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles used across the test modules.
 
 The oracles here are deliberately naive (plain-Python DFS/BFS, dict
-counting) so they share no code path with the implementations they check.
+counting, scans of every vertex subset) so they share no code path with
+the implementations they check.
 """
 
 from __future__ import annotations
@@ -70,6 +71,35 @@ def boundary_oracle(adjacency, members) -> int:
     """Directed edge scan: host edges leaving the member set."""
     members = set(members)
     return sum(1 for v in members for w in adjacency[v] if w not in members)
+
+
+FOLNER_ORACLE_LIMIT = 24
+
+
+def folner_oracle(adjacency, k_list, size_cap: int) -> dict:
+    """All-subsets oracle for Folner minima: for each k the smallest |U| <=
+    size_cap with k |boundary(U)| <= |U| (None when none), found by scoring
+    every nonempty vertex subset, connected or not, up to 24 vertices."""
+    n = len(adjacency)
+    if n > FOLNER_ORACLE_LIMIT:
+        raise ValueError(f"{n} vertices is past the oracle's limit of {FOLNER_ORACLE_LIMIT}")
+    nbr = [np.uint32(sum(1 << w for w in set(nbrs))) for nbrs in adjacency]
+    best = {k: None for k in k_list}
+    chunk = 1 << 21
+    for start in range(1, 1 << n, chunk):
+        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
+        sizes = np.bitwise_count(masks).astype(np.int64)
+        boundary = np.zeros(masks.size, dtype=np.int64)
+        for v in range(n):
+            inside = (masks >> np.uint32(v)) & np.uint32(1)
+            boundary += inside.astype(np.int64) * \
+                np.bitwise_count(nbr[v] & ~masks).astype(np.int64)
+        for k in k_list:
+            ok = (k * boundary <= sizes) & (sizes <= size_cap)
+            if np.any(ok):
+                m = int(sizes[ok].min())
+                best[k] = m if best[k] is None else min(best[k], m)
+    return best
 
 
 @pytest.fixture

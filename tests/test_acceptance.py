@@ -3,11 +3,12 @@
 Each test runs the corresponding experiment recipe with its default
 parameters, prints a single PASS/FAIL line, and asserts that every
 assertion inside the recipe held.  Two criteria are known to fail for
-reasons documented in the project notes: the measured decay exponent at
-desk-scale n sits above the asserted band (criterion 3), and the literal
-prefactor of the assembled lower bound is not a true lower bound on every
-small cluster (one assertion of criterion 9); the failures are reported
-honestly rather than patched around.
+reasons also documented in README's acceptance-suite section: the
+measured decay exponent at desk-scale n sits above the asserted band
+(criterion 3), and the literal prefactor of the assembled lower bound is
+not a true lower bound on every small cluster (one assertion of
+criterion 9); the failures are reported honestly rather than patched
+around.
 """
 
 from __future__ import annotations

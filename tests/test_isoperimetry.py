@@ -8,10 +8,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from percwalk import isoperimetry as iso, percolation as perc, wreath as wr
-from conftest import boundary_oracle, make_graph
+from conftest import boundary_oracle, folner_oracle, make_graph
 
 
 def grid_graph(nx: int, ny: int):
@@ -186,9 +186,9 @@ class TestFolner:
                                             [(0, 1), (1, 2)]))
         adj = wreath.adjacency_lists()
         ks = (0.5, 1.0, 2.0)
-        brute = iso._folner_bruteforce_multi(adj, ks, 24)
+        brute = folner_oracle(adj, ks, 24)
         for k in ks:
-            conn, _ = iso.folner_function(adj, k, 24, connected_only=True)
+            conn, _ = iso.folner_function(adj, k, 24)
             assert conn == brute[k]
 
     def test_monotone_in_k(self):
@@ -203,10 +203,10 @@ class TestFolner:
                             [(0, 1), (0, 2), (0, 3)])]
         for host in hosts:
             n = host.n_vertices
-            for k in (0.5, 1.0, 2.0, 3.0):
-                conn, _ = iso.folner_function(host.adjacency, k, n, True)
-                brute, _ = iso.folner_function(host.adjacency, k, n, False)
-                assert conn == brute
+            brute = folner_oracle(host.adjacency, (0.5, 1.0, 2.0, 3.0), n)
+            for k, want in brute.items():
+                conn, _ = iso.folner_function(host.adjacency, k, n)
+                assert conn == want
 
     def test_profile_csv_schema(self):
         profile = iso.folner_profile(grid_graph(3, 3).adjacency, [1.0, 2.0], 9)
@@ -218,18 +218,30 @@ class TestFolner:
 
 
 class TestFolnerLowerBound:
+    @staticmethod
+    def _assert_pinned(base, wreath_values):
+        report = iso.folner_lower_bound_check(base, list(wreath_values))
+        assert {e["k"]: e["wreath_folner"] for e in report} == wreath_values
+        for entry in report:
+            assert entry["base_folner"] == 1
+            assert entry["holds"] and entry["exact"]
+
     def test_three_vertex_bases(self):
+        # exact minima of the folner-wreath recipe's 24-vertex wreaths
         p3 = make_graph([(x, 0) for x in range(3)], [(0, 1), (1, 2)])
         triangle = make_graph([(0, 0), (1, 0), (0, 1)],
                               [(0, 1), (0, 2), (1, 2)])
-        for base in (p3, triangle):
-            for entry in iso.folner_lower_bound_check(base, [1, 2, 3]):
-                assert entry["holds"] and entry["exact"]
+        self._assert_pinned(p3, {1: 2, 2: 8, 3: 12})
+        self._assert_pinned(triangle, {1: 3, 2: 11, 3: 12})
 
     def test_wreath_side_dominates(self, k2):
-        report = iso.folner_lower_bound_check(k2, [1.0])
-        (entry,) = report
-        assert entry["wreath_folner"] >= 2
+        self._assert_pinned(k2, {1: 2, 2: 4, 3: 6})
+
+    def test_wreath_size_cap_named(self):
+        square = make_graph([(0, 0), (1, 0), (1, 1), (0, 1)],
+                            [(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(ValueError, match="64 vertices.*capped at 24"):
+            iso.folner_lower_bound_check(square, [1])
 
 
 class TestConfigurationGraph:
@@ -325,3 +337,40 @@ def test_boundary_oracle_property(mask):
     members = frozenset(v for v in range(9) if mask >> v & 1)
     sel = iso.SubsetSelection(g.adjacency, members)
     assert iso.boundary_size(sel) == boundary_oracle(g.adjacency, members)
+
+
+PAIRS_12 = list(itertools.combinations(range(12), 2))
+
+
+def _random_graph(n: int, edges) -> list:
+    adjacency = [[] for _ in range(n)]
+    for i, j in edges:
+        if j < n:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+    return adjacency
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(min_value=1, max_value=12),
+       # sparse edge lists leave isolated vertices and several components
+       edges=st.one_of(
+           st.lists(st.sampled_from(PAIRS_12), max_size=20, unique=True),
+           st.lists(st.booleans(), min_size=len(PAIRS_12), max_size=len(PAIRS_12))
+           .map(lambda bits: [e for e, bit in zip(PAIRS_12, bits) if bit])),
+       ks=st.lists(st.sampled_from([0.25, 0.5, 1.0, 4 / 3, 2.0, 3.0, 7.5]),
+                   min_size=2, max_size=5, unique=True),
+       cap_cut=st.integers(min_value=0, max_value=11))
+# a 4-cycle and two 4-paths: every whole component qualifies, yet k=3 needs a 3-path end
+@example(n=12, edges=[(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7),
+                      (8, 9), (9, 10), (10, 11)], ks=[0.5, 1.0, 3.0], cap_cut=8)
+# two triangles, a 3-path and three isolated vertices
+@example(n=12, edges=[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 7), (7, 8)],
+         ks=[0.5, 1.0, 3.0], cap_cut=0)
+def test_folner_one_pass_matches_oracle(n, edges, ks, cap_cut):
+    adjacency = _random_graph(n, edges)
+    cap = max(1, n - cap_cut)
+    want = folner_oracle(adjacency, ks, cap)
+    profile = iso.folner_profile(adjacency, ks, cap)
+    assert [(k, want[k], want[k] is not None) for k in ks] == profile.entries
+    assert iso.folner_function(adjacency, ks[0], cap) == (want[ks[0]], want[ks[0]] is not None)
