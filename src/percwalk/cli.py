@@ -15,8 +15,6 @@ def main(argv=None) -> int:
     parser.add_argument("recipe", choices=sorted(RECIPES),
                         help="experiment recipe to run")
     parser.add_argument("--config", help="flat key=value parameter file")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker count (results are identical for any value)")
     parser.add_argument("--out", help="directory for CSV/JSON artifacts")
     args = parser.parse_args(argv)
 

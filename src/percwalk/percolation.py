@@ -13,11 +13,13 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 
 __all__ = [
     "LatticeSpec",
@@ -28,6 +30,7 @@ __all__ = [
     "UnreachableVertexError",
     "sample_bond_config",
     "open_adjacency",
+    "induced_csr",
     "component_of_origin",
     "largest_cluster",
     "chemical_distance",
@@ -136,17 +139,49 @@ def sample_bond_config(spec: LatticeSpec, p: float, seed: int) -> BondConfigurat
 
 
 def open_adjacency(config: BondConfiguration) -> tuple[np.ndarray, np.ndarray]:
-    """CSR adjacency ``(indptr, indices)`` of the open subgraph on all box vertices."""
+    """CSR adjacency ``(indptr, indices)`` of the open subgraph on all box
+    vertices, each row's neighbours in ascending order."""
+    n = config.spec.n_vertices
     tails, heads, _ = config.spec.edges()
     t = tails[config.open]
     h = heads[config.open]
     src = np.concatenate([t, h])
     dst = np.concatenate([h, t])
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=config.spec.n_vertices)
+    order = np.argsort(src * n + dst)
+    counts = np.bincount(src, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    return indptr, dst
+    return indptr, dst[order]
+
+
+def induced_csr(indptr: np.ndarray, indices: np.ndarray,
+                keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the subgraph induced on the sorted vertex array ``keep``.
+
+    Vertex ``keep[i]`` becomes ``i``; each row keeps the order of its
+    surviving neighbours.
+    """
+    local = np.full(indptr.size - 1, -1, dtype=np.int64)
+    local[keep] = np.arange(keep.size)
+    lengths = indptr[keep + 1] - indptr[keep]
+    starts = np.repeat(indptr[keep] - np.cumsum(lengths) + lengths, lengths)
+    cols = local[indices[starts + np.arange(starts.size)]]
+    inside = cols >= 0
+    rows = np.repeat(np.arange(keep.size), lengths)[inside]
+    sub_indptr = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=keep.size), out=sub_indptr[1:])
+    return sub_indptr, cols[inside]
+
+
+def _as_graph(indptr: np.ndarray, indices: np.ndarray) -> csr_matrix:
+    """Unit-weight sparse matrix over a CSR adjacency, for ``scipy.sparse.csgraph``."""
+    n = indptr.size - 1
+    return csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+
+
+def _components(graph: csr_matrix) -> np.ndarray:
+    """Component label of every vertex.  The graph is symmetric, so its strong
+    components are its components and no transpose is needed."""
+    return connected_components(graph, directed=True, connection="strong")[1]
 
 
 @dataclass
@@ -162,6 +197,7 @@ class ClusterGraph:
     adjacency: list
     origin: int | None
     meta: dict = field(default_factory=dict)
+    _csr: tuple | None = field(default=None, repr=False)
     _dist: np.ndarray | None = field(default=None, repr=False)
     _index: dict | None = field(default=None, repr=False)
 
@@ -174,6 +210,17 @@ class ClusterGraph:
         return cls(np.zeros((0, 0), dtype=int), [], None, meta or {})
 
     @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` view of ``adjacency``, rows in list order."""
+        if self._csr is None:
+            indptr = np.zeros(len(self.adjacency) + 1, dtype=np.int64)
+            np.cumsum([len(nbrs) for nbrs in self.adjacency], out=indptr[1:])
+            indices = np.fromiter(chain.from_iterable(self.adjacency),
+                                  dtype=np.int64, count=int(indptr[-1]))
+            self._csr = (indptr, indices)
+        return self._csr
+
+    @property
     def is_empty(self) -> bool:
         return len(self.adjacency) == 0
 
@@ -183,7 +230,7 @@ class ClusterGraph:
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.array([len(nbrs) for nbrs in self.adjacency])
+        return np.diff(self.csr[0])
 
     def neighbors(self, i: int) -> Sequence[int]:
         return self.adjacency[i]
@@ -195,7 +242,7 @@ class ClusterGraph:
                     yield i, j
 
     def n_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return self.csr[1].size // 2
 
     def index_of(self, coords) -> int:
         if self._index is None:
@@ -204,83 +251,57 @@ class ClusterGraph:
 
     def validate(self):
         """Check adjacency symmetry and connectivity; raises on violation."""
+        indptr, indices = self.csr
         n = self.n_vertices
-        for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                if i not in self.adjacency[j]:
-                    raise ValueError(f"adjacency not symmetric at ({i}, {j})")
-        seen = np.zeros(n, dtype=bool)
-        queue = deque([0])
-        seen[0] = True
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for w in self.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        if count != n:
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        # edge (i, j) as key i * n + j, against the keys of the transpose
+        keys = np.sort(rows * n + indices)
+        transposed = np.sort(indices * n + rows)
+        bad = np.flatnonzero(keys != transposed)
+        if bad.size:
+            # the smaller key at the first mismatch is an edge without its mirror
+            a, b = int(keys[bad[0]]), int(transposed[bad[0]])
+            i, j = divmod(a, n) if a < b else divmod(b, n)[::-1]
+            raise ValueError(f"adjacency not symmetric at ({i}, {j})")
+        if _components(_as_graph(indptr, indices)).max() > 0:
             raise ValueError("cluster graph is not connected")
-        if self.origin is not None and not 0 <= self.origin < n:
+        if self.origin is not None and not 0 <= self.origin < self.n_vertices:
             raise ValueError("origin index out of range")
 
     def distances_from_origin(self) -> np.ndarray:
-        """Chemical distances D(origin, .) to every cluster vertex (BFS)."""
+        """Chemical distances D(origin, .) to every cluster vertex."""
         if self.origin is None:
             raise ValueError("cluster has no distinguished origin")
         if self._dist is None:
-            dist = np.full(self.n_vertices, -1)
-            dist[self.origin] = 0
-            queue = deque([self.origin])
-            while queue:
-                v = queue.popleft()
-                for w in self.adjacency[v]:
-                    if dist[w] < 0:
-                        dist[w] = dist[v] + 1
-                        queue.append(w)
-            self._dist = dist
+            # the cluster is connected, so every distance is finite
+            dist = dijkstra(_as_graph(*self.csr), indices=self.origin, unweighted=True)
+            self._dist = dist.astype(np.int64)
         return self._dist
 
 
-def _component(indptr, indices, start: int) -> list[int]:
-    seen = {start}
-    queue = deque([start])
-    out = [start]
-    while queue:
-        v = queue.popleft()
-        for w in indices[indptr[v] : indptr[v + 1]]:
-            w = int(w)
-            if w not in seen:
-                seen.add(w)
-                out.append(w)
-                queue.append(w)
-    return out
+def _origin_id(spec: LatticeSpec) -> int:
+    return spec.vertex_index(np.zeros(spec.d, dtype=int))
 
 
-def _induced_cluster(config: BondConfiguration, vertex_ids: list[int],
+def _induced_cluster(config: BondConfiguration, graph: csr_matrix, ids: np.ndarray,
                      origin_id: int | None) -> ClusterGraph:
+    """The cluster induced on the sorted box vertex ids; local index = rank."""
     spec = config.spec
-    indptr, indices = open_adjacency(config)
-    ids = sorted(vertex_ids)
-    local = {v: i for i, v in enumerate(ids)}
-    adjacency = []
-    for v in ids:
-        adjacency.append(sorted(local[int(w)] for w in indices[indptr[v] : indptr[v + 1]]
-                                if int(w) in local))
-    coords = np.array([spec.vertex_coords(v) for v in ids])
-    origin = local[origin_id] if origin_id is not None else None
+    indptr, indices = induced_csr(graph.indptr, graph.indices, ids)
+    coords = np.stack(np.unravel_index(ids, (spec.side,) * spec.d), axis=1) - spec.n
+    origin = int(np.searchsorted(ids, origin_id)) if origin_id is not None else None
     meta = {"d": spec.d, "n": spec.n, "p": config.p, "seed": config.seed}
-    return ClusterGraph(coords, adjacency, origin, meta)
+    flat, bounds = indices.tolist(), indptr.tolist()
+    adjacency = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    return ClusterGraph(coords, adjacency, origin, meta, _csr=(indptr, indices))
 
 
 def component_of_origin(config: BondConfiguration) -> ClusterGraph:
     """The connected component C_n of the origin in the open subgraph of the box."""
-    spec = config.spec
-    origin_id = spec.vertex_index(np.zeros(spec.d, dtype=int))
-    indptr, indices = open_adjacency(config)
-    comp = _component(indptr, indices, origin_id)
-    return _induced_cluster(config, comp, origin_id)
+    origin_id = _origin_id(config.spec)
+    graph = _as_graph(*open_adjacency(config))
+    ids = np.sort(breadth_first_order(graph, origin_id, return_predecessors=False))
+    return _induced_cluster(config, graph, ids, origin_id)
 
 
 def largest_cluster(config: BondConfiguration) -> ClusterGraph:
@@ -290,28 +311,18 @@ def largest_cluster(config: BondConfiguration) -> ClusterGraph:
     edge at all the empty sentinel is returned.
     """
     spec = config.spec
-    indptr, indices = open_adjacency(config)
-    degrees = np.diff(indptr)
-    todo = np.nonzero(degrees > 0)[0]
-    if todo.size == 0:
+    graph = _as_graph(*open_adjacency(config))
+    labels = _components(graph)
+    size_of = np.bincount(labels)[labels]
+    if size_of.max() < 2:
         return ClusterGraph.empty({"d": spec.d, "n": spec.n,
                                    "p": config.p, "seed": config.seed})
-    seen = np.zeros(spec.n_vertices, dtype=bool)
-    best = None
-    best_key = None
-    for start in todo:
-        if seen[start]:
-            continue
-        comp = _component(indptr, indices, int(start))
-        seen[comp] = True
-        # start is the smallest vertex index of its component because we scan
-        # vertex ids in increasing order; index order is lexicographic order.
-        key = (-len(comp), tuple(spec.vertex_coords(int(start))))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = comp
-    origin_id = spec.vertex_index(np.zeros(spec.d, dtype=int))
-    return _induced_cluster(config, best, origin_id if origin_id in set(best) else None)
+    # the first vertex of a largest component has the smallest id of any of
+    # them; index order is lexicographic order
+    best = labels[np.argmax(size_of)]
+    origin_id = _origin_id(spec)
+    return _induced_cluster(config, graph, np.flatnonzero(labels == best),
+                            origin_id if labels[origin_id] == best else None)
 
 
 def chemical_distance(cluster: ClusterGraph, x) -> int:
@@ -344,20 +355,10 @@ def chemical_ball(config: BondConfiguration, r: int) -> ClusterGraph:
         raise ValueError("ball radius must be >= 0")
     if r > spec.n:
         raise ValueError(f"ball radius {r} exceeds the sampled box radius {spec.n}")
-    origin_id = spec.vertex_index(np.zeros(spec.d, dtype=int))
-    indptr, indices = open_adjacency(config)
-    dist = {origin_id: 0}
-    queue = deque([origin_id])
-    while queue:
-        v = queue.popleft()
-        if dist[v] == r:
-            continue
-        for w in indices[indptr[v] : indptr[v + 1]]:
-            w = int(w)
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return _induced_cluster(config, list(dist), origin_id)
+    origin_id = _origin_id(spec)
+    graph = _as_graph(*open_adjacency(config))
+    dist = dijkstra(graph, indices=origin_id, unweighted=True, limit=r)
+    return _induced_cluster(config, graph, np.flatnonzero(np.isfinite(dist)), origin_id)
 
 
 def volume_growth_ratio(config: BondConfiguration) -> float:
@@ -407,88 +408,25 @@ class RenormalizedField:
         return [i for i, s in self.blocks.items() if s.classifiable]
 
 
-def _subgraph_components(t_all: np.ndarray, h_all: np.ndarray,
-                         coords_t: np.ndarray, coords_h: np.ndarray,
-                         lo: np.ndarray, hi: np.ndarray) -> tuple[dict, list[list[int]]]:
-    """Open components of the subgraph induced on the sub-box [lo, hi]."""
-    inside = np.all((coords_t >= lo) & (coords_t <= hi), axis=1) & \
-        np.all((coords_h >= lo) & (coords_h <= hi), axis=1)
-    t, h = t_all[inside], h_all[inside]
-    adj: dict[int, list[int]] = {}
-    for a, b in zip(t.tolist(), h.tolist()):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    comps = []
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
+def _box_ids(spec: LatticeSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sorted vertex ids of the sub-box [lo, hi]."""
+    axes = [np.arange(a, b + 1) + spec.n for a, b in zip(lo, hi)]
+    grid = np.meshgrid(*axes, indexing="ij")
+    return np.ravel_multi_index(grid, (spec.side,) * spec.d).ravel()
+
+
+def _others_short(graph: csr_matrix, labels: np.ndarray, k: int, cap: int) -> bool:
+    """Has every component other than ``k`` graph diameter at most ``cap``?"""
+    sizes = np.bincount(labels)
+    # a component of at most cap + 1 vertices cannot be wider than cap
+    for c in np.flatnonzero(sizes > cap + 1):
+        if c == k:
             continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(comp)
-    return adj, comps
-
-
-def _crosses_inner_box(spec: LatticeSpec, comp: set[int], adj: dict,
-                       coords_all: np.ndarray,
-                       lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Does the component contain, inside [lo, hi], a face-to-face open path
-    for every axis?"""
-    members = [v for v in comp
-               if np.all((coords_all[v] >= lo) & (coords_all[v] <= hi))]
-    if not members:
-        return False
-    member_set = set(members)
-    coords = {v: coords_all[v] for v in members}
-    for axis in range(spec.d):
-        sources = [v for v in members if coords[v][axis] == lo[axis]]
-        targets = {v for v in members if coords[v][axis] == hi[axis]}
-        if not sources or not targets:
-            return False
-        seen = set(sources)
-        queue = deque(sources)
-        hit = bool(seen & targets)
-        while queue and not hit:
-            v = queue.popleft()
-            for w in adj.get(v, ()):
-                if w in member_set and w not in seen:
-                    seen.add(w)
-                    if w in targets:
-                        hit = True
-                        break
-                    queue.append(w)
-        if not hit:
+        members = np.flatnonzero(labels == c)
+        dist = dijkstra(graph, indices=members, unweighted=True, limit=cap)
+        if np.isinf(dist[:, members]).any():
             return False
     return True
-
-
-def _component_diameter(comp: list[int], adj: dict, cap: int) -> int:
-    """Graph diameter of a component; early exit once it exceeds ``cap``."""
-    comp_set = set(comp)
-    diameter = 0
-    for start in comp:
-        dist = {start: 0}
-        queue = deque([start])
-        ecc = 0
-        while queue:
-            v = queue.popleft()
-            for w in adj.get(v, ()):
-                if w in comp_set and w not in dist:
-                    dist[w] = dist[v] + 1
-                    ecc = max(ecc, dist[w])
-                    queue.append(w)
-        diameter = max(diameter, ecc)
-        if diameter > cap:
-            return diameter
-    return diameter
 
 
 def classify_boxes(config: BondConfiguration, N: int) -> RenormalizedField:
@@ -508,13 +446,10 @@ def classify_boxes(config: BondConfiguration, N: int) -> RenormalizedField:
     big = (5 * N) // 4
     imax = int(np.ceil((spec.n + N) / step))
     path_cap = N // 10
+    row = int(np.floor(np.sqrt(N))) + 1
+    stride = spec.side ** (spec.d - 1)  # id step along axis 0
     blocks: dict[tuple, BlockStatus] = {}
-    tails, heads, _ = spec.edges()
-    t_open, h_open = tails[config.open], heads[config.open]
-    open_set = {(int(t), int(h)) for t, h in zip(t_open, h_open)}
-    coords_all = spec.all_coords()
-    coords_t = coords_all[t_open]
-    coords_h = coords_all[h_open]
+    indptr, indices = open_adjacency(config)
 
     for flat in np.ndindex(*(2 * imax + 1,) * spec.d):
         i = np.array(flat) - imax
@@ -527,32 +462,29 @@ def classify_boxes(config: BondConfiguration, N: int) -> RenormalizedField:
             blocks[tuple(i)] = BlockStatus(False, False, False)
             continue
 
-        adj, comps = _subgraph_components(t_open, h_open, coords_t, coords_h,
-                                          lo_big, hi_big)
-        crossing_comps = [c for c in comps
-                          if _crosses_inner_box(spec, set(c), adj, coords_all,
-                                                lo_in, hi_in)]
-        crossing = False
-        if len(crossing_comps) == 1:
-            k = crossing_comps[0]
-            others_short = all(
-                _component_diameter(c, adj, path_cap) <= path_cap
-                for c in comps if c is not k)
-            crossing = others_short
+        big_ids = _box_ids(spec, lo_big, hi_big)
+        sub_indptr, sub_indices = induced_csr(indptr, indices, big_ids)
+        graph = _as_graph(sub_indptr, sub_indices)
+        labels = _components(graph)
+        inner = np.searchsorted(big_ids, _box_ids(spec, lo_in, hi_in))
+        inner_labels = _components(_as_graph(*induced_csr(sub_indptr, sub_indices, inner)))
+        # each component of the inner box lies in one component of the enlarged box
+        owner = np.empty(inner_labels.max() + 1, dtype=np.int64)
+        owner[inner_labels] = labels[inner]
+        # K crosses an axis when one of its inner-box components touches both faces
+        faces = inner_labels.reshape((step,) * spec.d)
+        crosses = np.ones(labels.max() + 1, dtype=bool)
+        for axis in range(spec.d):
+            hit = np.zeros_like(crosses)
+            hit[owner[np.intersect1d(np.take(faces, 0, axis=axis),
+                                     np.take(faces, -1, axis=axis))]] = True
+            crosses &= hit
+        k = np.flatnonzero(crosses)
+        crossing = k.size == 1 and _others_short(graph, labels, k[0], path_cap)
 
-        row = int(np.floor(np.sqrt(N))) + 1
-        edge_event = False
-        for kk in range(row):
-            a = center.copy()
-            a[0] += kk
-            b = a.copy()
-            b[0] += 1
-            if np.any(np.abs(a) > spec.n) or np.any(np.abs(b) > spec.n):
-                continue
-            e = (spec.vertex_index(a), spec.vertex_index(b))
-            if (min(e), max(e)) in open_set:
-                edge_event = True
-                break
+        # the edge row E_i runs along axis 0 from the centre, inside B_i
+        tails = spec.vertex_index(center) + stride * np.arange(row)
+        edge_event = any(v + stride in indices[indptr[v]:indptr[v + 1]] for v in tails)
 
         blocks[tuple(i)] = BlockStatus(True, crossing, edge_event)
     return RenormalizedField(N, blocks)

@@ -22,7 +22,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from percwalk.percolation import ClusterGraph
+from percwalk.percolation import ClusterGraph, induced_csr
 
 __all__ = [
     "WalkPath",
@@ -127,12 +127,14 @@ def visited_count(path: WalkPath) -> int:
 # Exact enumeration backends
 # ---------------------------------------------------------------------------
 
-def _csr(cluster: ClusterGraph) -> tuple[np.ndarray, np.ndarray]:
-    deg = cluster.degrees
-    indptr = np.concatenate([[0], np.cumsum(deg)])
-    indices = np.fromiter((w for nbrs in cluster.adjacency for w in nbrs),
-                          dtype=np.int64, count=int(indptr[-1]))
-    return indptr.astype(np.int64), indices
+def _neighbor_table(cluster: ClusterGraph) -> np.ndarray:
+    """Row v lists the neighbours of v in adjacency order, zero-padded to the
+    largest degree."""
+    indptr, indices = cluster.csr
+    deg = np.diff(indptr)
+    table = np.zeros((deg.size, max(int(deg.max()), 1)), dtype=np.int32)
+    table[np.arange(table.shape[1]) < deg[:, None]] = indices
+    return table
 
 
 def _reachable_ball(cluster: ClusterGraph, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,15 +154,10 @@ def _merged_state_distribution(cluster: ClusterGraph, n: int, budget: int) -> di
     keep, dist = _reachable_ball(cluster, n)
     if keep.size > 60:
         raise BudgetExceededError(float("inf"), budget)
-    local = -np.ones(cluster.n_vertices, dtype=np.int64)
-    local[keep] = np.arange(keep.size)
-    deg_full = cluster.degrees  # ambient degrees drive the kernel
-    sub_adj = [[int(local[w]) for w in cluster.adjacency[v]] for v in keep]
-    deg = deg_full[keep].astype(np.float64)
-    indptr = np.concatenate([[0], np.cumsum([len(a) for a in sub_adj])]).astype(np.int64)
-    indices = np.fromiter((w for a in sub_adj for w in a), dtype=np.int64,
-                          count=int(indptr[-1]))
-    origin = int(local[cluster.origin])
+    # the walk only leaves from distance <= n - 1, where no neighbour is cut
+    indptr, indices = induced_csr(*cluster.csr, keep)
+    deg = cluster.degrees[keep].astype(np.float64)  # ambient degrees drive the kernel
+    origin = int(np.searchsorted(keep, cluster.origin))
 
     verts = np.array([origin], dtype=np.int64)
     masks = np.array([np.uint64(1) << np.uint64(origin)], dtype=np.uint64)
@@ -213,9 +210,7 @@ def _uniform_path_distribution(cluster: ClusterGraph, n: int, budget: int) -> di
     if g**n > budget:
         raise BudgetExceededError(float(g) ** n, budget)
 
-    nbr = np.full((cluster.n_vertices, max(g, 1)), -1, dtype=np.int32)
-    for v in range(cluster.n_vertices):
-        nbr[v, : len(cluster.adjacency[v])] = cluster.adjacency[v]
+    nbr = _neighbor_table(cluster)
     paths = np.full((1, n + 1), cluster.origin, dtype=np.int32)
     for step in range(1, n + 1):
         cur = paths[:, step - 1]
@@ -272,11 +267,7 @@ def _mc_trajectories(cluster: ClusterGraph, n_max: int, chunk: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Trajectory block of shape (n_max + 1, chunk), column = one chain."""
     deg = cluster.degrees
-    g_max = int(deg.max())
-    nbr = np.zeros((cluster.n_vertices, g_max), dtype=np.int32)
-    for v in range(cluster.n_vertices):
-        k = len(cluster.adjacency[v])
-        nbr[v, :k] = cluster.adjacency[v]
+    nbr = _neighbor_table(cluster)
     traj = np.empty((n_max + 1, chunk), dtype=np.int32)
     traj[0] = cluster.origin
     u = rng.random((n_max, chunk))
@@ -411,15 +402,10 @@ def _ball_kernel(cluster: ClusterGraph, r: int):
     local = -np.ones(cluster.n_vertices, dtype=np.int64)
     local[ball] = np.arange(ball.size)
     deg = cluster.degrees.astype(np.float64)
-    rows, cols, vals = [], [], []
-    for v in ball:
-        for w in cluster.adjacency[int(v)]:
-            if local[w] >= 0:
-                rows.append(int(local[v]))
-                cols.append(int(local[w]))
-                vals.append(1.0 / deg[v])
+    indptr, indices = induced_csr(*cluster.csr, ball)
+    vals = 1.0 / np.repeat(deg[ball], np.diff(indptr))
     import scipy.sparse as sp
-    P = sp.csr_matrix((vals, (rows, cols)), shape=(ball.size, ball.size))
+    P = sp.csr_matrix((vals, indices, indptr), shape=(ball.size, ball.size))
     return ball, local, deg, P
 
 

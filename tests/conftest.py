@@ -7,10 +7,12 @@ the implementations they check.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
-from percwalk.percolation import ClusterGraph
+from percwalk.percolation import BlockStatus, ClusterGraph
 
 
 def make_graph(coords, edges, meta=None) -> ClusterGraph:
@@ -65,6 +67,215 @@ def bfs_oracle(adjacency, start: int) -> dict:
                     nxt.append(w)
         frontier = nxt
     return dist
+
+
+def open_graph_oracle(config) -> dict:
+    """Open neighbours of every box vertex, read off the edge list one edge
+    at a time."""
+    tails, heads, _ = config.spec.edges()
+    adj = {v: [] for v in range(config.spec.n_vertices)}
+    for t, h, is_open in zip(tails.tolist(), heads.tolist(), config.open.tolist()):
+        if is_open:
+            adj[t].append(h)
+            adj[h].append(t)
+    return adj
+
+
+def components_oracle(adj: dict) -> list:
+    """Components of a dict-of-lists graph by stack flood fill, each sorted,
+    listed in order of their smallest vertex."""
+    seen = set()
+    comps = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def extraction_oracle(config, kind: str, r: int = 0):
+    """``(coords, adjacency, origin, meta)`` of ``component_of_origin``
+    (kind "origin"), ``largest_cluster`` ("largest"; ``None`` for the empty
+    sentinel) or ``chemical_ball(config, r)`` ("ball"), from the open graph,
+    flood fill and breadth-first distances in plain Python."""
+    spec = config.spec
+    side = spec.side
+    origin_id = sum(spec.n * side**a for a in range(spec.d))
+    adj = open_graph_oracle(config)
+    if kind == "origin":
+        ids = next(c for c in components_oracle(adj) if origin_id in c)
+    elif kind == "largest":
+        comps = [c for c in components_oracle(adj) if len(c) > 1]
+        if not comps:
+            return None
+        ids = max(comps, key=len)  # first of the largest = smallest least vertex
+    else:
+        ids = sorted(v for v, dist in bfs_oracle(adj, origin_id).items() if dist <= r)
+    local = {v: i for i, v in enumerate(ids)}
+    adjacency = [sorted(local[w] for w in adj[v] if w in local) for v in ids]
+    coords = []
+    for v in ids:
+        digits = []
+        for _ in range(spec.d):
+            v, rem = divmod(v, side)
+            digits.append(rem - spec.n)
+        coords.append(digits[::-1])
+    meta = {"d": spec.d, "n": spec.n, "p": config.p, "seed": config.seed}
+    return coords, adjacency, local.get(origin_id), meta
+
+
+def _subgraph_components(t_all: np.ndarray, h_all: np.ndarray,
+                         coords_t: np.ndarray, coords_h: np.ndarray,
+                         lo: np.ndarray, hi: np.ndarray) -> tuple[dict, list[list[int]]]:
+    """Open components of the subgraph induced on the sub-box [lo, hi]."""
+    inside = np.all((coords_t >= lo) & (coords_t <= hi), axis=1) & \
+        np.all((coords_h >= lo) & (coords_h <= hi), axis=1)
+    t, h = t_all[inside], h_all[inside]
+    adj: dict[int, list[int]] = {}
+    for a, b in zip(t.tolist(), h.tolist()):
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    comps = []
+    seen: set[int] = set()
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    queue.append(w)
+        comps.append(comp)
+    return adj, comps
+
+
+def _crosses_inner_box(spec, comp: set[int], adj: dict,
+                       coords_all: np.ndarray,
+                       lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Does the component contain, inside [lo, hi], a face-to-face open path
+    for every axis?"""
+    members = [v for v in comp
+               if np.all((coords_all[v] >= lo) & (coords_all[v] <= hi))]
+    if not members:
+        return False
+    member_set = set(members)
+    coords = {v: coords_all[v] for v in members}
+    for axis in range(spec.d):
+        sources = [v for v in members if coords[v][axis] == lo[axis]]
+        targets = {v for v in members if coords[v][axis] == hi[axis]}
+        if not sources or not targets:
+            return False
+        seen = set(sources)
+        queue = deque(sources)
+        hit = bool(seen & targets)
+        while queue and not hit:
+            v = queue.popleft()
+            for w in adj.get(v, ()):
+                if w in member_set and w not in seen:
+                    seen.add(w)
+                    if w in targets:
+                        hit = True
+                        break
+                    queue.append(w)
+        if not hit:
+            return False
+    return True
+
+
+def _component_diameter(comp: list[int], adj: dict, cap: int) -> int:
+    """Graph diameter of a component; early exit once it exceeds ``cap``."""
+    comp_set = set(comp)
+    diameter = 0
+    for start in comp:
+        dist = {start: 0}
+        queue = deque([start])
+        ecc = 0
+        while queue:
+            v = queue.popleft()
+            for w in adj.get(v, ()):
+                if w in comp_set and w not in dist:
+                    dist[w] = dist[v] + 1
+                    ecc = max(ecc, dist[w])
+                    queue.append(w)
+        diameter = max(diameter, ecc)
+        if diameter > cap:
+            return diameter
+    return diameter
+
+
+def classify_boxes_oracle(config, N: int) -> dict:
+    """Per-block ``BlockStatus`` of ``classify_boxes``, by a set of every open
+    edge and plain breadth-first searches per block: one per component, one
+    per axis for crossings, one per vertex for diameters."""
+    if N < 4:
+        raise ValueError(f"block scale must be >= 4, got {N}")
+    spec = config.spec
+    step = 2 * N + 1
+    big = (5 * N) // 4
+    imax = int(np.ceil((spec.n + N) / step))
+    path_cap = N // 10
+    blocks = {}
+    tails, heads, _ = spec.edges()
+    t_open, h_open = tails[config.open], heads[config.open]
+    open_set = {(int(t), int(h)) for t, h in zip(t_open, h_open)}
+    coords_all = spec.all_coords()
+    coords_t = coords_all[t_open]
+    coords_h = coords_all[h_open]
+
+    for flat in np.ndindex(*(2 * imax + 1,) * spec.d):
+        i = np.array(flat) - imax
+        center = step * i
+        lo_in, hi_in = center - N, center + N
+        if np.any(hi_in < -spec.n) or np.any(lo_in > spec.n):
+            continue  # block does not intersect the sampled box
+        lo_big, hi_big = center - big, center + big
+        if np.any(lo_big < -spec.n) or np.any(hi_big > spec.n):
+            blocks[tuple(i)] = BlockStatus(False, False, False)
+            continue
+
+        adj, comps = _subgraph_components(t_open, h_open, coords_t, coords_h,
+                                          lo_big, hi_big)
+        crossing_comps = [c for c in comps
+                          if _crosses_inner_box(spec, set(c), adj, coords_all,
+                                                lo_in, hi_in)]
+        crossing = False
+        if len(crossing_comps) == 1:
+            k = crossing_comps[0]
+            others_short = all(
+                _component_diameter(c, adj, path_cap) <= path_cap
+                for c in comps if c is not k)
+            crossing = others_short
+
+        row = int(np.floor(np.sqrt(N))) + 1
+        edge_event = False
+        for kk in range(row):
+            a = center.copy()
+            a[0] += kk
+            b = a.copy()
+            b[0] += 1
+            if np.any(np.abs(a) > spec.n) or np.any(np.abs(b) > spec.n):
+                continue
+            e = (spec.vertex_index(a), spec.vertex_index(b))
+            if (min(e), max(e)) in open_set:
+                edge_event = True
+                break
+
+        blocks[tuple(i)] = BlockStatus(True, crossing, edge_event)
+    return blocks
 
 
 def boundary_oracle(adjacency, members) -> int:

@@ -117,15 +117,3 @@ class TestCli:
     def test_unknown_recipe_exits_nonzero(self):
         with pytest.raises(SystemExit):
             cli.main(["no-such-recipe"])
-
-    def test_worker_flag_does_not_change_results(self, tmp_path, capsys):
-        cfg = tmp_path / "quick.cfg"
-        cfg.write_text("n_max = 1\nalphas = 0.5,\n")
-        outputs = []
-        for workers in ("1", "4"):
-            cli.main(["identity-sweep", "--config", str(cfg),
-                      "--workers", workers])
-            text = capsys.readouterr().out
-            outputs.append([l for l in text.splitlines()
-                            if not l.startswith("  wall_clock")])
-        assert outputs[0] == outputs[1]

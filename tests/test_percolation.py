@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import io
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from percwalk import percolation as perc
-from conftest import bfs_oracle
+from conftest import (bfs_oracle, classify_boxes_oracle, components_oracle,
+                      extraction_oracle, open_graph_oracle)
 
 
 def _all_closed(spec: perc.LatticeSpec) -> perc.BondConfiguration:
@@ -20,14 +20,34 @@ def _all_closed(spec: perc.LatticeSpec) -> perc.BondConfiguration:
 
 
 def _components_oracle(config: perc.BondConfiguration):
-    """Independent component labelling through scipy's csgraph."""
-    spec = config.spec
-    tails, heads, _ = spec.edges()
-    t, h = tails[config.open], heads[config.open]
-    mat = csr_matrix((np.ones(t.size), (t, h)),
-                     shape=(spec.n_vertices, spec.n_vertices))
-    n_comp, labels = connected_components(mat, directed=False)
-    return n_comp, labels
+    """Independent component labelling by plain-Python flood fill."""
+    comps = components_oracle(open_graph_oracle(config))
+    labels = np.empty(config.spec.n_vertices, dtype=np.int64)
+    for label, comp in enumerate(comps):
+        labels[comp] = label
+    return len(comps), labels
+
+
+def _config_with_open(spec: perc.LatticeSpec, steps) -> perc.BondConfiguration:
+    """Configuration whose only open edges are the unit ``steps``, each given
+    as (coordinates of its lower end, axis)."""
+    tails, _, axes = spec.edges()
+    edge_id = {(int(t), int(a)): e for e, (t, a) in enumerate(zip(tails, axes))}
+    flags = np.zeros(spec.n_edges, dtype=bool)
+    for start, axis in steps:
+        flags[edge_id[spec.vertex_index(np.array(start)), axis]] = True
+    return perc.BondConfiguration(spec, 0.5, 0, flags)
+
+
+def _assert_matches(cluster: perc.ClusterGraph, want):
+    if want is None:
+        assert cluster.is_empty
+        return
+    coords, adjacency, origin, meta = want
+    assert np.array_equal(cluster.coords, np.array(coords).reshape(len(coords), -1))
+    assert cluster.adjacency == adjacency
+    assert cluster.origin == origin
+    assert cluster.meta == meta
 
 
 class TestSampling:
@@ -91,6 +111,72 @@ class TestComponentOfOrigin:
             if is_open and ct in have and ch in have:
                 i, j = cluster.index_of(ct), cluster.index_of(ch)
                 assert j in cluster.adjacency[i]
+
+
+class TestExtractionReference:
+    """Extraction against the plain-Python reference in ``conftest``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(min_value=2, max_value=3),
+           n=st.integers(min_value=0, max_value=4),
+           p=st.floats(min_value=0.05, max_value=1.0),
+           seed=st.integers(min_value=0, max_value=2**63 - 1),
+           r=st.integers(min_value=0, max_value=4))
+    def test_matches_reference(self, d, n, p, seed, r):
+        n = min(n, 2) if d == 3 else n
+        config = perc.sample_bond_config(perc.LatticeSpec(d, n), p, seed)
+        _assert_matches(perc.component_of_origin(config),
+                        extraction_oracle(config, "origin"))
+        _assert_matches(perc.largest_cluster(config),
+                        extraction_oracle(config, "largest"))
+        _assert_matches(perc.chemical_ball(config, min(r, n)),
+                        extraction_oracle(config, "ball", min(r, n)))
+
+    def test_isolated_origin(self):
+        config = _config_with_open(perc.LatticeSpec(2, 3), [((1, 1), 0), ((2, 1), 1)])
+        for cluster, want in ((perc.component_of_origin(config),
+                               extraction_oracle(config, "origin")),
+                              (perc.chemical_ball(config, 2),
+                               extraction_oracle(config, "ball", 2))):
+            _assert_matches(cluster, want)
+            assert cluster.n_vertices == 1 and cluster.origin == 0
+
+    def test_largest_away_from_origin(self):
+        # the origin sits on a 2-vertex component, the largest has 3 vertices
+        config = _config_with_open(perc.LatticeSpec(2, 3),
+                                   [((0, 0), 0), ((-3, 3), 0), ((-2, 3), 0)])
+        cluster = perc.largest_cluster(config)
+        _assert_matches(cluster, extraction_oracle(config, "largest"))
+        assert cluster.origin is None
+        assert {tuple(c) for c in cluster.coords} == {(-3, 3), (-2, 3), (-1, 3)}
+        _assert_matches(perc.component_of_origin(config),
+                        extraction_oracle(config, "origin"))
+
+    def test_tie_goes_to_least_vertex(self):
+        # two 3-vertex components; (-3, -3) is the least vertex of either
+        config = _config_with_open(perc.LatticeSpec(2, 3),
+                                   [((1, 3), 0), ((2, 3), 0),
+                                    ((-3, -3), 1), ((-3, -2), 1)])
+        cluster = perc.largest_cluster(config)
+        _assert_matches(cluster, extraction_oracle(config, "largest"))
+        assert {tuple(c) for c in cluster.coords} == {(-3, -3), (-3, -2), (-3, -1)}
+        assert cluster.origin is None
+
+
+class TestValidate:
+    @pytest.mark.parametrize("adjacency,pair", [
+        ([[1], [0, 2], []], "(1, 2)"),
+        ([[1, 2], [0], []], "(0, 2)"),
+        ([[1], [0, 2], [1, 0]], "(2, 0)"),
+    ])
+    def test_rejects_asymmetric_adjacency(self, adjacency, pair):
+        with pytest.raises(ValueError, match=f"not symmetric at {re.escape(pair)}"):
+            perc.ClusterGraph(np.array([[0, 0], [1, 0], [2, 0]]), adjacency, 0)
+
+    def test_rejects_disconnected_graph(self):
+        with pytest.raises(ValueError, match="not connected"):
+            perc.ClusterGraph(np.array([[0, 0], [1, 0], [3, 0], [4, 0]]),
+                              [[1], [0], [3], [2]], 0)
 
 
 class TestLargestCluster:
@@ -253,6 +339,39 @@ class TestClassifyBoxes:
             for i in before.classifiable_blocks():
                 if before.blocks[i].good:
                     assert after.blocks[i].good
+
+    @pytest.mark.parametrize("box", [9, 14, 21, 33])
+    def test_matches_oracle(self, box):
+        spec = perc.LatticeSpec(2, box)
+        for N in (4, 5, 10):
+            for p in (0.3, 0.5, 0.7, 0.9, 0.95):
+                for seed in range(2):
+                    config = perc.sample_bond_config(spec, p, 7000 + seed)
+                    field = perc.classify_boxes(config, N)
+                    assert field.blocks == classify_boxes_oracle(config, N)
+
+    def test_matches_oracle_d3(self):
+        spec = perc.LatticeSpec(3, 6)
+        for p in (0.3, 0.6, 0.9):
+            config = perc.sample_bond_config(spec, p, 71)
+            field = perc.classify_boxes(config, 4)
+            assert field.blocks == classify_boxes_oracle(config, 4)
+
+    @pytest.mark.parametrize("N", [4, 10, 20])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_other_component_at_path_cap(self, N, extra):
+        # block 0 has a fully open inner box and, in the margin of its
+        # enlarged box, one straight open path of N // 10 + extra edges
+        big = (5 * N) // 4
+        spec = perc.LatticeSpec(2, big)
+        inner = [((x, y), axis) for x in range(-N, N + 1) for y in range(-N, N + 1)
+                 for axis, stop in ((0, x), (1, y)) if stop < N]
+        length = N // 10 + extra
+        margin = [((x, big), 0) for x in range(length)]
+        config = _config_with_open(spec, inner + margin)
+        blocks = perc.classify_boxes(config, N).blocks
+        assert blocks[(0, 0)].good == (extra == 0)
+        assert blocks == classify_boxes_oracle(config, N)
 
 
 class TestTextFormat:
