@@ -208,10 +208,8 @@ def _recipe_identity_sweep(params, out_dir, artifacts):
     rows = []
     worst = 0.0
     for base_id, cluster in small_cluster_collection():
-        pinned = {}
-        for n in range(1, n_max + 1):
-            dist = walk.exact_visited_distribution(cluster, 2 * n)
-            pinned[n] = {m: pr for (m, pin), pr in dist.items() if pin}
+        laws = {n: walk.exact_visited_distribution(cluster, 2 * n)
+                for n in range(1, n_max + 1)}
         graph = wr.build_wreath(cluster)
         for alpha in alphas:
             kernel = wr.LamplighterKernel(graph, alpha)
@@ -221,7 +219,7 @@ def _recipe_identity_sweep(params, out_dir, artifacts):
                 v = kernel.matrix.T @ v
                 v = kernel.matrix.T @ v
                 lhs = float(v[graph.origin_state])
-                rhs = sum(alpha**m * pr for m, pr in pinned[n].items())
+                rhs = walk._laplace_of(laws[n], alpha, pinned=True)
                 gap = abs(lhs - rhs)
                 worst = max(worst, gap)
                 rows.append((base_id, cluster.n_vertices, alpha, n, lhs, rhs, gap))
@@ -266,15 +264,13 @@ def _recipe_confinement(params, out_dir, artifacts):
     worst = 0.0
     for i, (cseed, config, cluster) in enumerate(picked):
         counts = walk.mc_visited_samples(cluster, n_list, samples, seeds[i])
+        exact_laws = {n: walk.exact_visited_distribution(cluster, n) for n in n_list}
         for alpha in alphas:
             entries = []
             for n in n_list:
-                x = alpha ** counts[n].astype(np.float64)
-                mean = float(np.mean(x))
-                var = max(float(np.mean(x * x) - mean * mean), 0.0)
-                se = float(np.sqrt(var / samples))
+                mean, se = walk._mc_moments(counts[n], alpha)
                 entries.append((n, mean, se, "monte_carlo"))
-                exact = walk.exact_laplace(cluster, alpha, n)
+                exact = walk._laplace_of(exact_laws[n], alpha)
                 if se == 0.0:
                     ok = abs(mean - exact) <= 1e-12
                     sigmas = 0.0

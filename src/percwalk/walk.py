@@ -9,15 +9,16 @@ Two exact backends feed everything downstream:
   lattice seen from the origin), where every length-n path has the same
   weight and only the visited count varies.
 
-The Monte Carlo estimator runs many chains at once as column-vectorized
-trajectories; chains are keyed by (master seed, chain index) so results do
-not depend on chunking.
+The Monte Carlo estimator runs chunks of 65,536 chains as column-vectorized
+trajectories, chunk k keyed (master seed, k).  N_n is counted by a uint64
+visited mask per chain when the radius-n_max chemical ball has at most 64
+vertices, and by sorting each trajectory prefix otherwise.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -245,14 +246,17 @@ def exact_visited_distribution(cluster: ClusterGraph, n: int,
 def exact_laplace(cluster: ClusterGraph, alpha: float, n: int,
                   pinned: bool = False, budget: int = DEFAULT_BUDGET) -> float:
     """E[alpha^{N_n}], optionally restricted to walks returning at time n."""
+    return _laplace_of(exact_visited_distribution(cluster, n, budget), alpha, pinned)
+
+
+def _laplace_of(dist: dict, alpha: float, pinned: bool = False) -> float:
+    """E[alpha^{N_n}] from the joint law {(N_n, X_n == origin): probability}."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    dist = exact_visited_distribution(cluster, n, budget)
     total = 0.0
     for (count, pin), pr in dist.items():
-        if pinned and not pin:
-            continue
-        total += alpha**count * pr
+        if pin or not pinned:
+            total += alpha**count * pr
     return total
 
 
@@ -263,42 +267,63 @@ def exact_laplace(cluster: ClusterGraph, alpha: float, n: int,
 _CHUNK = 65536
 
 
-def _mc_trajectories(cluster: ClusterGraph, n_max: int, chunk: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Trajectory block of shape (n_max + 1, chunk), column = one chain."""
-    deg = cluster.degrees
-    nbr = _neighbor_table(cluster)
-    traj = np.empty((n_max + 1, chunk), dtype=np.int32)
-    traj[0] = cluster.origin
-    u = rng.random((n_max, chunk))
-    for step in range(1, n_max + 1):
-        cur = traj[step - 1]
-        pick = (u[step - 1] * deg[cur]).astype(np.int64)
-        traj[step] = nbr[cur, pick]
-    return traj
+def _trajectory_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int):
+    """Trajectory blocks (n_max + 1, chunk), one column per chain.  Chunk k draws
+    u = Philox(key=(seed << 64) + k).random((n_max, chunk)) one row per step,
+    and u moves a chain at v to neighbour floor(u * deg(v)) of v in CSR order."""
+    nbr = _neighbor_table(cluster)  # take() reads it flattened
+    width = nbr.shape[1]
+    deg = cluster.degrees.astype(np.float64)
+    for k, start in enumerate(range(0, samples, _CHUNK)):
+        chunk = min(_CHUNK, samples - start)
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + k))
+        traj = np.empty((n_max + 1, chunk), dtype=np.int32)
+        traj[0] = cluster.origin
+        for step in range(n_max):
+            cur = traj[step]
+            pick = (rng.random(chunk) * deg.take(cur)).astype(np.int32)
+            pick += cur * width
+            nbr.take(pick, out=traj[step + 1])
+        yield traj
 
 
 def mc_visited_samples(cluster: ClusterGraph, n_list: Sequence[int],
                        samples: int, seed: int) -> dict:
-    """Sampled N_n arrays per n, pooled over chains keyed by (seed, chain)."""
+    """Sampled N_n arrays per n, one entry per chain; chunk k keyed (seed, k).
+    N_n is the popcount of a uint64 visited mask, one bit per ball vertex, when
+    the chemical ball of radius max(n_list) has at most 64 vertices."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if cluster.n_vertices == 1:
-        return {n: np.ones(samples, dtype=np.int64) for n in n_list}
     n_max = max(n_list)
     out = {n: [] for n in n_list}
-    done = 0
-    chain = 0
-    while done < samples:
-        chunk = min(_CHUNK, samples - done)
-        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + chain))
-        traj = _mc_trajectories(cluster, n_max, chunk, rng)
-        for n in n_list:
-            block = np.sort(traj[: n + 1], axis=0)
-            out[n].append(1 + np.count_nonzero(np.diff(block, axis=0), axis=0))
-        done += chunk
-        chain += 1
+    keep, _ = _reachable_ball(cluster, n_max)
+    bit = None
+    if keep.size <= 64:
+        bit = np.zeros(cluster.n_vertices, dtype=np.uint64)
+        bit[keep] = np.uint64(1) << np.arange(keep.size, dtype=np.uint64)
+    for traj in _trajectory_chunks(cluster, n_max, samples, seed):
+        if bit is None:
+            for n in out:
+                block = np.sort(traj[: n + 1], axis=0)
+                out[n].append(1 + np.count_nonzero(np.diff(block, axis=0), axis=0))
+            continue
+        mask = np.zeros(traj.shape[1], dtype=np.uint64)
+        for step, sites in enumerate(traj):
+            mask |= bit.take(sites)
+            if step in out:
+                out[step].append(np.bitwise_count(mask))
     return {n: np.concatenate(parts).astype(np.int64) for n, parts in out.items()}
+
+
+def _mc_moments(counts: np.ndarray, alpha: float) -> tuple[float, float]:
+    """Sample mean of alpha^N over the counts, and its standard error."""
+    if counts.min() == counts.max():
+        # constant sample (n = 0, alpha = 1, forced paths): exact value
+        return float(alpha) ** int(counts[0]), 0.0
+    x = (alpha ** np.arange(counts.max() + 1.0)).take(counts)
+    mean = float(np.mean(x))
+    var = float(np.mean(x * x) - mean * mean)
+    return mean, float(np.sqrt(max(var, 0.0) / counts.size))
 
 
 def mc_laplace(cluster: ClusterGraph, alpha: float, n_list: Sequence[int],
@@ -307,18 +332,8 @@ def mc_laplace(cluster: ClusterGraph, alpha: float, n_list: Sequence[int],
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     counts = mc_visited_samples(cluster, sorted(set(n_list)), samples, seed)
-    entries = []
-    for n in sorted(counts):
-        c = counts[n]
-        if c.min() == c.max():
-            # constant sample (n = 0, alpha = 1, forced paths): exact value
-            entries.append((n, float(alpha) ** int(c[0]), 0.0, "monte_carlo"))
-            continue
-        x = alpha ** c.astype(np.float64)
-        mean = float(np.mean(x))
-        var = float(np.mean(x * x) - mean * mean)
-        stderr = float(np.sqrt(max(var, 0.0) / samples))
-        entries.append((n, mean, stderr, "monte_carlo"))
+    entries = [(n, *_mc_moments(counts[n], alpha), "monte_carlo")
+               for n in sorted(counts)]
     meta = cluster.meta
     return WalkSeries(entries, alpha, meta.get("p", float("nan")),
                       meta.get("d", 0), seed)
@@ -333,26 +348,15 @@ def confinement_probability(cluster: ClusterGraph, r: int, n: int,
     """
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
-    if cluster.n_vertices == 1:
+    if cluster.n_vertices == 1 or n <= r:
         return 1.0, 0.0
-    if n <= r:
-        return 1.0, 0.0
-    dist = cluster.distances_from_origin()
     if r == 0:
         return 0.0, 0.0  # the first of the n >= 1 steps leaves {0}
-    rng_chain = 0
-    hits = 0
-    done = 0
-    while done < samples:
-        chunk = min(_CHUNK, samples - done)
-        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + rng_chain))
-        traj = _mc_trajectories(cluster, n, chunk, rng)
-        hits += int(np.count_nonzero(np.all(dist[traj] <= r, axis=0)))
-        done += chunk
-        rng_chain += 1
+    inside = cluster.distances_from_origin() <= r
+    hits = sum(int(np.count_nonzero(inside.take(traj).all(axis=0)))
+               for traj in _trajectory_chunks(cluster, n, samples, seed))
     phat = hits / samples
-    stderr = float(np.sqrt(phat * (1 - phat) / samples))
-    return phat, stderr
+    return phat, float(np.sqrt(phat * (1 - phat) / samples))
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +419,12 @@ def survival_probabilities(cluster: ClusterGraph, r: int,
     ball, local, _, P = _ball_kernel(cluster, r)
     v = np.zeros(ball.size)
     v[int(local[cluster.origin])] = 1.0
-    wanted = sorted(set(int(n) for n in n_list))
     out = []
     step = 0
-    for n in wanted:
+    PT = P.T
+    for n in sorted(set(int(n) for n in n_list)):
         while step < n:
-            v = P.T @ v
+            v = PT @ v
             step += 1
         out.append((n, float(v.sum())))
     return out
@@ -452,10 +456,10 @@ def killed_operator_report(cluster: ClusterGraph, r: int,
     d = cluster.meta.get("d", cluster.coords.shape[1])
     paper_bound = 8.0 * d * ball.size / (r**2 * half)
 
-    h = np.zeros(cluster.n_vertices)
-    in_ball = dist <= r
-    h[in_ball] = r - dist[in_ball]
-    energy = sum((h[i] - h[j]) ** 2 for i, j in cluster.edges())
+    h = np.maximum(r - dist, 0)
+    rows = np.repeat(np.arange(cluster.n_vertices), cluster.degrees)
+    # h is integer-valued, so the sum over both directions is exact in any order
+    energy = float(np.sum((h[rows] - h[cluster.csr[1]]) ** 2)) / 2
     norm = float(np.sum(deg * h * h))
     rayleigh = energy / norm if norm > 0 else float("inf")
 

@@ -313,6 +313,37 @@ def folner_oracle(adjacency, k_list, size_cap: int) -> dict:
     return best
 
 
+MC_CHUNK = 65536
+
+
+def mc_counts_oracle(cluster: ClusterGraph, n_list, samples: int, seed: int,
+                     chains) -> dict:
+    """Sites visited by X_0..X_n, {n: [set per chosen chain]}, by a plain walk
+    over ``cluster.adjacency`` that draws the documented Monte Carlo stream:
+    chain c is column c % 65536 of chunk c // 65536, whose uniforms are
+    ``Philox(key=(seed << 64) + chunk).random((max(n_list), chunk width))``,
+    and the uniform u moves the walk from v to adjacency[v][int(u * deg v)].
+    The counts N_n are the sizes of the sets."""
+    n_max = max(n_list)
+    uniforms = {}
+    out = {n: [] for n in n_list}
+    for c in chains:
+        k, col = divmod(c, MC_CHUNK)
+        if k not in uniforms:
+            width = min(MC_CHUNK, samples - k * MC_CHUNK)
+            rng = np.random.Generator(np.random.Philox(key=(seed << 64) + k))
+            uniforms[k] = rng.random((n_max, width))
+        pos = cluster.origin
+        history = [{pos}]
+        for u in uniforms[k][:, col]:
+            nbrs = cluster.adjacency[pos]
+            pos = nbrs[int(u * len(nbrs))]
+            history.append(history[-1] | {pos})
+        for n in out:
+            out[n].append(history[n])
+    return out
+
+
 @pytest.fixture
 def path3() -> ClusterGraph:
     return make_graph([(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 2)])

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from percwalk import percolation as perc, walk
-from conftest import laplace_oracle, make_graph, visited_dist_oracle
+from conftest import (bfs_oracle, laplace_oracle, make_graph, mc_counts_oracle,
+                      visited_dist_oracle)
 
 
 def full_lattice(n: int, d: int = 2) -> perc.ClusterGraph:
@@ -142,6 +143,11 @@ class TestMonteCarlo:
         (_, value, stderr, _), = series.entries
         assert value == pytest.approx(0.6) and stderr == 0.0
 
+    def test_single_vertex_counts_one(self):
+        g = make_graph([(0, 0)], [])
+        counts = walk.mc_visited_samples(g, [0, 3], 5, 1)
+        assert {n: c.tolist() for n, c in counts.items()} == {0: [1] * 5, 3: [1] * 5}
+
     def test_agrees_with_exact(self):
         cluster = sampled_cluster(3, 0.7, 2)
         series = walk.mc_laplace(cluster, 0.5, [6], 40000, 77)
@@ -171,6 +177,83 @@ class TestMonteCarlo:
             walk.WalkSeries([(1, 1.5, 0.0, "exact")], 0.5, 1.0, 2, 0)
         with pytest.raises(ValueError):
             walk.WalkSeries([(1, 0.5, 0.1, "exact")], 0.5, 1.0, 2, 0)
+
+
+def oracle_counts(cluster, n_list, samples, seed, chains) -> dict:
+    sets = mc_counts_oracle(cluster, n_list, samples, seed, chains)
+    return {n: [len(s) for s in per_chain] for n, per_chain in sets.items()}
+
+
+def reversed_path(m: int) -> perc.ClusterGraph:
+    """Path on m vertices whose origin (its least coordinate) is vertex m - 1,
+    so the origin owns the highest bit of the radius-(m - 1) ball."""
+    return make_graph([(m - 1 - i, 0) for i in range(m)],
+                      [(i, i + 1) for i in range(m - 1)])
+
+
+class TestMonteCarloStream:
+    """Counts equal, chain for chain, a plain-Python walk on the same stream."""
+
+    def test_mask_path_matches_oracle(self):
+        cluster = sampled_cluster(3, 0.7, 2)
+        assert walk._reachable_ball(cluster, 8)[0].size <= 64
+        counts = walk.mc_visited_samples(cluster, [2, 5, 8], 1500, 11)
+        assert {n: c.tolist() for n, c in counts.items()} == \
+            oracle_counts(cluster, [2, 5, 8], 1500, 11, range(1500))
+
+    def test_sort_path_matches_oracle(self):
+        cluster = full_lattice(6)
+        assert walk._reachable_ball(cluster, 8)[0].size > 64
+        counts = walk.mc_visited_samples(cluster, [3, 8], 800, 12)
+        assert {n: c.tolist() for n, c in counts.items()} == \
+            oracle_counts(cluster, [3, 8], 800, 12, range(800))
+
+    @pytest.mark.parametrize("m", [64, 65])
+    def test_ball_of_64_and_65_vertices(self, m):
+        cluster = reversed_path(m)
+        n_max = m - 1
+        assert walk._reachable_ball(cluster, n_max)[0].size == m
+        counts = walk.mc_visited_samples(cluster, [1, n_max], 400, 13)
+        assert {n: c.tolist() for n, c in counts.items()} == \
+            oracle_counts(cluster, [1, n_max], 400, 13, range(400))
+
+    def test_ball_of_64_vertices_is_not_sorted(self, monkeypatch):
+        cluster = reversed_path(64)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("a ball of 64 vertices is counted by masks")
+        monkeypatch.setattr(walk.np, "sort", no_sort)
+        walk.mc_visited_samples(cluster, [63], 10, 0)
+
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_n_list_with_zero_duplicates_unsorted(self, n):
+        cluster = sampled_cluster(3, 0.7, 2) if n == 4 else full_lattice(6)
+        n_list = [n, 0, n, n // 2]
+        counts = walk.mc_visited_samples(cluster, n_list, 300, 14)
+        assert list(counts) == [n, 0, n // 2]
+        assert all(c.shape == (300,) and c.dtype == np.int64 for c in counts.values())
+        assert counts[0].tolist() == [1] * 300
+        assert {k: c.tolist() for k, c in counts.items()} == \
+            oracle_counts(cluster, n_list, 300, 14, range(300))
+
+    def test_chains_of_the_second_chunk(self):
+        cluster = sampled_cluster(3, 0.7, 2)
+        samples = walk._CHUNK + 3
+        chains = [0, walk._CHUNK - 1, walk._CHUNK, samples - 1]
+        counts = walk.mc_visited_samples(cluster, [3, 7], samples, 15)
+        assert all(c.size == samples for c in counts.values())
+        assert {n: c[chains].tolist() for n, c in counts.items()} == \
+            oracle_counts(cluster, [3, 7], samples, 15, chains)
+
+    def test_confinement_hits_match_oracle(self):
+        cluster = sampled_cluster(5, 0.7, 7)
+        r, n, samples = 2, 6, 2000
+        dist = bfs_oracle(cluster.adjacency, cluster.origin)
+        sets = mc_counts_oracle(cluster, [n], samples, 8, range(samples))[n]
+        hits = sum(all(dist[v] <= r for v in visited) for visited in sets)
+        value, _ = walk.confinement_probability(cluster, r, n, samples, 8)
+        assert 0 < hits < samples
+        assert value == hits / samples
 
 
 class TestConfinement:
