@@ -183,7 +183,7 @@ def small_cluster_collection(max_size: int = 6) -> list:
             if j is not None:
                 adjacency[i].append(j)
     out = []
-    for mask in iso.iter_connected_subsets(adjacency, max_size):
+    for mask, _ in iso.iter_connected_subsets(adjacency, max_size):
         if mask.bit_count() < 2:
             continue
         verts = [i for i in range(len(coords)) if mask >> i & 1]
@@ -394,11 +394,10 @@ def _recipe_spectral_bracket(params, out_dir, artifacts):
     return assertions
 
 
-def _connected_mask(adjacency, mask: int) -> bool:
+def _connected_mask(nbr, mask: int) -> bool:
     start = (mask & -mask).bit_length() - 1
     seen = 1 << start
     stack = [start]
-    nbr = iso.neighbor_masks(adjacency)
     while stack:
         v = stack.pop()
         new = nbr[v] & mask & ~seen
@@ -416,7 +415,7 @@ def _beta_oracle(cluster, c, gamma, n):
     nv = cluster.n_vertices
     best = None
     for mask in range(1, 1 << nv):
-        if not _connected_mask(cluster.adjacency, mask):
+        if not _connected_mask(nbr, mask):
             continue
         b = iso.mask_boundary(nbr, mask)
         if b == 0:
@@ -621,7 +620,7 @@ def _recipe_nash_curve(params, out_dir, artifacts):
         def writer(fh, sol=sol):
             fh.write("t,neg_log_a\n")
             for t, lv in zip(sol.t, sol.L):
-                fh.write(f"{t!r},{lv!r}\n")
+                fh.write(f"{float(t)!r},{float(lv)!r}\n")
         _write_artifact(out_dir, f"nash_d{d}.csv", writer, artifacts)
     return assertions
 
@@ -652,12 +651,13 @@ def _recipe_lemma45(params, out_dir, artifacts):
         for n in range(1, n_max + 1):
             r_star, _ = bounds.surrogate_optimal_r(n, 2)
             conf = walk.survival_probabilities(cluster, r_star, [n])[0][1]
+            law = walk.exact_visited_distribution(cluster, 2 * n)
             for alpha in alphas:
                 total += 1
                 assembled = bounds.lower_bound_assemble(r_star, n, alpha, 2, conf)
                 certified = bounds.lower_bound_assemble_exact(
                     cluster, r_star, n, alpha, conf)
-                pinned = walk.exact_laplace(cluster, alpha, 2 * n, pinned=True)
+                pinned = walk._laplace_of(law, alpha, pinned=True)
                 rows.append((base_id, alpha, n, r_star, assembled, pinned))
                 if assembled > pinned * (1 + 1e-12):
                     violations.append((base_id, alpha, n))

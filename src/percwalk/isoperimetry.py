@@ -4,14 +4,15 @@ configuration-graph machinery behind the wreath Folner lower bound.
 Graphs are plain adjacency lists here so the same code serves percolation
 clusters, lamplighter graphs and ad-hoc test graphs.  Subsets are Python int
 bitmasks; connected subsets are enumerated by the usual include/exclude
-frontier recursion, each subset visited exactly once.
+frontier recursion, each subset visited exactly once and yielded with its
+boundary, which is carried along the recursion at one bit count per vertex.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Generator, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -113,36 +114,46 @@ def profile_f(x: float, c: float, n: int, gamma: float, d: int) -> float:
 # Connected-subset enumeration
 # ---------------------------------------------------------------------------
 
-def iter_connected_subsets(adjacency: Sequence[Sequence[int]],
-                           size_cap: int) -> Iterator[int]:
-    """All connected induced vertex subsets of size <= size_cap, as bitmasks.
+def iter_connected_subsets(adjacency: Sequence[Sequence[int]], size_cap: int,
+                           boundary: tuple | None = None) -> Generator[tuple, int, None]:
+    """All connected induced vertex subsets of size <= size_cap, as
+    (bitmask, boundary) pairs.
 
     Each subset is produced exactly once: subsets are rooted at their
     smallest vertex and grown through an include/exclude split of the
-    frontier.
+    frontier.  The boundary is carried along: adding c to S changes it by
+    deg(c) - 2 |N(c) & S|.  It is the internal one unless ``boundary`` =
+    (masks, degrees) counts it in a supergraph, masks[c] holding the
+    vertices whose images neighbour the image of c there and degrees[c]
+    that image's degree.  An int sent into the generator lowers the size
+    cap from then on.
     """
-    n = len(adjacency)
     nbr = neighbor_masks(adjacency)
-    for v in range(n):
+    bnbr, bdeg = boundary or (nbr, [m.bit_count() for m in nbr])
+    for v in range(len(adjacency)):
+        if size_cap < 1:
+            return
         root = 1 << v
-        yield root
-        if size_cap <= 1:
-            continue
+        cap = yield root, bdeg[v]
+        size_cap = size_cap if cap is None else min(size_cap, cap)
         banned0 = root | (root - 1)
-        stack = [(root, nbr[v] & ~banned0, banned0)]
+        stack = [(root, nbr[v] & ~banned0, banned0, bdeg[v], 1)]
         while stack:
-            subset, cand, banned = stack.pop()
-            if not cand:
+            subset, cand, banned, b, size = stack.pop()
+            if not cand or size >= size_cap:
                 continue
             c = cand & -cand
             rest = cand & ~c
-            stack.append((subset, rest, banned | c))
+            stack.append((subset, rest, banned | c, b, size))
+            cv = c.bit_length() - 1
             new_subset = subset | c
-            yield new_subset
-            if new_subset.bit_count() < size_cap:
-                cv = c.bit_length() - 1
+            new_b = b + bdeg[cv] - 2 * (bnbr[cv] & subset).bit_count()
+            cap = yield new_subset, new_b
+            size_cap = size_cap if cap is None else min(size_cap, cap)
+            if size + 1 < size_cap:
                 new_banned = banned | c
-                stack.append((new_subset, rest | (nbr[cv] & ~new_banned), new_banned))
+                stack.append((new_subset, rest | (nbr[cv] & ~new_banned),
+                              new_banned, new_b, size + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -184,31 +195,24 @@ def isoperimetric_beta(cluster: ClusterGraph, supergraph: ClusterGraph | None = 
         raise ValueError("empty cluster")
     if n is None:
         n = int(cluster.meta.get("n", 1))
-    adjacency = cluster.adjacency
+    boundary = None
     if supergraph is not None:
         embed = [supergraph.index_of(coord) for coord in cluster.coords]
-        super_nbr = neighbor_masks(supergraph.adjacency)
-        embed_arr = embed
+        host_of = {img: v for v, img in enumerate(embed)}
+        boundary = (neighbor_masks([[host_of[w] for w in supergraph.adjacency[img]
+                                     if w in host_of] for img in embed]),
+                    [len(set(supergraph.adjacency[img])) for img in embed])
     if cluster.n_vertices == 1:
         return IsoperimetryReport(0.0, 1, [0], c, gamma, n, degenerate=True)
-
-    nbr = neighbor_masks(adjacency)
+    d = cluster.coords.shape[1]
+    profile = [0.0] + [profile_f(k, c, n, gamma, d)  # f by subset size
+                       for k in range(1, min(size_cap, cluster.n_vertices) + 1)]
     best = None
     best_mask = 0
-    for mask in iter_connected_subsets(adjacency, size_cap):
-        if supergraph is None:
-            b = mask_boundary(nbr, mask)
-            if b == 0:
-                continue  # whole component: excluded as degenerate
-        else:
-            image = 0
-            m = mask
-            while m:
-                v = (m & -m).bit_length() - 1
-                image |= 1 << embed_arr[v]
-                m &= m - 1
-            b = mask_boundary(super_nbr, image)
-        ratio = b / profile_f(mask.bit_count(), c, n, gamma, cluster.coords.shape[1])
+    for mask, b in iter_connected_subsets(cluster.adjacency, size_cap, boundary):
+        if b == 0 and supergraph is None:
+            continue  # whole component: excluded as degenerate
+        ratio = b / profile[mask.bit_count()]
         if best is None or ratio < best:
             best = ratio
             best_mask = mask
@@ -241,28 +245,32 @@ def _folner_minima(adjacency, k_list: Sequence[float], size_cap: int) -> dict:
     """Smallest |U| <= size_cap with k |boundary(U)| <= |U|, for every k at once.
 
     Maps each k to its minimum, None when no set under the cap qualifies.
-    One connected-subset pass serves all k, and the boundary of a subset is
-    skipped once its size cannot improve any k.  The search is exact: the
+    One connected-subset pass serves all k, and once every k has a value no
+    set as large as the largest of them is grown.  The search is exact: the
     components of a qualifying set split its boundary between them, so one
     component qualifies too and is no larger.
     """
     if any(k <= 0 for k in k_list):
         raise ValueError("k must be positive")
-    nbr = neighbor_masks(adjacency)
     best: dict[float, int | None] = dict.fromkeys(k_list)
     ceiling = None  # max of best once every k has a value
-    for mask in iter_connected_subsets(adjacency, size_cap):
-        size = mask.bit_count()
-        if ceiling is not None and size >= ceiling:
-            continue
-        b = mask_boundary(nbr, mask)
-        improved = False
-        for k, value in best.items():
-            if (value is None or size < value) and k * b <= size:
-                best[k] = size
-                improved = True
-        if improved and None not in best.values():
-            ceiling = max(best.values())
+    subsets = iter_connected_subsets(adjacency, size_cap)
+    try:
+        while True:
+            # sets of ceiling or more vertices cannot improve any k
+            mask, b = subsets.send(None if ceiling is None else ceiling - 1)
+            size = mask.bit_count()
+            if ceiling is not None and size >= ceiling:
+                continue
+            improved = False
+            for k, value in best.items():
+                if (value is None or size < value) and k * b <= size:
+                    best[k] = size
+                    improved = True
+            if improved and None not in best.values():
+                ceiling = max(best.values())
+    except StopIteration:
+        pass
     return best
 
 

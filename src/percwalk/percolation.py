@@ -459,7 +459,7 @@ def classify_boxes(config: BondConfiguration, N: int) -> RenormalizedField:
             continue  # block does not intersect the sampled box
         lo_big, hi_big = center - big, center + big
         if np.any(lo_big < -spec.n) or np.any(hi_big > spec.n):
-            blocks[tuple(i)] = BlockStatus(False, False, False)
+            blocks[tuple(i.tolist())] = BlockStatus(False, False, False)
             continue
 
         big_ids = _box_ids(spec, lo_big, hi_big)
@@ -486,7 +486,7 @@ def classify_boxes(config: BondConfiguration, N: int) -> RenormalizedField:
         tails = spec.vertex_index(center) + stride * np.arange(row)
         edge_event = any(v + stride in indices[indptr[v]:indptr[v + 1]] for v in tails)
 
-        blocks[tuple(i)] = BlockStatus(True, crossing, edge_event)
+        blocks[tuple(i.tolist())] = BlockStatus(True, crossing, edge_event)
     return RenormalizedField(N, blocks)
 
 

@@ -12,6 +12,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from percwalk.isoperimetry import SubsetSelection, boundary_size, profile_f
 from percwalk.percolation import BlockStatus, ClusterGraph
 
 
@@ -311,6 +312,47 @@ def folner_oracle(adjacency, k_list, size_cap: int) -> dict:
                 m = int(sizes[ok].min())
                 best[k] = m if best[k] is None else min(best[k], m)
     return best
+
+
+def connected_subsets_oracle(adjacency, size_cap: int) -> set:
+    """Bitmasks of every connected vertex subset of 1..size_cap vertices,
+    found by a DFS inside each of the 2^n masks."""
+    out = set()
+    for mask in range(1, 1 << len(adjacency)):
+        members = [v for v in range(len(adjacency)) if mask >> v & 1]
+        if len(members) > size_cap:
+            continue
+        seen = {members[0]}
+        stack = [members[0]]
+        while stack:
+            for w in adjacency[stack.pop()]:
+                if mask >> w & 1 and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) == len(members):
+            out.add(mask)
+    return out
+
+
+def beta_oracle(cluster: ClusterGraph, supergraph, c: float, gamma: float,
+                size_cap: int, n: int) -> tuple:
+    """min |boundary(A)| / f(|A|) over connected A of at most size_cap
+    vertices, each boundary counted by ``boundary_size`` (in the supergraph
+    when one is given, else internally with empty boundaries skipped).
+    Returns the minimum and every minimising A as a sorted vertex list."""
+    super_adj = embed = None
+    if supergraph is not None:
+        super_adj = supergraph.adjacency
+        embed = [supergraph.index_of(x) for x in cluster.coords]
+    scored = []
+    for mask in connected_subsets_oracle(cluster.adjacency, size_cap):
+        members = frozenset(v for v in range(cluster.n_vertices) if mask >> v & 1)
+        b = boundary_size(SubsetSelection(cluster.adjacency, members, super_adj, embed))
+        if b or supergraph is not None:
+            f = profile_f(len(members), c, n, gamma, cluster.coords.shape[1])
+            scored.append((b / f, sorted(members)))
+    beta = min(ratio for ratio, _ in scored)
+    return beta, [members for ratio, members in scored if ratio == beta]
 
 
 MC_CHUNK = 65536

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from percwalk import cli, walk
+from percwalk import bounds, cli, walk
 from percwalk.harness import (ExperimentSpec, RECIPES, hand_built_graphs,
                               parse_config, run, seed_manifest,
                               small_cluster_collection)
@@ -87,6 +87,16 @@ class TestRun:
         header = (tmp_path / "identity.csv").read_text().splitlines()[0]
         assert header == "base_id,base_size,alpha,n,lhs,rhs,gap"
         assert (tmp_path / "report.txt").exists()
+
+    def test_nash_csv_reads_back_as_floats(self, tmp_path):
+        run(ExperimentSpec("nash-curve", {"d_list": [2]}, tmp_path))
+        lines = (tmp_path / "nash_d2.csv").read_text().splitlines()
+        rows = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
+        prof = bounds.NashProfile(d=2, n=2**24, gamma=0.125)
+        sol = bounds.nash_ode_solve(prof, 1e7, rtol=1e-11)
+        assert len(rows) == sol.t.size
+        assert rows[0] == (sol.t[0], sol.L[0])
+        assert rows[-1] == (sol.t[-1], sol.L[-1])
 
     def test_report_regenerates_bit_identically(self, tmp_path):
         spec = ExperimentSpec("identity-sweep", {"n_max": 1, "alphas": [0.3]})

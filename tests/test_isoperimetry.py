@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from percwalk import isoperimetry as iso, percolation as perc, wreath as wr
-from conftest import boundary_oracle, folner_oracle, make_graph
+from conftest import (beta_oracle, boundary_oracle, connected_subsets_oracle,
+                      folner_oracle, make_graph)
 
 
 def grid_graph(nx: int, ny: int):
@@ -95,28 +96,49 @@ class TestConnectedEnumeration:
                                                   [(0, 1), (0, 2), (0, 3)])])
     def test_matches_brute_force(self, graph):
         n = graph.n_vertices
-        got = sorted(iso.iter_connected_subsets(graph.adjacency, n))
+        got = sorted(mask for mask, _ in iso.iter_connected_subsets(graph.adjacency, n))
         assert len(got) == len(set(got))
-
-        def connected(mask):
-            verts = [v for v in range(n) if mask >> v & 1]
-            seen = {verts[0]}
-            frontier = [verts[0]]
-            while frontier:
-                v = frontier.pop()
-                for w in graph.adjacency[v]:
-                    if mask >> w & 1 and w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            return len(seen) == len(verts)
-
-        want = sorted(m for m in range(1, 1 << n) if connected(m))
-        assert got == want
+        assert got == sorted(connected_subsets_oracle(graph.adjacency, n))
 
     def test_size_cap(self):
         graph = grid_graph(3, 2)
-        for mask in iso.iter_connected_subsets(graph.adjacency, 3):
+        for mask, _ in iso.iter_connected_subsets(graph.adjacency, 3):
             assert mask.bit_count() <= 3
+
+    def test_visiting_order(self):
+        # rooted at the smallest vertex, include before exclude: the first
+        # minimiser kept by isoperimetric_beta depends on this order
+        square = grid_graph(2, 2)
+        got = list(iso.iter_connected_subsets(square.adjacency, 4))
+        assert got == [(0b0001, 2), (0b0011, 2), (0b0111, 2), (0b1111, 0),
+                       (0b1011, 2), (0b0101, 2), (0b1101, 2), (0b0010, 2),
+                       (0b1010, 2), (0b1110, 2), (0b0100, 2), (0b1100, 2),
+                       (0b1000, 2)]
+
+    def test_sent_cap_zero_at_a_root_ends_the_pass(self):
+        path = grid_graph(5, 1).adjacency
+        subsets = iso.iter_connected_subsets(path, 5)
+        assert next(subsets) == (0b1, 1)
+        with pytest.raises(StopIteration):
+            subsets.send(0)
+
+    def test_sent_cap_one_leaves_only_roots(self):
+        path = grid_graph(5, 1).adjacency
+        subsets = iso.iter_connected_subsets(path, 5)
+        assert next(subsets) == (0b1, 1)
+        rest = [subsets.send(1)] + list(subsets)
+        assert rest == [(0b10, 2), (0b100, 2), (0b1000, 2), (0b10000, 1)]
+
+    def test_sent_cap_stops_growth_of_stacked_subsets(self):
+        graph = grid_graph(3, 3)
+        subsets = iso.iter_connected_subsets(graph.adjacency, 9)
+        got = [next(subsets) for _ in range(5)]
+        assert [mask.bit_count() for mask, _ in got] == [1, 2, 3, 4, 5]
+        got += [subsets.send(2)] + list(subsets)
+        late = [mask for mask, _ in got[5:]]
+        assert all(mask.bit_count() <= 2 for mask in late)
+        # every set of <= 2 vertices not seen yet still comes
+        assert connected_subsets_oracle(graph.adjacency, 2) <= {mask for mask, _ in got}
 
 
 class TestIsoperimetricBeta:
@@ -161,6 +183,43 @@ class TestIsoperimetricBeta:
         a = iso.isoperimetric_beta(g, None, 1.0, 0.125, 4, 2)
         b = iso.isoperimetric_beta(g2, None, 1.0, 0.125, 4, 2)
         assert a.beta == pytest.approx(b.beta, abs=1e-12)
+
+    @staticmethod
+    def _box_subclusters(count: int) -> list:
+        """The first origin clusters of 3..12 vertices in p = 0.5 boxes of radius 2."""
+        out = []
+        seed = 0
+        while len(out) < count:
+            config = perc.sample_bond_config(perc.LatticeSpec(2, 2), 0.5, seed)
+            cluster = perc.component_of_origin(config)
+            if 3 <= cluster.n_vertices <= 12:
+                out.append(cluster)
+            seed += 1
+        return out
+
+    @pytest.mark.parametrize("box", [None, 2, 3])
+    def test_matches_oracle_on_box_subclusters(self, box):
+        # box None: internal boundary; else counted in the full box of that radius
+        supergraph = None if box is None else full_box(box)
+        for cluster in self._box_subclusters(6):
+            for cap in (3, cluster.n_vertices):
+                report = iso.isoperimetric_beta(cluster, supergraph, 1.0, 0.125, cap, 4)
+                beta, argmins = beta_oracle(cluster, supergraph, 1.0, 0.125, cap, 4)
+                assert report.beta == beta
+                assert report.argmin_vertices in argmins
+                assert report.argmin_size == len(report.argmin_vertices)
+
+    def test_supergraph_boundary_counts_edges_outside_the_cluster(self):
+        # a 3-path along the x axis in the full radius-2 box: the image keeps
+        # its lattice edges to the rest of the box
+        path = make_graph([(-1, 0), (0, 0), (1, 0)], [(0, 1), (1, 2)])
+        box = full_box(2)
+        internal = iso.isoperimetric_beta(path, None, 1.0, 0.125, 3, 4)
+        relative = iso.isoperimetric_beta(path, box, 1.0, 0.125, 3, 4)
+        # f is 1 on one vertex and |A|^(1/2) above: internally an end pair
+        # leaves by one edge; in the box a vertex leaves by 4, a pair by 6
+        assert (internal.beta, internal.argmin_vertices) == (1 / 2 ** 0.5, [0, 1])
+        assert (relative.beta, relative.argmin_vertices) == (4.0, [0])
 
     def test_json_schema(self):
         report = iso.isoperimetric_beta(grid_graph(2, 2), None, 1.0, 0.125, 4, 2)
@@ -207,6 +266,60 @@ class TestFolner:
             for k, want in brute.items():
                 conn, _ = iso.folner_function(host.adjacency, k, n)
                 assert conn == want
+
+    @staticmethod
+    def _count_yields(monkeypatch) -> list:
+        """Count the subsets each pass yields, passing sent caps through."""
+        counts = []
+        inner = iso.iter_connected_subsets
+
+        def counted(*args):
+            subsets = inner(*args)
+            counts.append(0)
+            cap = None
+            while True:
+                try:
+                    item = subsets.send(cap)
+                except StopIteration:
+                    return
+                counts[-1] += 1
+                cap = yield item
+        monkeypatch.setattr(iso, "iter_connected_subsets", counted)
+        return counts
+
+    def test_cut_off_at_a_root(self, monkeypatch):
+        counts = self._count_yields(monkeypatch)
+        path = grid_graph(5, 1).adjacency
+        # the end vertex alone qualifies for both k: the pass stops there
+        assert iso._folner_minima(path, [0.5, 1.0], 5) == {0.5: 1, 1.0: 1} \
+            == folner_oracle(path, [0.5, 1.0], 5)
+        assert counts == [1]
+
+    def test_cut_off_at_cap_one(self, monkeypatch):
+        counts = self._count_yields(monkeypatch)
+        cycle = make_graph([(x, 0) for x in range(6)],
+                           [(i, (i + 1) % 6) for i in range(6)]).adjacency
+        # {0} qualifies for k = 0.5 and {0, 1} for k = 1: after them only
+        # the five other roots are yielded, not the 31 connected subsets
+        assert iso._folner_minima(cycle, [0.5, 1.0], 6) == {0.5: 1, 1.0: 2} \
+            == folner_oracle(cycle, [0.5, 1.0], 6)
+        assert counts == [7]
+
+    def test_exact_when_sends_are_swallowed(self, monkeypatch):
+        inner = iso.iter_connected_subsets
+
+        def swallowing(*args):  # a plain wrapper, as a profiler would add
+            for item in inner(*args):
+                yield item
+        monkeypatch.setattr(iso, "iter_connected_subsets", swallowing)
+        grid = grid_graph(3, 3).adjacency
+        ks = (0.5, 1.0, 2.0, 3.0)
+        assert iso._folner_minima(grid, ks, 9) == folner_oracle(grid, ks, 9)
+        # the 3-path wreath's minima, as pinned in TestFolnerLowerBound
+        wreath = wr.build_wreath(make_graph([(x, 0) for x in range(3)],
+                                            [(0, 1), (1, 2)]))
+        assert iso._folner_minima(wreath.adjacency_lists(), [1, 2, 3], 24) == \
+            {1: 2, 2: 8, 3: 12}
 
     def test_profile_csv_schema(self):
         profile = iso.folner_profile(grid_graph(3, 3).adjacency, [1.0, 2.0], 9)
@@ -351,13 +464,29 @@ def _random_graph(n: int, edges) -> list:
     return adjacency
 
 
+# sparse edge lists leave isolated vertices and several components
+RANDOM_EDGES = st.one_of(
+    st.lists(st.sampled_from(PAIRS_12), max_size=20, unique=True),
+    st.lists(st.booleans(), min_size=len(PAIRS_12), max_size=len(PAIRS_12))
+    .map(lambda bits: [e for e, bit in zip(PAIRS_12, bits) if bit]))
+
+
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(min_value=1, max_value=12),
-       # sparse edge lists leave isolated vertices and several components
-       edges=st.one_of(
-           st.lists(st.sampled_from(PAIRS_12), max_size=20, unique=True),
-           st.lists(st.booleans(), min_size=len(PAIRS_12), max_size=len(PAIRS_12))
-           .map(lambda bits: [e for e, bit in zip(PAIRS_12, bits) if bit])),
+@given(n=st.integers(min_value=1, max_value=12), edges=RANDOM_EDGES,
+       cap_cut=st.integers(min_value=0, max_value=11))
+def test_enumerator_carries_the_boundary(n, edges, cap_cut):
+    adjacency = _random_graph(n, edges)
+    cap = max(1, n - cap_cut)
+    nbr = iso.neighbor_masks(adjacency)
+    pairs = list(iso.iter_connected_subsets(adjacency, cap))
+    assert [b for _, b in pairs] == [iso.mask_boundary(nbr, mask) for mask, _ in pairs]
+    masks = [mask for mask, _ in pairs]
+    assert len(masks) == len(set(masks))
+    assert set(masks) == connected_subsets_oracle(adjacency, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(min_value=1, max_value=12), edges=RANDOM_EDGES,
        ks=st.lists(st.sampled_from([0.25, 0.5, 1.0, 4 / 3, 2.0, 3.0, 7.5]),
                    min_size=2, max_size=5, unique=True),
        cap_cut=st.integers(min_value=0, max_value=11))

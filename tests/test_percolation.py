@@ -316,6 +316,8 @@ class TestClassifyBoxes:
         ids = field.classifiable_blocks()
         assert ids
         assert all(field.blocks[i].good for i in ids)
+        # block ids are plain ints, so they print as (-2, -2) in renorm_p1.txt
+        assert all(type(x) is int for i in field.blocks for x in i)
 
     def test_all_closed_all_bad(self):
         field = perc.classify_boxes(_all_closed(perc.LatticeSpec(2, 14)), 4)
