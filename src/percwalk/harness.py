@@ -216,8 +216,7 @@ def _recipe_identity_sweep(params, out_dir, artifacts):
             v = np.zeros(graph.n_vertices)
             v[graph.origin_state] = 1.0
             for n in range(1, n_max + 1):
-                v = kernel.matrix.T @ v
-                v = kernel.matrix.T @ v
+                v = kernel.step(kernel.step(v))
                 lhs = float(v[graph.origin_state])
                 rhs = walk._laplace_of(laws[n], alpha, pinned=True)
                 gap = abs(lhs - rhs)

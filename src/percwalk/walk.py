@@ -198,6 +198,9 @@ def _uniform_path_distribution(cluster: ClusterGraph, n: int, budget: int) -> di
 
     Valid only when every vertex the walk can leave from (distance <= n-1
     from the origin) has the same degree g; then each path has weight g^-n.
+    Keys appear in the order of their first path.  Each value is (number of
+    paths) * g^-n: for g a power of two (Z^2) that equals the path-by-path
+    sum bit for bit, for other g (Z^3, g = 6) the last bits may differ.
     """
     keep, dist = _reachable_ball(cluster, n)
     interior = keep[dist <= n - 1] if n > 0 else keep[:0]
@@ -217,15 +220,16 @@ def _uniform_path_distribution(cluster: ClusterGraph, n: int, budget: int) -> di
         cur = paths[:, step - 1]
         paths = np.repeat(paths, g, axis=0)
         paths[:, step] = nbr[cur][:, :g].ravel()
-    sorted_rows = np.sort(paths, axis=1)
-    distinct = 1 + np.count_nonzero(np.diff(sorted_rows, axis=1), axis=1)
     pinned = paths[:, -1] == cluster.origin
+    paths.sort(axis=1)  # in place: each row becomes its sorted vertex list
+    distinct = 1 + np.count_nonzero(paths[:, 1:] != paths[:, :-1], axis=1)
+    # (count, pinned) packed into int16, which numpy sorts by radix
+    keys, first, counts = np.unique((2 * distinct + pinned).astype(np.int16),
+                                    return_index=True, return_counts=True)
+    order = np.argsort(first)
     w = float(g) ** (-n)
-    out: dict[tuple[int, bool], float] = {}
-    for c, pin in zip(distinct.tolist(), pinned.tolist()):
-        key = (c, pin)
-        out[key] = out.get(key, 0.0) + w
-    return out
+    return {(k >> 1, bool(k & 1)): c * w
+            for k, c in zip(keys[order].tolist(), counts[order].tolist())}
 
 
 def exact_visited_distribution(cluster: ClusterGraph, n: int,

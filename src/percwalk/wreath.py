@@ -1,18 +1,20 @@
 """Finite lamplighter graphs: a base cluster wreathed with on/off lamps.
 
 States are pairs (base vertex, lamp bitmask over the base vertices), stored
-densely at index ``a * 2^m + f``.  The walk kernel moves along a base edge
-and rerandomizes the lamps at both endpoints of the move, with weight
-``alpha`` for switching a lamp off and ``1 - alpha`` for on.
+densely at index ``a * 2^m + f``.  The walk moves along a base edge and
+rerandomizes the lamps at both endpoints of the move, with weight ``alpha``
+for switching a lamp off and ``1 - alpha`` for on: the switch-walk-switch
+lamplighter walk.  No transition matrix is stored; ``LamplighterKernel.step``
+applies the kernel to a mass vector edge by edge, each move being a sum over
+the two lamps it touches followed by their reweighting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from percwalk.percolation import ClusterGraph
 from percwalk.walk import exact_laplace
@@ -25,7 +27,6 @@ __all__ = [
     "lamplighter_step_distribution",
     "return_probability",
     "verify_identity",
-    "check_detailed_balance",
     "position_marginal",
     "lamp_law_given_trajectory",
 ]
@@ -81,46 +82,52 @@ def build_wreath(base: ClusterGraph) -> WreathGraph:
     return WreathGraph(base)
 
 
+def _lamp_weights(m: int, a: int, b: int, alpha: float, scale: float) -> np.ndarray:
+    """``scale`` times (alpha, 1 - alpha) on the axes of lamps a and b.
+
+    A lamp law over m sites is an array of shape ``(2,) * m`` whose flat
+    index is the bitmask, so lamp bit a is axis ``m - 1 - a``.
+    """
+    w = np.array([alpha, 1.0 - alpha])
+    wa = w.reshape([2 if axis == m - 1 - a else 1 for axis in range(m)])
+    wb = w.reshape([2 if axis == m - 1 - b else 1 for axis in range(m)])
+    return wa * wb * scale
+
+
 @dataclass
 class LamplighterKernel:
-    """One-step transition matrix of the lamplighter walk at parameter alpha."""
+    """The lamplighter walk at parameter alpha, applied by ``step``."""
 
     wreath: WreathGraph
     alpha: float
-    matrix: sp.csr_matrix = field(default=None, repr=False)
+    # (a, b, lamp axes of a and b, weights / deg(a)) per directed base edge
+    _moves: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.wreath.base.n_edges() == 0:
             raise ValueError("lamplighter kernel needs a base with at least one edge")
-        if self.matrix is None:
-            self.matrix = self._build()
+        m = self.wreath.m
+        indptr, indices = self.wreath.base.csr
+        self._moves = [
+            (a, b, (m - 1 - a, m - 1 - b),
+             _lamp_weights(m, a, b, self.alpha, 1.0 / (indptr[a + 1] - indptr[a])))
+            for a in range(m) for b in indices[indptr[a]:indptr[a + 1]].tolist()]
 
-    def _build(self) -> sp.csr_matrix:
-        g = self.wreath
-        base = g.base
-        m = g.m
-        a_w = self.alpha          # lamp ends up off
-        b_w = 1.0 - self.alpha    # lamp ends up on
-        deg = base.degrees.astype(np.float64)
-        rows, cols, vals = [], [], []
-        for a in range(m):
-            p_move = 1.0 / deg[a]
-            for b in base.adjacency[a]:
-                for f in range(2**m):
-                    src = g.state_index(a, f)
-                    cleared = f & ~(1 << a) & ~(1 << b)
-                    for x, wx in ((0, a_w), (1, b_w)):
-                        for y, wy in ((0, a_w), (1, b_w)):
-                            tgt = g.state_index(b, cleared | (x << a) | (y << b))
-                            rows.append(src)
-                            cols.append(tgt)
-                            vals.append(wx * wy * p_move)
-        n = g.n_vertices
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        mat.sum_duplicates()
-        return mat
+    def step(self, v: np.ndarray) -> np.ndarray:
+        """P^T v: the mass vector ``v`` (indexed ``a * 2^m + f``) one step on.
+
+        The mass at position a is viewed as a lamp law of shape ``(2,) * m``.
+        A move a -> b sums it over the lamps at a and b and spreads the sum
+        over their four settings with the move's weights.
+        """
+        m = self.wreath.m
+        mass = np.reshape(v, (m,) + (2,) * m)
+        out = np.zeros(mass.shape)
+        for a, b, axes, weights in self._moves:
+            out[b] += mass[a].sum(axis=axes, keepdims=True) * weights
+        return out.reshape(-1)
 
 
 def reversible_measure(kernel: LamplighterKernel) -> np.ndarray:
@@ -139,8 +146,10 @@ def lamplighter_step_distribution(kernel: LamplighterKernel, state) -> dict:
     g = kernel.wreath
     if isinstance(state, tuple):
         state = g.state_index(*state)
-    row = kernel.matrix.getrow(state)
-    return {g.state_of(int(j)): float(v) for j, v in zip(row.indices, row.data)}
+    point = np.zeros(g.n_vertices)
+    point[state] = 1.0
+    row = kernel.step(point)
+    return {g.state_of(j): float(row[j]) for j in np.flatnonzero(row).tolist()}
 
 
 def return_probability(kernel: LamplighterKernel, steps: int,
@@ -168,7 +177,7 @@ def return_probability(kernel: LamplighterKernel, steps: int,
         if not mask[g.origin_state]:
             raise ValueError("origin state outside the allowed sub-wreath")
     for _ in range(steps):
-        v = kernel.matrix.T @ v
+        v = kernel.step(v)
         if mask is not None:
             v = np.where(mask, v, 0.0)
     return float(v[g.origin_state])
@@ -190,21 +199,13 @@ def verify_identity(base: ClusterGraph, alpha: float, n: int) -> tuple:
     return lhs, rhs, abs(lhs - rhs)
 
 
-def check_detailed_balance(kernel: LamplighterKernel) -> float:
-    """Max over state pairs of |m(u) p(u,v) - m(v) p(v,u)|."""
-    m = reversible_measure(kernel)
-    flow = sp.diags(m) @ kernel.matrix
-    gap = flow - flow.T
-    return float(np.abs(gap.toarray()).max()) if gap.nnz else 0.0
-
-
 def position_marginal(kernel: LamplighterKernel, steps: int) -> np.ndarray:
     """Distribution of the base position after ``steps`` from the origin state."""
     g = kernel.wreath
     v = np.zeros(g.n_vertices)
     v[g.origin_state] = 1.0
     for _ in range(steps):
-        v = kernel.matrix.T @ v
+        v = kernel.step(v)
     return v.reshape(g.m, 2**g.m).sum(axis=1)
 
 
@@ -220,17 +221,10 @@ def lamp_law_given_trajectory(base: ClusterGraph, alpha: float,
     for a, b in zip(trajectory, trajectory[1:]):
         if b not in base.adjacency[a]:
             raise ValueError(f"({a}, {b}) is not a base edge")
-    dist = np.zeros(2**m)
-    dist[0] = 1.0
-    a_w, b_w = alpha, 1.0 - alpha
+    law = np.zeros((2,) * m)
+    law[(0,) * m] = 1.0
     for a, b in zip(trajectory, trajectory[1:]):
-        new = np.zeros_like(dist)
-        for f in range(2**m):
-            if dist[f] == 0.0:
-                continue
-            cleared = f & ~(1 << a) & ~(1 << b)
-            for x, wx in ((0, a_w), (1, b_w)):
-                for y, wy in ((0, a_w), (1, b_w)):
-                    new[cleared | (x << a) | (y << b)] += dist[f] * wx * wy
-        dist = new
-    return dist
+        # the same lamp update as one move of LamplighterKernel.step
+        law = law.sum(axis=(m - 1 - a, m - 1 - b), keepdims=True) * \
+            _lamp_weights(m, a, b, alpha, 1.0)
+    return law.reshape(-1)

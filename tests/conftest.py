@@ -8,9 +8,11 @@ the implementations they check.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from percwalk.isoperimetry import SubsetSelection, boundary_size, profile_f
 from percwalk.percolation import BlockStatus, ClusterGraph
@@ -53,6 +55,54 @@ def laplace_oracle(cluster: ClusterGraph, alpha: float, n: int,
     dist = visited_dist_oracle(cluster, n)
     return sum(alpha**m * pr for (m, pin), pr in dist.items()
                if pin or not pinned)
+
+
+def uniform_paths_oracle(cluster: ClusterGraph, n: int) -> dict:
+    """Joint law of (number of distinct visited vertices, endpoint == origin)
+    on a base of uniform degree g, as exact fractions: every n-step path,
+    taken in lexicographic order of its neighbour choices, adds g^-n to its
+    key in a dict."""
+    w = Fraction(1, len(cluster.adjacency[cluster.origin]) ** n)
+    out = {}
+
+    def recurse(pos, visited, steps_left):
+        if steps_left == 0:
+            key = (len(visited), pos == cluster.origin)
+            out[key] = out.get(key, 0) + w
+            return
+        for v in cluster.adjacency[pos]:
+            recurse(v, visited | {v}, steps_left - 1)
+
+    recurse(cluster.origin, {cluster.origin}, n)
+    return out
+
+
+def lamplighter_matrix_oracle(wreath, alpha: float) -> sp.csr_matrix:
+    """One-step transition matrix of the lamplighter walk at ``alpha``, built
+    entry by entry: from (a, f) to each base neighbour b, with the lamps at a
+    and b set to off (weight alpha) or on (1 - alpha), over deg(a)."""
+    base = wreath.base
+    m = wreath.m
+    a_w = alpha          # lamp ends up off
+    b_w = 1.0 - alpha    # lamp ends up on
+    deg = base.degrees.astype(np.float64)
+    rows, cols, vals = [], [], []
+    for a in range(m):
+        p_move = 1.0 / deg[a]
+        for b in base.adjacency[a]:
+            for f in range(2**m):
+                src = wreath.state_index(a, f)
+                cleared = f & ~(1 << a) & ~(1 << b)
+                for x, wx in ((0, a_w), (1, b_w)):
+                    for y, wy in ((0, a_w), (1, b_w)):
+                        tgt = wreath.state_index(b, cleared | (x << a) | (y << b))
+                        rows.append(src)
+                        cols.append(tgt)
+                        vals.append(wx * wy * p_move)
+    n = wreath.n_vertices
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    mat.sum_duplicates()
+    return mat
 
 
 def bfs_oracle(adjacency, start: int) -> dict:

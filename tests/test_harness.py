@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from percwalk import bounds, cli, walk
+from percwalk import bounds, cli, walk, wreath
 from percwalk.harness import (ExperimentSpec, RECIPES, hand_built_graphs,
                               parse_config, run, seed_manifest,
                               small_cluster_collection)
@@ -127,3 +130,35 @@ class TestCli:
     def test_unknown_recipe_exits_nonzero(self):
         with pytest.raises(SystemExit):
             cli.main(["no-such-recipe"])
+
+
+def _bench_tracer():
+    """``perfbench/tracer.py``, loaded from the source checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkHooks:
+    def test_traced_entry_points_exist(self):
+        tracer = _bench_tracer()
+        hooks = [entry[:2] for entry in
+                 tracer.TIMED + tracer.COUNTED_CALLS + tracer.COUNTED_YIELDS]
+        missing = [tracer._span_name(owner, attr) for owner, attr in hooks
+                   if getattr(owner, attr, None) is None]
+        assert not missing
+
+    def test_traced_lamplighter_counters(self, k2):
+        tracer = _bench_tracer()
+        t = tracer.Tracer()
+        t.install()
+        try:
+            kernel = wreath.LamplighterKernel(wreath.build_wreath(k2), 0.5)
+            wreath.return_probability(kernel, 4)
+        finally:
+            t.uninstall()
+        _, counts = t.take()
+        assert counts["wreath.LamplighterKernel.states"] == 8
+        assert counts["wreath.return_probability.steps"] == 4

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from percwalk import percolation as perc, walk
 from conftest import (bfs_oracle, laplace_oracle, make_graph, mc_counts_oracle,
-                      visited_dist_oracle)
+                      uniform_paths_oracle, visited_dist_oracle)
 
 
 def full_lattice(n: int, d: int = 2) -> perc.ClusterGraph:
@@ -124,6 +125,22 @@ class TestExactLaplace:
             assert set(got) == set(want)
             for key in want:
                 assert got[key] == pytest.approx(want[key], abs=1e-12)
+
+    def test_uniform_paths_against_dict_tally(self):
+        # g = 4: every value is a dyadic fraction, held exactly
+        square = full_lattice(7)
+        for n in range(8):
+            got = walk._uniform_path_distribution(square, n, walk.DEFAULT_BUDGET)
+            want = uniform_paths_oracle(square, n)
+            assert list(got.items()) == [(k, float(v)) for k, v in want.items()]
+        # g = 6: same keys in the same order, values within one rounding
+        cube = full_lattice(5, d=3)
+        for n in range(6):
+            got = walk._uniform_path_distribution(cube, n, walk.DEFAULT_BUDGET)
+            want = uniform_paths_oracle(cube, n)
+            assert list(got) == list(want)
+            for key, value in want.items():
+                assert abs(Fraction(got[key]) - value) <= value * Fraction(1, 2**52)
 
     def test_budget_guard(self):
         cluster = full_lattice(30)

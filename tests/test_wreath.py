@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from percwalk import wreath as wr
-from conftest import make_graph
+from percwalk.walk import exact_laplace
+from conftest import lamplighter_matrix_oracle, make_graph
 
 
 def base_path(k: int):
@@ -14,11 +16,43 @@ def base_path(k: int):
                       [(i, i + 1) for i in range(k - 1)])
 
 
+def grid_block(side: int):
+    coords = [(x, y) for x in range(side) for y in range(side)]
+    index = {c: i for i, c in enumerate(coords)}
+    edges = [(index[(x, y)], index[(x + dx, y + dy)]) for x, y in coords
+             for dx, dy in ((1, 0), (0, 1)) if (x + dx, y + dy) in index]
+    return make_graph(coords, edges)
+
+
+@st.composite
+def connected_bases(draw, max_m: int = 8):
+    """A random spanning tree on 2..max_m vertices plus random extra edges."""
+    m = draw(st.integers(2, max_m))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, m)}
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=m)))
+    return make_graph([(x, 0) for x in range(m)], sorted(edges))
+
+
 def single_vertex():
     import numpy as np
     from percwalk.percolation import ClusterGraph
     return ClusterGraph(np.array([[0, 0]]), [[]], 0,
                         {"d": 2, "n": 1, "p": 1.0, "seed": 0})
+
+
+def detailed_balance_gap(kernel) -> float:
+    """Max over state pairs of |m(u) p(u,v) - m(v) p(v,u)|, each row p(u, .)
+    taken as one step from the point mass at u."""
+    g = kernel.wreath
+    meas = wr.reversible_measure(kernel)
+    rows = [wr.lamplighter_step_distribution(kernel, u) for u in range(g.n_vertices)]
+    gap = 0.0
+    for u, row in enumerate(rows):
+        for target, p in row.items():
+            v = g.state_index(*target)
+            gap = max(gap, abs(meas[u] * p - meas[v] * rows[v].get(g.state_of(u), 0.0)))
+    return gap
 
 
 class TestWreathGraph:
@@ -74,7 +108,14 @@ class TestKernel:
 
     def test_rows_stochastic(self):
         kernel = wr.LamplighterKernel(wr.build_wreath(base_path(3)), 0.37)
-        sums = np.asarray(kernel.matrix.sum(axis=1)).ravel()
+        n = kernel.wreath.n_vertices
+        for u in range(n):
+            point = np.zeros(n)
+            point[u] = 1.0
+            assert abs(kernel.step(point).sum() - 1.0) <= 1e-12
+        v = np.random.default_rng(3).random(n)
+        assert abs(kernel.step(v).sum() - v.sum()) <= 1e-12
+        sums = np.asarray(lamplighter_matrix_oracle(kernel.wreath, 0.37).sum(axis=1)).ravel()
         assert np.abs(sums - 1.0).max() <= 1e-12
 
     def test_rejects_bad_alpha_and_edgeless_base(self, k2):
@@ -82,6 +123,37 @@ class TestKernel:
             wr.LamplighterKernel(wr.build_wreath(k2), 1.0)
         with pytest.raises(ValueError):
             wr.LamplighterKernel(wr.build_wreath(single_vertex()), 0.5)
+
+
+class TestOperatorAgainstMatrix:
+    @settings(max_examples=40, deadline=None)
+    @given(base=connected_bases(), alpha=st.floats(0.05, 0.95),
+           seed=st.integers(0, 2**32 - 1))
+    def test_step_is_transpose_product(self, base, alpha, seed):
+        kernel = wr.LamplighterKernel(wr.build_wreath(base), alpha)
+        matrix = lamplighter_matrix_oracle(kernel.wreath, alpha)
+        v = np.random.default_rng(seed).random(kernel.wreath.n_vertices)
+        v /= v.sum()
+        assert np.abs(kernel.step(v) - matrix.T @ v).max() <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(base=connected_bases(), alpha=st.floats(0.05, 0.95),
+           steps=st.integers(0, 6), data=st.data())
+    def test_return_probability_follows_matrix(self, base, alpha, steps, data):
+        g = wr.build_wreath(base)
+        kernel = wr.LamplighterKernel(g, alpha)
+        matrix = lamplighter_matrix_oracle(g, alpha)
+        subset = data.draw(st.sets(st.integers(0, g.m - 1))) | {base.origin}
+        for allowed in (None, subset):
+            inside = allowed if allowed is not None else set(range(g.m))
+            keep = np.array([a in inside and all(b in inside for b in range(g.m) if f >> b & 1)
+                             for a, f in map(g.state_of, range(g.n_vertices))])
+            v = np.zeros(g.n_vertices)
+            v[g.origin_state] = 1.0
+            for _ in range(steps):
+                v = np.where(keep, matrix.T @ v, 0.0)
+            got = wr.return_probability(kernel, steps, allowed)
+            assert abs(got - v[g.origin_state]) <= 1e-15
 
 
 class TestReturnProbability:
@@ -141,13 +213,29 @@ class TestIdentity:
                     _, _, gap = wr.verify_identity(base, alpha, n)
                     assert gap <= 1e-12
 
+    def test_full_4x4_block(self):
+        base = grid_block(4)
+        assert base.n_vertices == wr.MAX_BASE
+        for alpha in (0.3, 0.7):
+            kernel = wr.LamplighterKernel(wr.build_wreath(base), alpha)
+            for n in (1, 2):
+                lhs = wr.return_probability(kernel, 2 * n)
+                rhs = exact_laplace(base, alpha, 2 * n, pinned=True)
+                assert abs(lhs - rhs) <= 1e-12
+
 
 class TestReversibility:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     def test_detailed_balance(self, alpha):
         for base in (base_path(2), base_path(3)):
             kernel = wr.LamplighterKernel(wr.build_wreath(base), alpha)
-            assert wr.check_detailed_balance(kernel) <= 1e-12
+            assert detailed_balance_gap(kernel) <= 1e-12
+
+    def test_detects_a_wrong_measure(self, monkeypatch):
+        kernel = wr.LamplighterKernel(wr.build_wreath(base_path(3)), 0.3)
+        monkeypatch.setattr(wr, "reversible_measure",
+                            lambda k: np.ones(k.wreath.n_vertices))
+        assert detailed_balance_gap(kernel) > 0.1
 
     def test_measure_reduces_at_half(self):
         kernel = wr.LamplighterKernel(wr.build_wreath(base_path(3)), 0.5)
@@ -198,6 +286,22 @@ class TestMarginals:
                 for site in range(m):
                     prod *= marg[site, (f >> site) & 1]
                 assert pr == pytest.approx(prod, abs=1e-12)
+
+    def test_lamp_law_closed_form(self):
+        # every lamp the walk stood on is off with probability alpha, the rest stay off
+        alpha = 0.3
+        for base, traj in ((base_path(3), [0, 1]), (base_path(4), [1, 2, 1, 0])):
+            m = base.n_vertices
+            want = np.ones(2**m)
+            for f in range(2**m):
+                for site in range(m):
+                    on = f >> site & 1
+                    if site in traj:
+                        want[f] *= 1.0 - alpha if on else alpha
+                    elif on:
+                        want[f] = 0.0
+            got = wr.lamp_law_given_trajectory(base, alpha, traj)
+            assert np.abs(got - want).max() <= 1e-15
 
     def test_trajectory_must_follow_edges(self):
         with pytest.raises(ValueError):
