@@ -1,19 +1,18 @@
 """Analytic bound pipeline: the two-regime growth profile, the associated
-decay ODE, its piecewise closed forms, and the lower-bound assembly.
+decay ODE in closed form, and the lower-bound assembly.
 
-The ODE a' = -a / (8 F_inv(4/a)^2), a(0) = 1 is integrated in the variables
-L = -log a and s = log(1 + t); both substitutions are exact and tame the
-stiffness at large t.  In each of the three branches of F_inv a power of
-(L + log 4) is exactly linear in t, which the piecewise fit exploits.
+The ODE a' = -a / (8 F_inv(4/a)^2), a(0) = 1 is separable in
+u = log(4/a) = L + log 4 with L = -log a: du/dt = 1 / (8 f(u)^2), f = F_inv_log.
+On each of the three branches of f a power of u is exactly linear in t:
+u^3 below the knee, u itself on the plateau and u^{(d+2)/d} past it, so
+``nash_ode_solve`` evaluates the exact solution instead of integrating.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from percwalk.percolation import ClusterGraph
 from percwalk.walk import WalkSeries, exact_visited_distribution
@@ -21,14 +20,12 @@ from percwalk.walk import WalkSeries, exact_visited_distribution
 __all__ = [
     "NashProfile",
     "OdeSolution",
-    "BoundCurve",
     "nash_ode_solve",
     "tail_exponent",
     "piecewise_constants_fit",
     "surrogate_optimal_r",
     "lower_bound_assemble",
     "lower_bound_assemble_exact",
-    "alpha_transfer",
     "lemma_4_5_check",
     "fit_exponent",
     "ALPHA_ONE",
@@ -67,29 +64,38 @@ class NashProfile:
             return float(np.exp(self.C * k))
         return float(np.exp(self.C * k**self.d))
 
-    def F_inv_log(self, logy: float) -> float:
-        """F_inv(y) as a function of log y; the inf-definition gives three
-        branches with a plateau at the knee."""
-        if logy <= 0:
-            return 0.0
-        k = logy / self.C
+    def F_inv_log(self, logy):
+        """F_inv(y) as a function of log y, elementwise; the inf-definition
+        gives three branches with a plateau at the knee."""
+        k = np.maximum(logy, 0.0) / self.C
         k0 = self.knee
-        if k < k0:
-            return k
-        if k <= k0**self.d:
-            return k0
-        return k ** (1.0 / self.d)
+        return np.where(k < k0, k, np.where(k <= k0**self.d, k0, k ** (1.0 / self.d)))[()]
 
     def F_inv(self, y: float) -> float:
         return self.F_inv_log(float(np.log(y)))
 
-    def regime_times(self, t: np.ndarray, L: np.ndarray) -> tuple[float, float]:
-        """(t1, t2): where log(4/a) crosses C k0 and C k0^d."""
-        lvl1 = self.C * self.knee - LOG4
-        lvl2 = self.C * self.knee**self.d - LOG4
-        t1 = float(np.interp(lvl1, L, t))
-        t2 = float(np.interp(lvl2, L, t))
-        return t1, t2
+    def branches(self) -> list[tuple[float, float, float, float]]:
+        """``(t_start, u_start, p, rate)`` per branch of the decay ODE.
+
+        Along a branch u = log(4/a) obeys u^p = u_start^p + rate (t - t_start):
+        p = 3 below the knee, 1 on the plateau, (d+2)/d past it.  The start
+        u(0) = log 4 may already lie past the knee or the plateau; a branch
+        it skips has zero length.
+        """
+        C, d, k0 = self.C, self.d, self.knee
+        laws = ((3.0, 3.0 * C**2 / 8.0), (1.0, 1.0 / (8.0 * k0**2)),
+                ((d + 2.0) / d, (d + 2.0) / d * C ** (2.0 / d) / 8.0))
+        t, u, out = 0.0, LOG4, []
+        for (p, rate), end in zip(laws, (C * k0, C * k0**d, np.inf)):
+            out.append((t, u, p, rate))
+            end = max(u, end)
+            t, u = t + (end**p - u**p) / rate, end
+        return out
+
+    def regime_times(self) -> tuple[float, float]:
+        """(t1, t2): when log(4/a) reaches C k0 and C k0^d."""
+        _, second, third = self.branches()
+        return second[0], third[0]
 
 
 @dataclass
@@ -105,26 +111,22 @@ class OdeSolution:
         return np.exp(-self.L)
 
 
-def nash_ode_solve(profile: NashProfile, t_max: float, n_samples: int = 2000,
-                   rtol: float = 1e-10, max_step: float = np.inf) -> OdeSolution:
-    """Integrate a' = -a / (8 F_inv(4/a)^2) from a(0) = 1 up to t_max."""
+def nash_ode_solve(profile: NashProfile, t_max: float,
+                   n_samples: int = 2000) -> OdeSolution:
+    """Exact solution of a' = -a / (8 F_inv(4/a)^2), a(0) = 1, sampled at
+    t = expm1(s) for n_samples values of s evenly spaced over [0, log1p(t_max)]."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-
-    def rhs(s, y):
-        L = y[0]
-        t = np.expm1(s)
-        f = profile.F_inv_log(LOG4 + L)
-        return [(1.0 + t) / (8.0 * f * f)]
-
-    s_max = float(np.log1p(t_max))
-    s_eval = np.linspace(0.0, s_max, n_samples)
-    sol = solve_ivp(rhs, (0.0, s_max), [0.0], t_eval=s_eval, rtol=rtol,
-                    atol=1e-12, max_step=max_step, method="RK45")
-    if not sol.success:
-        raise RuntimeError(f"ODE integration failed: {sol.message}")
-    t = np.expm1(sol.t)
-    return OdeSolution(profile, t, sol.y[0])
+    t = np.expm1(np.linspace(0.0, float(np.log1p(t_max)), n_samples))
+    L = np.empty_like(t)
+    branches = profile.branches()
+    ends = [b[0] for b in branches[1:]] + [np.inf]
+    for (t0, u0, p, rate), t1 in zip(branches, ends):
+        on = (t >= t0) & (t < t1)
+        # u - u0 = u0 ((1 + rate (t - t0) / u0^p)^{1/p} - 1), free of cancellation
+        grow = u0 * np.expm1(np.log1p(rate * (t[on] - t0) / u0**p) / p)
+        L[on] = (u0 - LOG4) + grow
+    return OdeSolution(profile, t, L)
 
 
 def tail_exponent(solution: OdeSolution, decades: float = 1.0) -> float:
@@ -148,7 +150,7 @@ def piecewise_constants_fit(solution: OdeSolution) -> dict:
     """
     prof = solution.profile
     t, L = solution.t, solution.L
-    t1, t2 = prof.regime_times(t, L)
+    t1, t2 = prof.regime_times()
     d = prof.d
     powers = (3.0, 1.0, (d + 2.0) / d)
     shifts = (LOG4, 0.0, LOG4)
@@ -238,19 +240,6 @@ def lower_bound_assemble_exact(cluster: ClusterGraph, r: int, n: int,
     return nu0 * alpha ** int(in_ball.sum()) / nu_ball * confinement**2
 
 
-def alpha_transfer(c0: float, alpha0: float, alpha: float) -> float:
-    """Rescale a decay constant from rate alpha0 to rate alpha.
-
-    For alpha <= alpha0 the original constant still works by domination and
-    is returned unchanged; otherwise it shrinks by log(alpha)/log(alpha0).
-    """
-    if not (0.0 < alpha < 1.0 and 0.0 < alpha0 < 1.0):
-        raise ValueError("alpha and alpha0 must lie in (0, 1)")
-    if alpha <= alpha0:
-        return c0
-    return c0 * float(np.log(alpha) / np.log(alpha0))
-
-
 def lemma_4_5_check(cluster: ClusterGraph, n: int, budget: int = 2**28) -> dict:
     """Exact check of the doubling inequalities tying N_n to pinned N_2n.
 
@@ -291,7 +280,7 @@ def lemma_4_5_check(cluster: ClusterGraph, n: int, budget: int = 2**28) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Exponent fitting and bound curves
+# Exponent fitting
 # ---------------------------------------------------------------------------
 
 def fit_exponent(series: WalkSeries, noise_factor: float = 10.0) -> dict:
@@ -310,27 +299,3 @@ def fit_exponent(series: WalkSeries, noise_factor: float = 10.0) -> dict:
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return {"slope": float(slope), "intercept": float(intercept),
             "residual": resid, "points_used": len(pts)}
-
-
-@dataclass
-class BoundCurve:
-    """Per-n values of exp(-constant n^exponent) for one side of the bracket."""
-
-    side: str
-    constant: float
-    exponent: float
-    n_values: Sequence[int]
-    values: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.side not in ("upper", "lower"):
-            raise ValueError("side must be 'upper' or 'lower'")
-        if not 0.0 < self.exponent < 1.0:
-            raise ValueError("exponent must lie in (0, 1)")
-        n = np.asarray(self.n_values, dtype=np.float64)
-        self.values = np.exp(-self.constant * n**self.exponent)
-
-    def to_csv(self, out: TextIO):
-        out.write("n,bound,side,constant,exponent\n")
-        for n, b in zip(self.n_values, self.values):
-            out.write(f"{n},{b!r},{self.side},{self.constant!r},{self.exponent!r}\n")

@@ -591,18 +591,21 @@ def _recipe_nash_curve(params, out_dir, artifacts):
     for d in params.get("d_list", [2, 3]):
         prof = bounds.NashProfile(d=d, n=settings[d]["n"],
                                   gamma=settings[d]["gamma"])
-        sol = bounds.nash_ode_solve(prof, t_max, rtol=1e-11)
+        sol = bounds.nash_ode_solve(prof, t_max)
         _check(assertions, f"a positive and strictly decreasing (d={d})",
                bool(np.all(np.isfinite(sol.L)) and np.all(np.diff(sol.L) > 0)),
                f"{sol.L.size} samples, -log a up to {sol.L[-1]:.1f}")
-        s_max = np.log1p(t_max)
-        sol_h = bounds.nash_ode_solve(prof, t_max, rtol=1e-11,
-                                      max_step=s_max / 2000)
-        sol_h2 = bounds.nash_ode_solve(prof, t_max, rtol=1e-11,
-                                       max_step=s_max / 4000)
-        rel = abs(float(np.expm1(sol_h.L[-1] - sol_h2.L[-1])))
+
+        # t(L) = int_0^L 8 f(l + log 4)^2 dl by trapezoids at step h and h/2
+        def t_of_L(panels, L_end=sol.L[-1], prof=prof):
+            ell = np.linspace(0.0, L_end, panels + 1)
+            return float(np.trapezoid(8.0 * prof.F_inv_log(ell + bounds.LOG4) ** 2, ell))
+        t_h, t_h2 = t_of_L(20_000), t_of_L(40_000)
+        rel = abs(t_h - t_h2) / t_h2
+        gap = max(abs(t_h - sol.t[-1]), abs(t_h2 - sol.t[-1])) / sol.t[-1]
         _check(assertions, f"self-convergence under step halving (d={d})",
-               rel < 1e-6, f"relative change of a(t_max): {rel:.2e}")
+               rel < 1e-6 and gap < 1e-6,
+               f"relative change of t(-log a(t_max)): {rel:.2e}, off t_max by {gap:.2e}")
         slope = bounds.tail_exponent(sol)
         target = d / (d + 2.0)
         _check(assertions, f"tail slope near d/(d+2) (d={d})",

@@ -198,6 +198,7 @@ class ClusterGraph:
     origin: int | None
     meta: dict = field(default_factory=dict)
     _csr: tuple | None = field(default=None, repr=False)
+    _graph: csr_matrix | None = field(default=None, repr=False)
     _dist: np.ndarray | None = field(default=None, repr=False)
     _index: dict | None = field(default=None, repr=False)
 
@@ -219,6 +220,13 @@ class ClusterGraph:
                                   dtype=np.int64, count=int(indptr[-1]))
             self._csr = (indptr, indices)
         return self._csr
+
+    @property
+    def graph(self) -> csr_matrix:
+        """Unit-weight ``csr_matrix`` over ``csr``, built once, for ``scipy.sparse.csgraph``."""
+        if self._graph is None:
+            self._graph = _as_graph(*self.csr)
+        return self._graph
 
     @property
     def is_empty(self) -> bool:
@@ -263,7 +271,7 @@ class ClusterGraph:
             a, b = int(keys[bad[0]]), int(transposed[bad[0]])
             i, j = divmod(a, n) if a < b else divmod(b, n)[::-1]
             raise ValueError(f"adjacency not symmetric at ({i}, {j})")
-        if _components(_as_graph(indptr, indices)).max() > 0:
+        if _components(self.graph).max() > 0:
             raise ValueError("cluster graph is not connected")
         if self.origin is not None and not 0 <= self.origin < self.n_vertices:
             raise ValueError("origin index out of range")
@@ -274,7 +282,7 @@ class ClusterGraph:
             raise ValueError("cluster has no distinguished origin")
         if self._dist is None:
             # the cluster is connected, so every distance is finite
-            dist = dijkstra(_as_graph(*self.csr), indices=self.origin, unweighted=True)
+            dist = dijkstra(self.graph, indices=self.origin, unweighted=True)
             self._dist = dist.astype(np.int64)
         return self._dist
 

@@ -13,7 +13,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.integrate import solve_ivp
 
+from percwalk.bounds import LOG4, NashProfile, OdeSolution
 from percwalk.isoperimetry import SubsetSelection, boundary_size, profile_f
 from percwalk.percolation import BlockStatus, ClusterGraph
 
@@ -75,6 +77,43 @@ def uniform_paths_oracle(cluster: ClusterGraph, n: int) -> dict:
 
     recurse(cluster.origin, {cluster.origin}, n)
     return out
+
+
+def nash_ode_oracle(profile: NashProfile, t_max: float, n_samples: int = 2000,
+                    rtol: float = 1e-10, max_step: float = np.inf) -> OdeSolution:
+    """Integrate a' = -a / (8 F_inv(4/a)^2) from a(0) = 1 up to t_max by RK45,
+    in L = -log a and s = log(1 + t), on the grid of ``nash_ode_solve``."""
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
+
+    def rhs(s, y):
+        L = y[0]
+        t = np.expm1(s)
+        f = profile.F_inv_log(LOG4 + L)
+        return [(1.0 + t) / (8.0 * f * f)]
+
+    s_max = float(np.log1p(t_max))
+    s_eval = np.linspace(0.0, s_max, n_samples)
+    sol = solve_ivp(rhs, (0.0, s_max), [0.0], t_eval=s_eval, rtol=rtol,
+                    atol=1e-12, max_step=max_step, method="RK45")
+    if not sol.success:
+        raise RuntimeError(f"ODE integration failed: {sol.message}")
+    t = np.expm1(sol.t)
+    return OdeSolution(profile, t, sol.y[0])
+
+
+def alpha_transfer(c0: float, alpha0: float, alpha: float) -> float:
+    """Rescale a decay constant from rate alpha0 to rate alpha.
+
+    If E[alpha0^N] <= e^{-c0} then E[alpha^N] <= e^{-c} with c the value
+    returned: for alpha <= alpha0 by domination, c = c0; otherwise by
+    Jensen, since alpha^N = (alpha0^N)^q with q = log(alpha)/log(alpha0) < 1.
+    """
+    if not (0.0 < alpha < 1.0 and 0.0 < alpha0 < 1.0):
+        raise ValueError("alpha and alpha0 must lie in (0, 1)")
+    if alpha <= alpha0:
+        return c0
+    return c0 * float(np.log(alpha) / np.log(alpha0))
 
 
 def lamplighter_matrix_oracle(wreath, alpha: float) -> sp.csr_matrix:

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from percwalk import bounds, percolation as perc, walk
-from conftest import make_graph
+from conftest import alpha_transfer, make_graph, nash_ode_oracle
 
 
 def full_lattice(n: int) -> perc.ClusterGraph:
@@ -63,11 +61,52 @@ class TestOde:
         assert sol.a[0] == 1.0
 
     def test_step_refinement(self):
+        # the RK45 oracle, at either step bound, lands on the closed form
         prof = bounds.NashProfile(2, 2**24, gamma=0.125)
-        coarse = bounds.nash_ode_solve(prof, 1e4, max_step=0.01)
-        fine = bounds.nash_ode_solve(prof, 1e4, max_step=0.005)
-        rel = abs(np.expm1(coarse.L[-1] - fine.L[-1]))
-        assert rel < 1e-6
+        exact = bounds.nash_ode_solve(prof, 1e4)
+        for max_step in (0.01, 0.005):
+            oracle = nash_ode_oracle(prof, 1e4, rtol=1e-11, max_step=max_step)
+            np.testing.assert_array_equal(exact.t, oracle.t)
+            np.testing.assert_allclose(exact.L, oracle.L, rtol=1e-8, atol=1e-11)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3, 4]),
+           C=st.floats(min_value=0.05, max_value=4.0),
+           knee=st.floats(min_value=1.0, max_value=12.0),
+           gamma_frac=st.floats(min_value=0.05, max_value=0.95),
+           n=st.integers(min_value=1, max_value=2**30),
+           log_t_max=st.floats(min_value=-2.0, max_value=8.0))
+    @example(d=2, C=1.0, knee=1.2, gamma_frac=0.5, n=2**20, log_t_max=6.0)
+    @example(d=3, C=0.5, knee=1.0, gamma_frac=0.5, n=2**20, log_t_max=6.0)
+    def test_matches_rk45_oracle(self, d, C, knee, gamma_frac, n, log_t_max):
+        gamma = gamma_frac / (d + 2)
+        c = knee / n**gamma * (1 + 1e-12)  # keep the knee >= 1 through rounding
+        prof = bounds.NashProfile(d, n, C=C, c=c, gamma=gamma)
+        exact = bounds.nash_ode_solve(prof, 10.0**log_t_max)
+        oracle = nash_ode_oracle(prof, 10.0**log_t_max, rtol=1e-12)
+        np.testing.assert_array_equal(exact.t, oracle.t)
+        np.testing.assert_allclose(exact.L, oracle.L, rtol=1e-8, atol=1e-11)
+
+    @pytest.mark.parametrize("knee, skipped", [
+        (1.2, 1),   # C k0 = 1.2 <= log 4 < C k0^2 = 1.44: no branch below the knee
+        (1.0, 2),   # C k0^2 = 1 <= log 4: straight past the plateau
+    ])
+    def test_start_past_the_knee(self, knee, skipped):
+        prof = bounds.NashProfile(2, 2**24, c=knee / 8.0, gamma=0.125)
+        times = prof.regime_times()
+        assert times[:skipped] == (0.0,) * skipped
+        assert all(t > 0 for t in times[skipped:])
+        assert bounds.nash_ode_solve(prof, 1e5).L[0] == 0.0
+
+    def test_regime_times_exact(self):
+        prof = bounds.NashProfile(2, 2**24, gamma=0.125)  # knee 8, C = 1
+        t1, t2 = prof.regime_times()
+        # u^3 grows at rate 3/8 from log 4 to 8, then u at rate 1/512 to 64
+        assert t1 == pytest.approx(8.0 * (8.0**3 - np.log(4.0)**3) / 3.0, rel=1e-14)
+        assert t2 == pytest.approx(t1 + 512.0 * (64.0 - 8.0), rel=1e-14)
+        sol = bounds.nash_ode_solve(prof, 1e7)
+        for tt, level in ((t1, 8.0), (t2, 64.0)):
+            assert np.interp(tt, sol.t, sol.L) + np.log(4.0) == pytest.approx(level, rel=1e-4)
 
     def test_rejects_bad_horizon(self):
         prof = bounds.NashProfile(2, 2**24, gamma=0.125)
@@ -88,6 +127,13 @@ class TestOde:
         assert fit["slopes_positive"]
         assert all(m < 1e-3 for m in fit["continuity_mismatch"])
         assert 0 < fit["t1"] < fit["t2"] < 1e7
+
+    @pytest.mark.parametrize("d, n, gamma", [(2, 2**24, 0.125), (3, 4**10, 0.1)])
+    def test_tail_slope_far_out(self, d, n, gamma):
+        # the two profiles of the nash-curve recipe, five decades past its t_max
+        prof = bounds.NashProfile(d=d, n=n, gamma=gamma)
+        slope = bounds.tail_exponent(bounds.nash_ode_solve(prof, 1e12))
+        assert slope == pytest.approx(d / (d + 2.0), rel=1e-3)
 
 
 class TestLowerBound:
@@ -131,13 +177,13 @@ class TestLowerBound:
 
 class TestAlphaTransfer:
     def test_identity(self):
-        assert bounds.alpha_transfer(3.0, 0.5, 0.5) == 3.0
+        assert alpha_transfer(3.0, 0.5, 0.5) == 3.0
 
     def test_domination(self):
-        assert bounds.alpha_transfer(3.0, 0.5, 0.25) == 3.0
+        assert alpha_transfer(3.0, 0.5, 0.25) == 3.0
 
     def test_rescaling(self):
-        factor = bounds.alpha_transfer(1.0, 0.5, 0.75)
+        factor = alpha_transfer(1.0, 0.5, 0.75)
         assert factor == pytest.approx(np.log(0.75) / np.log(0.5))
         assert factor == pytest.approx(0.4150, abs=1e-4)
 
@@ -146,8 +192,19 @@ class TestAlphaTransfer:
            b=st.floats(min_value=0.05, max_value=0.95))
     def test_monotone(self, a, b):
         lo, hi = min(a, b), max(a, b)
-        assert bounds.alpha_transfer(2.0, 0.5, hi) <= \
-            bounds.alpha_transfer(2.0, 0.5, lo) + 1e-12
+        assert alpha_transfer(2.0, 0.5, hi) <= \
+            alpha_transfer(2.0, 0.5, lo) + 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_bounds_exact_laplace(self, path3, n):
+        # a constant valid at alpha0 transfers to every alpha in (0, 1)
+        graphs = [path3, full_lattice(3)]
+        alphas = (0.2, 0.5, 0.8)
+        for g in graphs:
+            c = {a: -np.log(walk.exact_laplace(g, a, n)) for a in alphas}
+            for a0 in alphas:
+                for a in alphas:
+                    assert c[a] >= alpha_transfer(c[a0], a0, a) - 1e-12
 
 
 class TestDoubling:
@@ -206,20 +263,3 @@ class TestFitExponent:
         series = self._series([(10, 0.5), (20, 0.3)])
         with pytest.raises(ValueError):
             bounds.fit_exponent(series)
-
-
-class TestBoundCurve:
-    def test_values_and_csv(self):
-        curve = bounds.BoundCurve("lower", 1.5, 0.5, [4, 9])
-        assert curve.values[0] == pytest.approx(np.exp(-3.0))
-        buf = io.StringIO()
-        curve.to_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "n,bound,side,constant,exponent"
-        assert len(lines) == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bounds.BoundCurve("sideways", 1.0, 0.5, [1])
-        with pytest.raises(ValueError):
-            bounds.BoundCurve("upper", 1.0, 1.5, [1])

@@ -96,7 +96,7 @@ class TestRun:
         lines = (tmp_path / "nash_d2.csv").read_text().splitlines()
         rows = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
         prof = bounds.NashProfile(d=2, n=2**24, gamma=0.125)
-        sol = bounds.nash_ode_solve(prof, 1e7, rtol=1e-11)
+        sol = bounds.nash_ode_solve(prof, 1e7)
         assert len(rows) == sol.t.size
         assert rows[0] == (sol.t[0], sol.L[0])
         assert rows[-1] == (sol.t[-1], sol.L[-1])
