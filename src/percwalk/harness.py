@@ -356,7 +356,7 @@ def _recipe_spectral_bracket(params, out_dir, artifacts):
                 if p < 1.0 else [(0, None,
                                   perc.component_of_origin(
                                       perc.sample_bond_config(
-                                          perc.LatticeSpec(2, box_n), 1.0, 0)))] * n_seeds
+                                          perc.LatticeSpec(2, box_n), 1.0, 0)))]
             for i, (_, _, cluster) in enumerate(picked):
                 rep = walk.killed_operator_report(cluster, r, [0])
                 if rep.lambda1 > rep.paper_bound:
@@ -367,8 +367,6 @@ def _recipe_spectral_bracket(params, out_dir, artifacts):
                 if p == 1.0 and i == 0:
                     _write_artifact(out_dir, f"killed_r{r}_p{p}.json",
                                     rep.to_json, artifacts)
-                if p == 1.0:
-                    break
     _check(assertions, "lambda1 within the volume bound", bound_ok,
            "; ".join(detail) if detail else
            f"all r in {r_list}, p in {p_list}, {n_seeds} seeds")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -188,13 +188,15 @@ def _components(graph: csr_matrix) -> np.ndarray:
 class ClusterGraph:
     """A connected open subgraph with vertex coordinates and a distinguished origin.
 
+    The graph lives in CSR arrays (``csr``); unless the caller passed them, the
+    neighbour lists are made from ``csr`` on the first read of ``adjacency``.
     The empty sentinel (``is_empty``) stands for "no cluster at all" so the
     connectivity invariant never needs a special case.  The degenerate
     single-vertex cluster (isolated origin) is a valid non-empty instance.
     """
 
     coords: np.ndarray
-    adjacency: list
+    _adjacency: list | None  # neighbour lists, or None when _csr is given
     origin: int | None
     meta: dict = field(default_factory=dict)
     _csr: tuple | None = field(default=None, repr=False)
@@ -211,12 +213,20 @@ class ClusterGraph:
         return cls(np.zeros((0, 0), dtype=int), [], None, meta or {})
 
     @property
+    def adjacency(self) -> list:
+        """Per-vertex neighbour lists in CSR row order, built on first read."""
+        if self._adjacency is None:
+            bounds, flat = (a.tolist() for a in self.csr)
+            self._adjacency = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+        return self._adjacency
+
+    @property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, indices)`` view of ``adjacency``, rows in list order."""
+        """``(indptr, indices)`` of the graph, rows in adjacency-list order."""
         if self._csr is None:
-            indptr = np.zeros(len(self.adjacency) + 1, dtype=np.int64)
-            np.cumsum([len(nbrs) for nbrs in self.adjacency], out=indptr[1:])
-            indices = np.fromiter(chain.from_iterable(self.adjacency),
+            indptr = np.zeros(len(self._adjacency) + 1, dtype=np.int64)
+            np.cumsum([len(nbrs) for nbrs in self._adjacency], out=indptr[1:])
+            indices = np.fromiter(chain.from_iterable(self._adjacency),
                                   dtype=np.int64, count=int(indptr[-1]))
             self._csr = (indptr, indices)
         return self._csr
@@ -230,24 +240,20 @@ class ClusterGraph:
 
     @property
     def is_empty(self) -> bool:
-        return len(self.adjacency) == 0
+        return self.n_vertices == 0
 
     @property
     def n_vertices(self) -> int:
-        return len(self.adjacency)
+        return self.csr[0].size - 1
 
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.csr[0])
 
-    def neighbors(self, i: int) -> Sequence[int]:
-        return self.adjacency[i]
-
     def edges(self) -> Iterable[tuple[int, int]]:
-        for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                if i < j:
-                    yield i, j
+        rows = np.repeat(np.arange(self.n_vertices), self.degrees)
+        keep = rows < self.csr[1]
+        return zip(rows[keep].tolist(), self.csr[1][keep].tolist())
 
     def n_edges(self) -> int:
         return self.csr[1].size // 2
@@ -299,9 +305,7 @@ def _induced_cluster(config: BondConfiguration, graph: csr_matrix, ids: np.ndarr
     coords = np.stack(np.unravel_index(ids, (spec.side,) * spec.d), axis=1) - spec.n
     origin = int(np.searchsorted(ids, origin_id)) if origin_id is not None else None
     meta = {"d": spec.d, "n": spec.n, "p": config.p, "seed": config.seed}
-    flat, bounds = indices.tolist(), indptr.tolist()
-    adjacency = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-    return ClusterGraph(coords, adjacency, origin, meta, _csr=(indptr, indices))
+    return ClusterGraph(coords, None, origin, meta, _csr=(indptr, indices))
 
 
 def component_of_origin(config: BondConfiguration) -> ClusterGraph:
@@ -405,12 +409,6 @@ class RenormalizedField:
 
     N: int
     blocks: dict
-
-    def good_fraction(self) -> float:
-        flags = [s.good for s in self.blocks.values() if s.classifiable]
-        if not flags:
-            raise ValueError("no classifiable block in the sampled box")
-        return sum(flags) / len(flags)
 
     def classifiable_blocks(self) -> list:
         return [i for i, s in self.blocks.items() if s.classifiable]
@@ -538,10 +536,6 @@ def cluster_from_text(inp: TextIO) -> ClusterGraph:
         adjacency[i].append(j)
         adjacency[j].append(i)
     adjacency = [sorted(nbrs) for nbrs in adjacency]
-    origin = None
-    for i, c in enumerate(coords):
-        if all(x == 0 for x in c):
-            origin = i
-            break
+    origin = next((i for i, c in enumerate(coords) if not any(c)), None)
     return ClusterGraph(np.array(coords), adjacency, origin,
                         {"d": d, "n": n, "p": p, "seed": seed})

@@ -12,7 +12,9 @@ Two exact backends feed everything downstream:
 The Monte Carlo estimator runs chunks of 65,536 chains as column-vectorized
 trajectories, chunk k keyed (master seed, k).  N_n is counted by a uint64
 visited mask per chain when the radius-n_max chemical ball has at most 64
-vertices, and by sorting each trajectory prefix otherwise.
+vertices, and by sorting each trajectory prefix otherwise.  The killed walk's
+top eigenvalue comes from dense ``eigvalsh`` on chemical balls of at most 300
+vertices and from Lanczos (``eigsh``) on larger ones.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 from percwalk.percolation import ClusterGraph, induced_csr
 
@@ -110,11 +114,11 @@ def simulate_walk(cluster: ClusterGraph, n: int, seed: int) -> WalkPath:
             raise ValueError("the single-vertex cluster admits only n=0")
         return WalkPath((cluster.origin,), seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
+    indptr, indices = cluster.csr
     steps = [cluster.origin]
     pos = cluster.origin
     for _ in range(n):
-        nbrs = cluster.adjacency[pos]
-        pos = nbrs[rng.integers(len(nbrs))]
+        pos = int(indices[indptr[pos] + rng.integers(indptr[pos + 1] - indptr[pos])])
         steps.append(pos)
     return WalkPath(tuple(steps), seed)
 
@@ -307,9 +311,11 @@ def mc_visited_samples(cluster: ClusterGraph, n_list: Sequence[int],
         bit[keep] = np.uint64(1) << np.arange(keep.size, dtype=np.uint64)
     for traj in _trajectory_chunks(cluster, n_max, samples, seed):
         if bit is None:
-            for n in out:
-                block = np.sort(traj[: n + 1], axis=0)
-                out[n].append(1 + np.count_nonzero(np.diff(block, axis=0), axis=0))
+            for n in sorted(out):
+                # n_max comes last, so its block may sort the chunk in place
+                block = traj[: n + 1] if n == n_max else traj[: n + 1].copy()
+                block.sort(axis=0)
+                out[n].append(1 + np.count_nonzero(block[1:] != block[:-1], axis=0))
             continue
         mask = np.zeros(traj.shape[1], dtype=np.uint64)
         for step, sites in enumerate(traj):
@@ -397,32 +403,27 @@ class KilledOperatorReport:
         out.write("\n")
 
 
-def _ball_kernel(cluster: ClusterGraph, r: int):
-    """Sub-Markovian kernel on the ball D <= r, rows indexed by ball vertices.
+_DENSE_EIGEN_MAX = 300  # ball size; measured crossover ~150 on Z^2, ~290 at p = 0.7
+_EIGEN_CAP = 20000
 
-    Degrees are the ambient cluster degrees: transitions out of the ball are
-    killed, not redistributed.
-    """
-    dist = cluster.distances_from_origin()
-    ball = np.nonzero(dist <= r)[0]
+
+def _ball_kernel(cluster: ClusterGraph, r: int):
+    """Kernel P of the walk killed on leaving the ball D <= r (ambient degrees),
+    returned as (ball vertices, the origin's row, degrees, P)."""
+    ball = np.nonzero(cluster.distances_from_origin() <= r)[0]
     if ball.size == 0:
         raise ValueError("empty ball")
-    local = -np.ones(cluster.n_vertices, dtype=np.int64)
-    local[ball] = np.arange(ball.size)
     deg = cluster.degrees.astype(np.float64)
     indptr, indices = induced_csr(*cluster.csr, ball)
     vals = 1.0 / np.repeat(deg[ball], np.diff(indptr))
-    import scipy.sparse as sp
     P = sp.csr_matrix((vals, indices, indptr), shape=(ball.size, ball.size))
-    return ball, local, deg, P
+    return ball, int(np.searchsorted(ball, cluster.origin)), deg, P
 
 
-def survival_probabilities(cluster: ClusterGraph, r: int,
-                           n_list: Sequence[int]) -> list:
-    """Exact P(sigma_r > n) for each n via repeated kernel application."""
-    ball, local, _, P = _ball_kernel(cluster, r)
-    v = np.zeros(ball.size)
-    v[int(local[cluster.origin])] = 1.0
+def _survival(P, start: int, n_list: Sequence[int]) -> list:
+    """[(n, mass left after n steps of P from row ``start``)] for n ascending."""
+    v = np.zeros(P.shape[0])
+    v[start] = 1.0
     out = []
     step = 0
     PT = P.T
@@ -434,27 +435,34 @@ def survival_probabilities(cluster: ClusterGraph, r: int,
     return out
 
 
+def survival_probabilities(cluster: ClusterGraph, r: int,
+                           n_list: Sequence[int]) -> list:
+    """Exact P(sigma_r > n) for each n via repeated kernel application."""
+    _, start, _, P = _ball_kernel(cluster, r)
+    return _survival(P, start, n_list)
+
+
 def killed_operator_report(cluster: ClusterGraph, r: int,
                            n_list: Sequence[int]) -> KilledOperatorReport:
     """Spectral and survival summary of the walk killed outside D(0,.) <= r."""
     if r < 1:
         raise ValueError("ball radius must be >= 1")
     dist = cluster.distances_from_origin()
-    ball, local, deg, P = _ball_kernel(cluster, r)
-    if ball.size > 20000:
-        raise ValueError(f"ball has {ball.size} vertices, over the eigensolve cap")
+    ball, start, deg, P = _ball_kernel(cluster, r)
+    if ball.size > _EIGEN_CAP:
+        raise ValueError(f"ball has {ball.size} vertices, over the eigensolve "
+                         f"cap of {_EIGEN_CAP}")
     half = int(np.count_nonzero(dist <= r // 2))
 
     # similarity transform by sqrt(nu) makes the kernel symmetric
-    import scipy.sparse as sp
     s = np.sqrt(deg[ball])
     A = sp.diags(s) @ P @ sp.diags(1.0 / s)
     A = (A + A.T) / 2
-    if ball.size <= 2000:
+    if ball.size <= _DENSE_EIGEN_MAX:
         top = float(np.linalg.eigvalsh(A.toarray())[-1])
     else:
-        from scipy.sparse.linalg import eigsh
-        top = float(eigsh(A, k=1, which="LA", return_eigenvectors=False)[0])
+        # sqrt(deg), the unkilled Perron vector, as a fixed start makes ARPACK repeatable
+        top = float(eigsh(A, k=1, which="LA", v0=s, return_eigenvectors=False)[0])
     lambda1 = 1.0 - top
 
     d = cluster.meta.get("d", cluster.coords.shape[1])
@@ -467,6 +475,6 @@ def killed_operator_report(cluster: ClusterGraph, r: int,
     norm = float(np.sum(deg * h * h))
     rayleigh = energy / norm if norm > 0 else float("inf")
 
-    survival = survival_probabilities(cluster, r, n_list)
+    survival = _survival(P, start, n_list)
     return KilledOperatorReport(r, int(ball.size), half, lambda1,
                                 paper_bound, rayleigh, survival)

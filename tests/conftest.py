@@ -159,6 +159,23 @@ def bfs_oracle(adjacency, start: int) -> dict:
     return dist
 
 
+def killed_lambda1_oracle(cluster: ClusterGraph, r: int) -> float:
+    """lambda_1 of the walk killed outside the chemical ball D <= r, by a
+    dense eigensolve: one minus the top eigenvalue of the symmetric matrix
+    1 / sqrt(deg x * deg y) over the ball's edges, with the ball from a plain
+    BFS over the adjacency lists and the degrees of the whole cluster."""
+    dist = bfs_oracle(cluster.adjacency, cluster.origin)
+    ball = sorted(v for v, k in dist.items() if k <= r)
+    row = {v: i for i, v in enumerate(ball)}
+    sym = np.zeros((len(ball), len(ball)))
+    for v in ball:
+        for w in cluster.adjacency[v]:
+            if w in row:
+                deg_v, deg_w = len(cluster.adjacency[v]), len(cluster.adjacency[w])
+                sym[row[v], row[w]] = 1.0 / np.sqrt(deg_v * deg_w)
+    return 1.0 - float(np.linalg.eigvalsh(sym)[-1])
+
+
 def open_graph_oracle(config) -> dict:
     """Open neighbours of every box vertex, read off the edge list one edge
     at a time."""

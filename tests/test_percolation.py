@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percwalk import percolation as perc
+from percwalk import percolation as perc, walk
 from conftest import (bfs_oracle, classify_boxes_oracle, components_oracle,
                       extraction_oracle, open_graph_oracle)
 
@@ -205,6 +205,7 @@ class TestLargestCluster:
     def test_empty_sentinel(self):
         cluster = perc.largest_cluster(_all_closed(perc.LatticeSpec(2, 2)))
         assert cluster.is_empty
+        assert cluster.n_vertices == 0 and perc.ClusterGraph.empty().n_vertices == 0
 
     def test_density_band_against_oracle(self):
         spec = perc.LatticeSpec(2, 30)
@@ -376,6 +377,31 @@ class TestClassifyBoxes:
         assert blocks == classify_boxes_oracle(config, N)
 
 
+class TestLazyAdjacency:
+    """Extraction hands over CSR arrays only; the lists are made on demand."""
+
+    def test_extraction_and_walk_layer_build_no_lists(self):
+        cluster = perc.component_of_origin(
+            perc.sample_bond_config(perc.LatticeSpec(2, 6), 0.7, 3))
+        walk.simulate_walk(cluster, 20, 0)
+        walk.exact_visited_distribution(cluster, 4)
+        walk.killed_operator_report(cluster, 3, [0, 5])
+        walk.mc_laplace(cluster, 0.5, [5, 10], 200, 0)
+        walk.confinement_probability(cluster, 2, 6, 200, 0)
+        assert cluster._adjacency is None
+
+    @pytest.mark.parametrize("extract", [perc.component_of_origin, perc.largest_cluster,
+                                         lambda config: perc.chemical_ball(config, 4)])
+    def test_lists_equal_csr_rows(self, extract):
+        cluster = extract(perc.sample_bond_config(perc.LatticeSpec(2, 6), 0.7, 3))
+        assert cluster._adjacency is None
+        indptr, indices = cluster.csr
+        rows = [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+        assert cluster.adjacency == rows
+        assert all(type(w) is int for nbrs in cluster.adjacency for w in nbrs)
+        assert cluster.adjacency is cluster.adjacency  # built once
+
+
 class TestTextFormat:
     def test_round_trip(self):
         config = perc.sample_bond_config(perc.LatticeSpec(2, 3), 0.7, 8)
@@ -383,8 +409,10 @@ class TestTextFormat:
         buf = io.StringIO()
         perc.cluster_to_text(cluster, buf)
         back = perc.cluster_from_text(io.StringIO(buf.getvalue()))
+        assert cluster._adjacency is None  # the export reads the CSR arrays
         assert np.array_equal(back.coords, cluster.coords)
         assert back.adjacency == [sorted(a) for a in cluster.adjacency]
+        assert all(np.array_equal(a, b) for a, b in zip(back.csr, cluster.csr))
         assert back.origin == cluster.origin
 
     def test_header_fields(self):

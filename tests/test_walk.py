@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from percwalk import percolation as perc, walk
-from conftest import (bfs_oracle, laplace_oracle, make_graph, mc_counts_oracle,
-                      uniform_paths_oracle, visited_dist_oracle)
+from conftest import (bfs_oracle, killed_lambda1_oracle, laplace_oracle, make_graph,
+                      mc_counts_oracle, uniform_paths_oracle, visited_dist_oracle)
 
 
 def full_lattice(n: int, d: int = 2) -> perc.ClusterGraph:
@@ -235,12 +235,15 @@ class TestMonteCarloStream:
             oracle_counts(cluster, [1, n_max], 400, 13, range(400))
 
     def test_ball_of_64_vertices_is_not_sorted(self, monkeypatch):
-        cluster = reversed_path(64)
+        # the sort path counts distinct sites with count_nonzero, the mask path never
+        small, large = reversed_path(64), reversed_path(65)
 
-        def no_sort(*args, **kwargs):
-            raise AssertionError("a ball of 64 vertices is counted by masks")
-        monkeypatch.setattr(walk.np, "sort", no_sort)
-        walk.mc_visited_samples(cluster, [63], 10, 0)
+        def no_sort_count(*args, **kwargs):
+            raise AssertionError("sort-path count")
+        monkeypatch.setattr(walk.np, "count_nonzero", no_sort_count)
+        walk.mc_visited_samples(small, [63], 10, 0)
+        with pytest.raises(AssertionError, match="sort-path count"):
+            walk.mc_visited_samples(large, [64], 10, 0)
 
     @pytest.mark.parametrize("n", [4, 12])
     def test_n_list_with_zero_duplicates_unsorted(self, n):
@@ -320,6 +323,32 @@ class TestKilledOperator:
         value, stderr = walk.confinement_probability(cluster, 2, 6, 40000, 8)
         assert abs(value - exact) <= 4 * max(stderr, 1e-9)
 
+    def test_kernel_built_once(self, monkeypatch):
+        cluster = sampled_cluster(5, 0.7, 7)
+        calls = []
+        real = walk._ball_kernel
+        monkeypatch.setattr(walk, "_ball_kernel",
+                            lambda c, r: calls.append(r) or real(c, r))
+        report = walk.killed_operator_report(cluster, 3, [0, 4, 9])
+        assert calls == [3]
+        assert report.survival == walk.survival_probabilities(cluster, 3, [9, 4, 0])
+
+    def test_lanczos_only_above_the_dense_cutoff(self, monkeypatch):
+        sizes = []
+        real = walk.eigsh
+        monkeypatch.setattr(walk, "eigsh",
+                            lambda A, **kw: sizes.append(A.shape[0]) or real(A, **kw))
+        below = walk.killed_operator_report(full_lattice(12), 11, [0])
+        above = walk.killed_operator_report(full_lattice(13), 12, [0])
+        assert (below.ball_size, above.ball_size) == (265, 313)
+        assert sizes == [313]
+
+    def test_eigensolve_cap_is_named(self):
+        # the r = 100 diamond has 2 r^2 + 2 r + 1 = 20201 vertices
+        with pytest.raises(ValueError, match=r"^ball has 20201 vertices, over the "
+                                             r"eigensolve cap of 20000$"):
+            walk.killed_operator_report(full_lattice(101), 100, [0])
+
     def test_json_schema(self):
         report = walk.killed_operator_report(full_lattice(3), 1, [0, 2])
         buf = io.StringIO()
@@ -339,3 +368,17 @@ def test_laplace_normalization_property(n, alpha):
     value = walk.exact_laplace(g, alpha, n)
     assert 0.0 <= value <= 1.0 + 1e-12
     assert walk.exact_laplace(g, 1.0, n) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       p=st.floats(min_value=0.6, max_value=1.0), r=st.integers(min_value=1, max_value=22))
+@example(seed=0, p=1.0, r=11)  # 265 vertices: dense
+@example(seed=0, p=1.0, r=12)  # 313 vertices: Lanczos
+def test_killed_lambda1_property(seed, p, r):
+    cluster = sampled_cluster(14, p, seed)
+    # a ball holding the whole cluster kills nothing: lambda1 = 0, which the report rejects
+    assume(cluster.distances_from_origin().max() > r)
+    first = walk.killed_operator_report(cluster, r, [0])
+    assert abs(first.lambda1 - killed_lambda1_oracle(cluster, r)) <= 1e-12
+    assert walk.killed_operator_report(cluster, r, [0]) == first
