@@ -281,6 +281,7 @@ def _recipe_confinement(params, out_dir, artifacts):
             series = walk.WalkSeries(entries, alpha, p, 2, seeds[i])
             _write_artifact(out_dir, f"mc_cluster{i}_alpha{alpha}.csv",
                             series.to_csv, artifacts)
+        del counts  # free this cluster's samples before drawing the next one's
     _check(assertions, "mc vs exact Laplace", all_ok,
            f"worst deviation {worst:.2f} sigma over "
            f"{len(picked) * len(alphas) * len(n_list)} cases (limit 4)")

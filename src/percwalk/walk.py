@@ -10,16 +10,20 @@ Two exact backends feed everything downstream:
   weight and only the visited count varies.
 
 The Monte Carlo estimator runs chunks of 65,536 chains as column-vectorized
-trajectories, chunk k keyed (master seed, k).  N_n is counted by a uint64
-visited mask per chain when the radius-n_max chemical ball has at most 64
-vertices, and by sorting each trajectory prefix otherwise.  The killed walk's
-top eigenvalue comes from dense ``eigvalsh`` on chemical balls of at most 300
-vertices and from Lanczos (``eigsh``) on larger ones.
+trajectories, chunk k keyed (master seed, k), and spreads whole chunks over
+the cores this process may use; the output does not depend on how many there
+are.  N_n is counted by a uint64 visited mask per chain when the radius-n_max
+chemical ball has at most 64 vertices, and by sorting each trajectory prefix
+otherwise.  The killed walk's top eigenvalue comes from dense ``eigvalsh`` on
+chemical balls of at most 300 vertices and from Lanczos (``eigsh``) on larger
+ones; a ball holding the whole cluster kills nothing and has lambda1 = 0.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -275,24 +279,47 @@ def _laplace_of(dist: dict, alpha: float, pinned: bool = False) -> float:
 _CHUNK = 65536
 
 
-def _trajectory_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int):
-    """Trajectory blocks (n_max + 1, chunk), one column per chain.  Chunk k draws
+def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, reduce):
+    """Call reduce(first_chain, traj) once per chunk of the ``samples`` chains,
+    traj (n_max + 1, chunk) holding one chain per column.  Chunk k draws
     u = Philox(key=(seed << 64) + k).random((n_max, chunk)) one row per step,
-    and u moves a chain at v to neighbour floor(u * deg(v)) of v in CSR order."""
+    and u moves a chain at v to neighbour floor(u * deg(v)) of v in CSR order.
+
+    Chunks are dealt round-robin to one share per core this process may use:
+    the calling thread walks share 0, helper threads the rest, all in buffers
+    allocated here (what a helper frees stays in its own malloc arena).  One
+    chunk runs on the calling thread alone, with no pool."""
     nbr = _neighbor_table(cluster)  # take() reads it flattened
     width = nbr.shape[1]
     deg = cluster.degrees.astype(np.float64)
-    for k, start in enumerate(range(0, samples, _CHUNK)):
-        chunk = min(_CHUNK, samples - start)
-        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + k))
-        traj = np.empty((n_max + 1, chunk), dtype=np.int32)
-        traj[0] = cluster.origin
-        for step in range(n_max):
-            cur = traj[step]
-            pick = (rng.random(chunk) * deg.take(cur)).astype(np.int32)
-            pick += cur * width
-            nbr.take(pick, out=traj[step + 1])
-        yield traj
+    firsts = range(0, samples, _CHUNK)
+    shares = min(len(os.sched_getaffinity(0)), len(firsts))
+    cols = min(_CHUNK, samples)
+
+    def walk_share(j, traj, u, dg, off, pick):
+        for k in range(j, len(firsts), shares):
+            chunk = min(_CHUNK, samples - firsts[k])
+            rng = np.random.Generator(np.random.Philox(key=(seed << 64) + k))
+            block, u_k, dg_k, off_k, pick_k = (a[..., :chunk] for a in (traj, u, dg, off, pick))
+            block[0] = cluster.origin
+            for step in range(n_max):
+                cur = block[step]
+                rng.random(out=u_k)
+                u_k *= deg.take(cur, out=dg_k)
+                pick_k[:] = u_k  # truncates, as astype(np.int32) did
+                pick_k += np.multiply(cur, width, out=off_k)
+                nbr.take(pick_k, out=block[step + 1])
+            reduce(firsts[k], block)
+
+    buffers = [(np.empty((n_max + 1, cols), np.int32), np.empty(cols), np.empty(cols),
+                np.empty(cols, np.int32), np.empty(cols, np.int32)) for _ in range(shares)]
+    if shares == 1:
+        return walk_share(0, *buffers[0])
+    with ThreadPoolExecutor(shares - 1) as pool:
+        helpers = [pool.submit(walk_share, j, *buffers[j]) for j in range(1, shares)]
+        walk_share(0, *buffers[0])
+        for helper in helpers:
+            helper.result()
 
 
 def mc_visited_samples(cluster: ClusterGraph, n_list: Sequence[int],
@@ -303,26 +330,28 @@ def mc_visited_samples(cluster: ClusterGraph, n_list: Sequence[int],
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n_max = max(n_list)
-    out = {n: [] for n in n_list}
+    out = {n: np.empty(samples, dtype=np.int64) for n in n_list}
     keep, _ = _reachable_ball(cluster, n_max)
-    bit = None
-    if keep.size <= 64:
-        bit = np.zeros(cluster.n_vertices, dtype=np.uint64)
-        bit[keep] = np.uint64(1) << np.arange(keep.size, dtype=np.uint64)
-    for traj in _trajectory_chunks(cluster, n_max, samples, seed):
-        if bit is None:
+    if keep.size > 64:
+        def count(first, traj):
+            cols = slice(first, first + traj.shape[1])
             for n in sorted(out):
                 # n_max comes last, so its block may sort the chunk in place
                 block = traj[: n + 1] if n == n_max else traj[: n + 1].copy()
                 block.sort(axis=0)
-                out[n].append(1 + np.count_nonzero(block[1:] != block[:-1], axis=0))
-            continue
-        mask = np.zeros(traj.shape[1], dtype=np.uint64)
-        for step, sites in enumerate(traj):
-            mask |= bit.take(sites)
-            if step in out:
-                out[step].append(np.bitwise_count(mask))
-    return {n: np.concatenate(parts).astype(np.int64) for n, parts in out.items()}
+                out[n][cols] = 1 + np.count_nonzero(block[1:] != block[:-1], axis=0)
+    else:
+        bit = np.zeros(cluster.n_vertices, dtype=np.uint64)
+        bit[keep] = np.uint64(1) << np.arange(keep.size, dtype=np.uint64)
+
+        def count(first, traj):
+            mask = np.zeros(traj.shape[1], dtype=np.uint64)
+            for step, sites in enumerate(traj):
+                mask |= bit.take(sites)
+                if step in out:
+                    np.bitwise_count(mask, out=out[step][first: first + mask.size])
+    _map_chunks(cluster, n_max, samples, seed, count)
+    return out
 
 
 def _mc_moments(counts: np.ndarray, alpha: float) -> tuple[float, float]:
@@ -332,7 +361,7 @@ def _mc_moments(counts: np.ndarray, alpha: float) -> tuple[float, float]:
         return float(alpha) ** int(counts[0]), 0.0
     x = (alpha ** np.arange(counts.max() + 1.0)).take(counts)
     mean = float(np.mean(x))
-    var = float(np.mean(x * x) - mean * mean)
+    var = float(np.mean(np.multiply(x, x, out=x)) - mean * mean)
     return mean, float(np.sqrt(max(var, 0.0) / counts.size))
 
 
@@ -363,9 +392,10 @@ def confinement_probability(cluster: ClusterGraph, r: int, n: int,
     if r == 0:
         return 0.0, 0.0  # the first of the n >= 1 steps leaves {0}
     inside = cluster.distances_from_origin() <= r
-    hits = sum(int(np.count_nonzero(inside.take(traj).all(axis=0)))
-               for traj in _trajectory_chunks(cluster, n, samples, seed))
-    phat = hits / samples
+    hits = []  # list.append is atomic, so helper threads may share it
+    _map_chunks(cluster, n, samples, seed,
+                lambda first, traj: hits.append(np.count_nonzero(inside.take(traj).all(axis=0))))
+    phat = int(sum(hits)) / samples
     return phat, float(np.sqrt(phat * (1 - phat) / samples))
 
 
@@ -384,8 +414,8 @@ class KilledOperatorReport:
     survival: list  # of (n, probability)
 
     def __post_init__(self):
-        if not 0.0 < self.lambda1 <= 2.0:
-            raise ValueError(f"lambda1 out of (0, 2]: {self.lambda1}")
+        if not 0.0 <= self.lambda1 <= 2.0:
+            raise ValueError(f"lambda1 out of [0, 2]: {self.lambda1}")
         probs = [p for _, p in self.survival]
         if any(b > a + 1e-12 for a, b in zip(probs, probs[1:])):
             raise ValueError("survival probabilities must be nonincreasing")
@@ -458,7 +488,9 @@ def killed_operator_report(cluster: ClusterGraph, r: int,
     s = np.sqrt(deg[ball])
     A = sp.diags(s) @ P @ sp.diags(1.0 / s)
     A = (A + A.T) / 2
-    if ball.size <= _DENSE_EIGEN_MAX:
+    if ball.size == cluster.n_vertices:
+        top = 1.0  # no edge leaves the ball, so P is stochastic and nothing is killed
+    elif ball.size <= _DENSE_EIGEN_MAX:
         top = float(np.linalg.eigvalsh(A.toarray())[-1])
     else:
         # sqrt(deg), the unkilled Perron vector, as a fixed start makes ARPACK repeatable

@@ -162,3 +162,21 @@ class TestBenchmarkHooks:
         _, counts = t.take()
         assert counts["wreath.LamplighterKernel.states"] == 8
         assert counts["wreath.return_probability.steps"] == 4
+
+    def test_traced_monte_carlo_over_threads(self, monkeypatch):
+        # helper threads walk chunks but call no traced entry point
+        monkeypatch.setattr(walk.os, "sched_getaffinity", lambda pid: {0, 1})
+        cluster = perc.component_of_origin(
+            perc.sample_bond_config(perc.LatticeSpec(2, 3), 0.7, 2))
+        samples = 2 * walk._CHUNK + 3
+        tracer = _bench_tracer()
+        t = tracer.Tracer()
+        t.install()
+        try:
+            walk.mc_visited_samples(cluster, [3, 7], samples, 1)
+        finally:
+            t.uninstall()
+        _, counts = t.take()
+        assert counts["walk.mc_visited_samples.chain_steps"] == samples * 7
+        assert counts["walk.mc_visited_samples.calls"] == 1
+        assert t._open == []

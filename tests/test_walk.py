@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from percwalk import percolation as perc, walk
 from conftest import (bfs_oracle, killed_lambda1_oracle, laplace_oracle, make_graph,
@@ -276,6 +278,75 @@ class TestMonteCarloStream:
         assert value == hits / samples
 
 
+def pretend_cores(monkeypatch, cores: int):
+    monkeypatch.setattr(walk.os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+class TestCoreCount:
+    """Whole chunks are shared over the cores; no count depends on how many."""
+
+    SAMPLES = 3 * walk._CHUNK + 5  # shares of 2 and 1 chunks on 2 cores; short last chunk
+    CHAINS = [0, walk._CHUNK - 1, walk._CHUNK, 2 * walk._CHUNK + 7, 3 * walk._CHUNK,
+              3 * walk._CHUNK + 4]
+
+    @pytest.mark.parametrize("path", ["mask", "sort"])
+    def test_visited_counts(self, monkeypatch, path):
+        cluster = sampled_cluster(3, 0.7, 2) if path == "mask" else full_lattice(6)
+        assert (walk._reachable_ball(cluster, 8)[0].size <= 64) == (path == "mask")
+        runs = []
+        for cores in (1, 2, 3):
+            pretend_cores(monkeypatch, cores)
+            runs.append(walk.mc_visited_samples(cluster, [3, 8], self.SAMPLES, 16))
+        for counts in runs[1:]:
+            assert all(np.array_equal(counts[n], runs[0][n]) for n in (3, 8))
+        assert {n: c[self.CHAINS].tolist() for n, c in runs[0].items()} == \
+            oracle_counts(cluster, [3, 8], self.SAMPLES, 16, self.CHAINS)
+
+    def test_confinement_hits(self, monkeypatch):
+        # from an end of a path the walk has visited {0..M}, M its largest
+        # distance so far, so it stayed within r exactly when N_n <= r + 1
+        path = make_graph([(i, 0) for i in range(10)], [(i, i + 1) for i in range(9)])
+        r, n = 3, 8
+        assert oracle_counts(path, [n], self.SAMPLES, 8, self.CHAINS) == \
+            {n: walk.mc_visited_samples(path, [n], self.SAMPLES, 8)[n][self.CHAINS].tolist()}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost hit would show
+        try:
+            for cores in (1, 2, 3):
+                pretend_cores(monkeypatch, cores)
+                counts = walk.mc_visited_samples(path, [n], self.SAMPLES, 8)[n]
+                value, _ = walk.confinement_probability(path, r, n, self.SAMPLES, 8)
+                assert 0.0 < value < 1.0
+                assert value == np.count_nonzero(counts <= r + 1) / self.SAMPLES
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        pretend_cores(monkeypatch, 2)
+        real = walk.np.bitwise_count
+
+        def fail_off_main_thread(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper chunk failed")
+            return real(*args, **kwargs)
+        monkeypatch.setattr(walk.np, "bitwise_count", fail_off_main_thread)
+        with pytest.raises(RuntimeError, match="helper chunk failed"):
+            walk.mc_visited_samples(sampled_cluster(3, 0.7, 2), [4], walk._CHUNK + 1, 0)
+
+    def test_one_chunk_builds_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool built")
+        monkeypatch.setattr(walk, "ThreadPoolExecutor", no_pool)
+        cluster = sampled_cluster(5, 0.7, 7)
+        pretend_cores(monkeypatch, 2)
+        walk.mc_visited_samples(cluster, [4], walk._CHUNK, 0)
+        walk.confinement_probability(cluster, 2, 6, walk._CHUNK, 0)
+        with pytest.raises(AssertionError, match="pool built"):
+            walk.mc_visited_samples(cluster, [4], walk._CHUNK + 1, 0)
+        pretend_cores(monkeypatch, 1)
+        walk.mc_visited_samples(cluster, [4], walk._CHUNK + 1, 0)
+
+
 class TestConfinement:
     def test_full_lattice_small_case(self):
         cluster = full_lattice(3)
@@ -349,6 +420,17 @@ class TestKilledOperator:
                                              r"eigensolve cap of 20000$"):
             walk.killed_operator_report(full_lattice(101), 100, [0])
 
+    def test_ball_holding_the_whole_cluster(self):
+        # no edge leaves the ball, so nothing is killed: lambda1 is 0 with no round-off
+        cluster = sampled_cluster(14, 0.6, 0)
+        assert cluster.n_vertices == 758 and cluster.distances_from_origin().max() == 40
+        report = walk.killed_operator_report(cluster, 40, [0, 5])
+        assert (report.ball_size, report.lambda1) == (758, 0.0)
+        assert abs(killed_lambda1_oracle(cluster, 40)) <= 1e-12
+        assert walk.killed_operator_report(cluster, 39, [0]).lambda1 > 0.0
+        with pytest.raises(ValueError, match=r"lambda1 out of \[0, 2\]"):
+            walk.KilledOperatorReport(1, 1, 1, -1e-16, 0.0, 0.0, [])
+
     def test_json_schema(self):
         report = walk.killed_operator_report(full_lattice(3), 1, [0, 2])
         buf = io.StringIO()
@@ -377,8 +459,6 @@ def test_laplace_normalization_property(n, alpha):
 @example(seed=0, p=1.0, r=12)  # 313 vertices: Lanczos
 def test_killed_lambda1_property(seed, p, r):
     cluster = sampled_cluster(14, p, seed)
-    # a ball holding the whole cluster kills nothing: lambda1 = 0, which the report rejects
-    assume(cluster.distances_from_origin().max() > r)
     first = walk.killed_operator_report(cluster, r, [0])
     assert abs(first.lambda1 - killed_lambda1_oracle(cluster, r)) <= 1e-12
     assert walk.killed_operator_report(cluster, r, [0]) == first
