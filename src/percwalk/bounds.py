@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from percwalk.percolation import ClusterGraph
-from percwalk.walk import WalkSeries, exact_visited_distribution
+from percwalk.walk import WalkSeries, exact_visited_laws
 
 __all__ = [
     "NashProfile",
@@ -249,8 +249,8 @@ def lemma_4_5_check(cluster: ClusterGraph, n: int, budget: int = 2**28) -> dict:
     alpha1 = 1/(2 sqrt 5).
     """
     d = int(cluster.meta.get("d", cluster.coords.shape[1]))
-    dist_n = exact_visited_distribution(cluster, n, budget)
-    dist_2n = exact_visited_distribution(cluster, 2 * n, budget)
+    laws = exact_visited_laws(cluster, 2 * n, budget)
+    dist_n, dist_2n = laws[n], laws[2 * n]
 
     pn = {}
     for (m, _), pr in dist_n.items():

@@ -133,6 +133,16 @@ def _write_artifact(out_dir: Path | None, name: str, writer: Callable,
     artifacts.append(str(path))
 
 
+def _write_rows(out_dir: Path | None, name: str, header: str, rows, artifacts: list):
+    """CSV of the rows, floats in repr so that they read back bit for bit."""
+    def writer(fh):
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x)
+                              for x in row) + "\n")
+    _write_artifact(out_dir, name, writer, artifacts)
+
+
 # ---------------------------------------------------------------------------
 # Shared small-graph collection
 # ---------------------------------------------------------------------------
@@ -208,8 +218,7 @@ def _recipe_identity_sweep(params, out_dir, artifacts):
     rows = []
     worst = 0.0
     for base_id, cluster in small_cluster_collection():
-        laws = {n: walk.exact_visited_distribution(cluster, 2 * n)
-                for n in range(1, n_max + 1)}
+        laws = walk.exact_visited_laws(cluster, 2 * n_max)
         graph = wr.build_wreath(cluster)
         for alpha in alphas:
             kernel = wr.LamplighterKernel(graph, alpha)
@@ -218,19 +227,14 @@ def _recipe_identity_sweep(params, out_dir, artifacts):
             for n in range(1, n_max + 1):
                 v = kernel.step(kernel.step(v))
                 lhs = float(v[graph.origin_state])
-                rhs = walk._laplace_of(laws[n], alpha, pinned=True)
+                rhs = walk._laplace_of(laws[2 * n], alpha, pinned=True)
                 gap = abs(lhs - rhs)
                 worst = max(worst, gap)
                 rows.append((base_id, cluster.n_vertices, alpha, n, lhs, rhs, gap))
     _check(assertions, "identity gap", worst <= tol,
            f"max |lhs-rhs| = {worst:.3e} over {len(rows)} cases, tol {tol:g}")
-
-    def writer(fh):
-        fh.write("base_id,base_size,alpha,n,lhs,rhs,gap\n")
-        for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
-    _write_artifact(out_dir, "identity.csv", writer, artifacts)
+    _write_rows(out_dir, "identity.csv", "base_id,base_size,alpha,n,lhs,rhs,gap", rows,
+                artifacts)
     return assertions
 
 
@@ -263,7 +267,7 @@ def _recipe_confinement(params, out_dir, artifacts):
     worst = 0.0
     for i, (cseed, config, cluster) in enumerate(picked):
         counts = walk.mc_visited_samples(cluster, n_list, samples, seeds[i])
-        exact_laws = {n: walk.exact_visited_distribution(cluster, n) for n in n_list}
+        exact_laws = walk.exact_visited_laws(cluster, max(n_list))
         for alpha in alphas:
             entries = []
             for n in n_list:
@@ -482,12 +486,9 @@ def _recipe_folner_wreath(params, out_dir, artifacts):
     _check(assertions, "wreath Folner dominates exp(C1 Fol(C2 k))", all_hold,
            "; ".join(f"{bid} k={e['k']}: {e['wreath_folner']} >= {e['rhs']:.3f}"
                      for bid, e in rows))
-
-    def writer(fh):
-        fh.write("k,value,exact,connected_only,cap\n")
-        for bid, e in rows:
-            fh.write(f"{e['k']},{e['wreath_folner']},{e['exact']},False,all\n")
-    _write_artifact(out_dir, "folner.csv", writer, artifacts)
+    _write_rows(out_dir, "folner.csv", "k,value,exact,connected_only,cap",
+                [(e["k"], e["wreath_folner"], e["exact"], False, "all") for _, e in rows],
+                artifacts)
 
     # small-boundary subsets of the 2-vertex-base wreath: both fractions
     base = bases[0][1]
@@ -617,12 +618,7 @@ def _recipe_nash_curve(params, out_dir, artifacts):
         _check(assertions, f"continuity at regime boundaries (d={d})",
                all(c < 1e-3 for c in fit["continuity_mismatch"]),
                f"mismatches {['%.2e' % c for c in fit['continuity_mismatch']]}")
-
-        def writer(fh, sol=sol):
-            fh.write("t,neg_log_a\n")
-            for t, lv in zip(sol.t, sol.L):
-                fh.write(f"{float(t)!r},{float(lv)!r}\n")
-        _write_artifact(out_dir, f"nash_d{d}.csv", writer, artifacts)
+        _write_rows(out_dir, f"nash_d{d}.csv", "t,neg_log_a", zip(sol.t, sol.L), artifacts)
     return assertions
 
 
@@ -649,10 +645,11 @@ def _recipe_lemma45(params, out_dir, artifacts):
     worst_ratio = 0.0
     rows = []
     for base_id, cluster in small_cluster_collection():
+        laws = walk.exact_visited_laws(cluster, 2 * n_max)
         for n in range(1, n_max + 1):
             r_star, _ = bounds.surrogate_optimal_r(n, 2)
             conf = walk.survival_probabilities(cluster, r_star, [n])[0][1]
-            law = walk.exact_visited_distribution(cluster, 2 * n)
+            law = laws[2 * n]
             for alpha in alphas:
                 total += 1
                 assembled = bounds.lower_bound_assemble(r_star, n, alpha, 2, conf)
@@ -674,13 +671,8 @@ def _recipe_lemma45(params, out_dir, artifacts):
     _check(assertions, "cluster-aware assembly below the exact pinned value",
            not exact_violations,
            f"{len(exact_violations)} violations of {total} instances")
-
-    def writer(fh):
-        fh.write("base_id,alpha,n,r,assembled,pinned\n")
-        for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
-    _write_artifact(out_dir, "lower_bound.csv", writer, artifacts)
+    _write_rows(out_dir, "lower_bound.csv", "base_id,alpha,n,r,assembled,pinned", rows,
+                artifacts)
     return assertions
 
 

@@ -1,22 +1,20 @@
 """Simple random walk on a cluster and its visited-site statistics.
 
-Two exact backends feed everything downstream:
-
-* a merged-state sweep over (current vertex, visited bitmask) pairs, deduped
-  with numpy sorting at every step; works on any cluster whose radius-n
-  chemical ball has at most 60 vertices;
-* a direct path enumeration for uniform-degree neighborhoods (the full
-  lattice seen from the origin), where every length-n path has the same
-  weight and only the visited count varies.
+Two exact backends give the law of (N_t, X_t == origin) for every t <= n, each
+in one pass: a merged-state sweep over (current vertex, visited bitmask) pairs,
+deduped by sorting at every step, while the radius-t chemical ball has at most
+60 vertices; past that, on equal-degree balls (the full lattice seen from the
+origin), an enumerator of the equally likely paths that keeps one column of
+positions per step instead of the paths.
 
 The Monte Carlo estimator runs chunks of 65,536 chains as column-vectorized
-trajectories, chunk k keyed (master seed, k), and spreads whole chunks over
-the cores this process may use; the output does not depend on how many there
-are.  N_n is counted by a uint64 visited mask per chain when the radius-n_max
-chemical ball has at most 64 vertices, and by sorting each trajectory prefix
-otherwise.  The killed walk's top eigenvalue comes from dense ``eigvalsh`` on
-chemical balls of at most 300 vertices and from Lanczos (``eigsh``) on larger
-ones; a ball holding the whole cluster kills nothing and has lambda1 = 0.
+trajectories, chunk k keyed (master seed, k), and spreads whole chunks over the
+cores this process may use; the output does not depend on how many there are.
+N_n is counted by a uint64 visited mask per chain when the radius-n_max chemical
+ball has at most 64 vertices, and by sorting each trajectory prefix otherwise.
+The killed walk's top eigenvalue comes from dense ``eigvalsh`` on chemical balls
+of at most 300 vertices and from Lanczos (``eigsh``) above; a ball holding the
+whole cluster kills nothing and has lambda1 = 0.
 """
 
 from __future__ import annotations
@@ -38,8 +36,10 @@ __all__ = [
     "WalkSeries",
     "KilledOperatorReport",
     "BudgetExceededError",
+    "BallTooWideError",
     "simulate_walk",
     "visited_count",
+    "exact_visited_laws",
     "exact_visited_distribution",
     "exact_laplace",
     "mc_laplace",
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 2**28
+MASK_WIDTH = 60  # vertices a merged-sweep state's uint64 visited mask holds
 
 
 class BudgetExceededError(RuntimeError):
@@ -60,6 +61,10 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
         super().__init__(
             f"enumeration needs about {needed:.3g} path extensions, budget is {budget}")
+
+
+class BallTooWideError(RuntimeError):
+    """A ball over the merged sweep's mask width, with unequal degrees."""
 
 
 @dataclass(frozen=True)
@@ -153,16 +158,12 @@ def _reachable_ball(cluster: ClusterGraph, n: int) -> tuple[np.ndarray, np.ndarr
     return keep, dist[keep]
 
 
-def _merged_state_distribution(cluster: ClusterGraph, n: int, budget: int) -> dict:
-    """Joint law of (N_n, X_n) as {(count, pinned): prob} via bitmask states.
-
-    Only vertices reachable in n steps matter, so the cluster is first cut to
-    the chemical ball of radius n; degrees of every vertex the walk can leave
-    from are unchanged by the cut.
-    """
-    keep, dist = _reachable_ball(cluster, n)
-    if keep.size > 60:
-        raise BudgetExceededError(float("inf"), budget)
+def _merged_state_laws(cluster: ClusterGraph, n: int, budget: int) -> list:
+    """Joint laws of (N_t, X_t) for t = 0..n as {(count, pinned): prob} via
+    bitmask states, one sweep to n cut to the chemical ball of radius n (the
+    cut keeps the degree of every vertex the walk can leave from).  Local ids
+    rise with the cluster's ids, so states sort as in the ball of any t <= n."""
+    keep, _ = _reachable_ball(cluster, n)
     # the walk only leaves from distance <= n - 1, where no neighbour is cut
     indptr, indices = induced_csr(*cluster.csr, keep)
     deg = cluster.degrees[keep].astype(np.float64)  # ambient degrees drive the kernel
@@ -171,13 +172,21 @@ def _merged_state_distribution(cluster: ClusterGraph, n: int, budget: int) -> di
     verts = np.array([origin], dtype=np.int64)
     masks = np.array([np.uint64(1) << np.uint64(origin)], dtype=np.uint64)
     probs = np.array([1.0])
+    laws = []
     expansions = 0
-    for _ in range(n):
+    for step in range(n + 1):
+        law = {}
+        for key, pr in zip(zip(np.bitwise_count(masks).tolist(), (verts == origin).tolist()),
+                           probs.tolist()):
+            law[key] = law.get(key, 0.0) + pr
+        laws.append(law)
+        if step == n:
+            return laws
         lengths = (indptr[verts + 1] - indptr[verts]).astype(np.int64)
         total = int(lengths.sum())
         expansions += total
         if expansions > budget:
-            raise BudgetExceededError(expansions * (n / max(1, _ + 1)), budget)
+            raise BudgetExceededError(expansions * (n / (step + 1)), budget)
         starts = np.repeat(indptr[verts], lengths)
         cum = np.cumsum(lengths) - lengths
         offs = np.arange(total, dtype=np.int64) - np.repeat(cum, lengths)
@@ -192,67 +201,74 @@ def _merged_state_distribution(cluster: ClusterGraph, n: int, budget: int) -> di
         masks = new_masks[heads]
         probs = np.add.reduceat(new_probs, heads)
 
-    counts = np.bitwise_count(masks).astype(np.int64)
-    pinned = verts == origin
-    out: dict[tuple[int, bool], float] = {}
-    for c, pin, pr in zip(counts.tolist(), pinned.tolist(), probs.tolist()):
-        key = (c, pin)
-        out[key] = out.get(key, 0.0) + pr
-    return out
 
+def _uniform_path_laws(cluster: ClusterGraph, n: int, budget: int) -> list:
+    """Joint laws of (N_t, X_t) for t = 0..n by enumerating equal-weight paths.
 
-def _uniform_path_distribution(cluster: ClusterGraph, n: int, budget: int) -> dict:
-    """Joint law of (N_n, X_n) by enumerating all equal-weight paths.
-
-    Valid only when every vertex the walk can leave from (distance <= n-1
-    from the origin) has the same degree g; then each path has weight g^-n.
-    Keys appear in the order of their first path.  Each value is (number of
-    paths) * g^-n: for g a power of two (Z^2) that equals the path-by-path
-    sum bit for bit, for other g (Z^3, g = 6) the last bits may differ.
-    """
+    Valid only when every vertex at distance <= n-1 from the origin has the
+    same degree g, so each t-step path has weight g^-t.  No path is stored:
+    column t holds X_t of all g^t paths, path i extending path i // g, so its
+    step j is row i // g^(t-j) of column j.  Keys appear in the order of their
+    first path; values are (number of paths) * g^-t, which for g = 6 (Z^3) may
+    differ from the path-by-path sum in the last bits."""
     keep, dist = _reachable_ball(cluster, n)
-    interior = keep[dist <= n - 1] if n > 0 else keep[:0]
-    degs = cluster.degrees
-    if n > 0:
-        g = int(degs[interior[0]])
-        if not np.all(degs[interior] == g):
-            raise BudgetExceededError(float("inf"), budget)
-    else:
-        g = 1
-    if g**n > budget:
+    degs = cluster.degrees[keep[dist <= n - 1]]
+    g = int(degs.min())
+    if g**n > budget:  # every step offers at least g moves
         raise BudgetExceededError(float(g) ** n, budget)
+    if degs.max() != g:
+        raise BallTooWideError(
+            f"the radius-{n} chemical ball has {keep.size} vertices, over the {MASK_WIDTH}-vertex"
+            f" mask width of the merged sweep, and degrees {g} to {degs.max()} within radius"
+            f" {n - 1}, so its paths are not equally likely")
 
-    nbr = _neighbor_table(cluster)
-    paths = np.full((1, n + 1), cluster.origin, dtype=np.int32)
-    for step in range(1, n + 1):
-        cur = paths[:, step - 1]
-        paths = np.repeat(paths, g, axis=0)
-        paths[:, step] = nbr[cur][:, :g].ravel()
-    pinned = paths[:, -1] == cluster.origin
-    paths.sort(axis=1)  # in place: each row becomes its sorted vertex list
-    distinct = 1 + np.count_nonzero(paths[:, 1:] != paths[:, :-1], axis=1)
-    # (count, pinned) packed into int16, which numpy sorts by radix
-    keys, first, counts = np.unique((2 * distinct + pinned).astype(np.int16),
-                                    return_index=True, return_counts=True)
-    order = np.argsort(first)
-    w = float(g) ** (-n)
-    return {(k >> 1, bool(k & 1)): c * w
-            for k, c in zip(keys[order].tolist(), counts[order].tolist())}
+    nbr = _neighbor_table(cluster)[:, :g]
+    cols = [np.array([cluster.origin], dtype=np.int32)]
+    distinct = np.ones(1, dtype=np.int16)
+    laws = []
+    for t in range(n + 1):
+        if t:
+            x = nbr[cols[-1]].ravel()
+            seen = np.zeros(x.size, dtype=bool)
+            for col in cols:
+                rows = seen.reshape(col.size, -1)
+                rows |= x.reshape(col.size, -1) == col[:, None]
+            distinct = np.repeat(distinct, g) + ~seen
+            cols.append(x)
+        # (count, pinned) packed into int16, which numpy sorts by radix
+        keys, first, counts = np.unique(2 * distinct + (cols[-1] == cluster.origin),
+                                        return_index=True, return_counts=True)
+        order = np.argsort(first)
+        w = float(g) ** (-t)
+        laws.append({(k >> 1, bool(k & 1)): c * w
+                     for k, c in zip(keys[order].tolist(), counts[order].tolist())})
+    return laws
+
+
+def exact_visited_laws(cluster: ClusterGraph, n_max: int,
+                       budget: int = DEFAULT_BUDGET) -> list:
+    """Exact joint laws [{(N_t value, X_t == origin): probability}, t = 0..n_max].
+
+    The law at t comes from the merged sweep while the radius-t chemical ball
+    has at most 60 vertices, and from the path enumerator past that; each
+    backend makes one pass, to the last t it serves."""
+    if cluster.is_empty or cluster.origin is None or n_max < 0:
+        raise ValueError("need a nonempty cluster with an origin, and n >= 0")
+    if cluster.n_vertices == 1:
+        return [{(1, True): 1.0} for _ in range(n_max + 1)]
+    dist = cluster.distances_from_origin()
+    sizes = np.cumsum(np.bincount(dist[dist >= 0], minlength=n_max + 1))[: n_max + 1]
+    merged = int(np.count_nonzero(sizes <= MASK_WIDTH))  # balls only grow with t
+    laws = _merged_state_laws(cluster, merged - 1, budget)
+    if merged <= n_max:
+        laws += _uniform_path_laws(cluster, n_max, budget)[merged:]
+    return laws
 
 
 def exact_visited_distribution(cluster: ClusterGraph, n: int,
                                budget: int = DEFAULT_BUDGET) -> dict:
     """Exact joint law {(N_n value, X_n == origin): probability}."""
-    if cluster.is_empty or cluster.origin is None:
-        raise ValueError("need a nonempty cluster with an origin")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if cluster.n_vertices == 1:
-        return {(1, True): 1.0}
-    keep, _ = _reachable_ball(cluster, n)
-    if keep.size <= 60:
-        return _merged_state_distribution(cluster, n, budget)
-    return _uniform_path_distribution(cluster, n, budget)
+    return exact_visited_laws(cluster, n, budget)[-1]
 
 
 def exact_laplace(cluster: ClusterGraph, alpha: float, n: int,
@@ -292,6 +308,8 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
     nbr = _neighbor_table(cluster)  # take() reads it flattened
     width = nbr.shape[1]
     deg = cluster.degrees.astype(np.float64)
+    if nbr.max() >= deg.size:  # take() skips this check in mode="clip"; floor(u*deg) < deg
+        raise ValueError("neighbour table names a vertex outside the cluster")
     firsts = range(0, samples, _CHUNK)
     shares = min(len(os.sched_getaffinity(0)), len(firsts))
     cols = min(_CHUNK, samples)
@@ -305,10 +323,10 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
             for step in range(n_max):
                 cur = block[step]
                 rng.random(out=u_k)
-                u_k *= deg.take(cur, out=dg_k)
+                u_k *= deg.take(cur, out=dg_k, mode="clip")
                 pick_k[:] = u_k  # truncates, as astype(np.int32) did
                 pick_k += np.multiply(cur, width, out=off_k)
-                nbr.take(pick_k, out=block[step + 1])
+                nbr.take(pick_k, out=block[step + 1], mode="clip")
             reduce(firsts[k], block)
 
     buffers = [(np.empty((n_max + 1, cols), np.int32), np.empty(cols), np.empty(cols),
@@ -346,8 +364,9 @@ def mc_visited_samples(cluster: ClusterGraph, n_list: Sequence[int],
 
         def count(first, traj):
             mask = np.zeros(traj.shape[1], dtype=np.uint64)
+            bits = np.empty_like(mask)
             for step, sites in enumerate(traj):
-                mask |= bit.take(sites)
+                mask |= bit.take(sites, out=bits, mode="clip")
                 if step in out:
                     np.bitwise_count(mask, out=out[step][first: first + mask.size])
     _map_chunks(cluster, n_max, samples, seed, count)
@@ -393,8 +412,8 @@ def confinement_probability(cluster: ClusterGraph, r: int, n: int,
         return 0.0, 0.0  # the first of the n >= 1 steps leaves {0}
     inside = cluster.distances_from_origin() <= r
     hits = []  # list.append is atomic, so helper threads may share it
-    _map_chunks(cluster, n, samples, seed,
-                lambda first, traj: hits.append(np.count_nonzero(inside.take(traj).all(axis=0))))
+    _map_chunks(cluster, n, samples, seed, lambda first, traj: hits.append(
+        np.count_nonzero(inside.take(traj, mode="clip").all(axis=0))))
     phat = int(sum(hits)) / samples
     return phat, float(np.sqrt(phat * (1 - phat) / samples))
 

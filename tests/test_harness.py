@@ -109,6 +109,18 @@ class TestRun:
                            if not l.startswith("  wall_clock")]
         assert strip(a) == strip(b)
 
+    @pytest.mark.parametrize("recipe, checks", [("identity-sweep", 0), ("lemma45", 5)])
+    def test_one_exact_sweep_per_cluster(self, monkeypatch, recipe, checks):
+        # one sweep to 2 * n_max per cluster of the collection, where one per n
+        # made 200 (identity-sweep) and 206 (lemma45); lemma45 adds one per
+        # doubling check on the full lattice
+        sweeps = []
+        merged = walk._merged_state_laws
+        monkeypatch.setattr(walk, "_merged_state_laws",
+                            lambda *args: sweeps.append(args[1]) or merged(*args))
+        run(ExperimentSpec(recipe, {}))
+        assert len(sweeps) == len(small_cluster_collection()) + checks
+
     def test_all_recipes_registered(self):
         assert sorted(RECIPES) == sorted([
             "identity-sweep", "isoperimetry-small", "folner-wreath",

@@ -6,6 +6,7 @@ import io
 import json
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -129,20 +130,46 @@ class TestExactLaplace:
                 assert got[key] == pytest.approx(want[key], abs=1e-12)
 
     def test_uniform_paths_against_dict_tally(self):
-        # g = 4: every value is a dyadic fraction, held exactly
+        # every t from one sweep; g = 4: every value is a dyadic fraction, held exactly
         square = full_lattice(7)
-        for n in range(8):
-            got = walk._uniform_path_distribution(square, n, walk.DEFAULT_BUDGET)
+        for n, got in enumerate(walk._uniform_path_laws(square, 7, walk.DEFAULT_BUDGET)):
             want = uniform_paths_oracle(square, n)
             assert list(got.items()) == [(k, float(v)) for k, v in want.items()]
         # g = 6: same keys in the same order, values within one rounding
         cube = full_lattice(5, d=3)
-        for n in range(6):
-            got = walk._uniform_path_distribution(cube, n, walk.DEFAULT_BUDGET)
+        for n, got in enumerate(walk._uniform_path_laws(cube, 5, walk.DEFAULT_BUDGET)):
             want = uniform_paths_oracle(cube, n)
             assert list(got) == list(want)
             for key, value in want.items():
                 assert abs(Fraction(got[key]) - value) <= value * Fraction(1, 2**52)
+
+    @pytest.mark.parametrize("d, n_max", [(2, 10), (3, 6)])
+    def test_one_sweep_equals_per_step_laws(self, d, n_max):
+        # both backends: balls of <= 60 vertices merge states, wider ones enumerate
+        cluster = full_lattice(n_max, d)
+        laws = walk.exact_visited_laws(cluster, n_max)
+        assert len(laws) == n_max + 1
+        for t, law in enumerate(laws):
+            assert list(law.items()) == list(walk.exact_visited_distribution(cluster, t).items())
+
+    def test_path_enumerator_memory(self):
+        cluster = full_lattice(10)
+        tracemalloc.start()
+        try:
+            walk.exact_visited_laws(cluster, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20  # the path matrix took ~80 MB
+
+    def test_wide_unequal_ball_names_the_mask_width(self):
+        cluster = full_lattice(4)  # the box's sides, of degree 3, lie at distance 4
+        assert len(walk.exact_visited_laws(cluster, 5)) == 6  # 57 vertices: merged
+        message = ("the radius-6 chemical ball has 69 vertices, over the 60-vertex mask "
+                   "width of the merged sweep, and degrees 3 to 4 within radius 5, so its "
+                   "paths are not equally likely")
+        with pytest.raises(walk.BallTooWideError, match=f"^{message}$"):
+            walk.exact_visited_distribution(cluster, 6)
 
     def test_budget_guard(self):
         cluster = full_lattice(30)
@@ -450,6 +477,24 @@ def test_laplace_normalization_property(n, alpha):
     value = walk.exact_laplace(g, alpha, n)
     assert 0.0 <= value <= 1.0 + 1e-12
     assert walk.exact_laplace(g, 1.0, n) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       p=st.floats(min_value=0.5, max_value=1.0), box=st.integers(min_value=1, max_value=4),
+       n_max=st.integers(min_value=0, max_value=12))
+def test_one_sweep_equals_per_step_laws_property(seed, p, box, n_max):
+    cluster = perc.component_of_origin(perc.sample_bond_config(perc.LatticeSpec(2, box), p, seed))
+    want = []
+    for t in range(n_max + 1):
+        try:
+            want.append(walk.exact_visited_distribution(cluster, t))
+        except walk.BallTooWideError:
+            with pytest.raises(walk.BallTooWideError):
+                walk.exact_visited_laws(cluster, n_max)
+            break
+    laws = walk.exact_visited_laws(cluster, len(want) - 1)
+    assert [list(law.items()) for law in laws] == [list(law.items()) for law in want]
 
 
 @settings(max_examples=12, deadline=None)
