@@ -1,9 +1,10 @@
 """Simulation and verification toolkit for random walks on percolation clusters.
 
-Subpackages cover Bernoulli bond percolation on finite boxes, simple random
-walks and their visited-site statistics, finite lamplighter (wreath-product)
-walks, brute-force isoperimetry, and the analytic bound pipeline that ties
-them together.
+Its modules cover Bernoulli bond percolation on finite boxes (``percolation``),
+simple random walks and their visited-site statistics (``walk``), finite
+lamplighter (wreath-product) walks (``wreath``), brute-force isoperimetry
+(``isoperimetry``), the analytic bound pipeline that ties them together
+(``bounds``), and the experiment recipes that check each claim (``harness``).
 """
 
 from percwalk.percolation import (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from percwalk.percolation import ClusterGraph
-from percwalk.walk import WalkSeries, exact_visited_laws
+from percwalk.walk import DEFAULT_BUDGET, WalkSeries, exact_visited_laws
 
 __all__ = [
     "NashProfile",
@@ -28,7 +28,6 @@ __all__ = [
     "lower_bound_assemble_exact",
     "lemma_4_5_check",
     "fit_exponent",
-    "ALPHA_ONE",
 ]
 
 LOG4 = float(np.log(4.0))
@@ -59,20 +58,12 @@ class NashProfile:
     def knee(self) -> float:
         return self.c * self.n**self.gamma
 
-    def F(self, k: float) -> float:
-        if k < self.knee:
-            return float(np.exp(self.C * k))
-        return float(np.exp(self.C * k**self.d))
-
     def F_inv_log(self, logy):
         """F_inv(y) as a function of log y, elementwise; the inf-definition
         gives three branches with a plateau at the knee."""
         k = np.maximum(logy, 0.0) / self.C
         k0 = self.knee
         return np.where(k < k0, k, np.where(k <= k0**self.d, k0, k ** (1.0 / self.d)))[()]
-
-    def F_inv(self, y: float) -> float:
-        return self.F_inv_log(float(np.log(y)))
 
     def branches(self) -> list[tuple[float, float, float, float]]:
         """``(t_start, u_start, p, rate)`` per branch of the decay ODE.
@@ -105,10 +96,6 @@ class OdeSolution:
     profile: NashProfile
     t: np.ndarray
     L: np.ndarray
-
-    @property
-    def a(self) -> np.ndarray:
-        return np.exp(-self.L)
 
 
 def nash_ode_solve(profile: NashProfile, t_max: float,
@@ -240,7 +227,7 @@ def lower_bound_assemble_exact(cluster: ClusterGraph, r: int, n: int,
     return nu0 * alpha ** int(in_ball.sum()) / nu_ball * confinement**2
 
 
-def lemma_4_5_check(cluster: ClusterGraph, n: int, budget: int = 2**28) -> dict:
+def lemma_4_5_check(cluster: ClusterGraph, n: int, budget: int = DEFAULT_BUDGET) -> dict:
     """Exact check of the doubling inequalities tying N_n to pinned N_2n.
 
     For every m with P(N_n = m) > 0 verifies

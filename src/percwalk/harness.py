@@ -25,9 +25,7 @@ __all__ = [
     "seed_manifest",
     "parse_config",
     "run",
-    "RECIPES",
     "small_cluster_collection",
-    "hand_built_graphs",
 ]
 
 IDENTITY_TOL = 1e-12
@@ -158,7 +156,7 @@ def _graph_from(coords: list, edges: list, meta_n: int = 1) -> perc.ClusterGraph
                              {"d": 2, "n": meta_n, "p": 1.0, "seed": 0})
 
 
-def hand_built_graphs() -> list:
+def _hand_built_graphs() -> list:
     """Named small graphs: paths, a star, two cycles."""
     out = []
 
@@ -202,7 +200,7 @@ def small_cluster_collection(max_size: int = 6) -> list:
         sub_edges = [(local[v], local[w]) for v in verts for w in adjacency[v]
                      if w in local and v < w]
         out.append((f"grid-{mask:02x}", _graph_from(sub_coords, sub_edges, 2)))
-    out.extend(hand_built_graphs())
+    out.extend(_hand_built_graphs())
     return out
 
 
@@ -413,13 +411,13 @@ def _connected_mask(nbr, mask: int) -> bool:
 
 def _beta_oracle(cluster, c, gamma, n):
     """Min ratio over ALL connected subsets, by scanning every bitmask."""
-    nbr = iso.neighbor_masks(cluster.adjacency)
+    nbr = [sum(1 << w for w in nbrs) for nbrs in cluster.adjacency]
     nv = cluster.n_vertices
     best = None
     for mask in range(1, 1 << nv):
         if not _connected_mask(nbr, mask):
             continue
-        b = iso.mask_boundary(nbr, mask)
+        b = sum((nbr[v] & ~mask).bit_count() for v in range(nv) if mask >> v & 1)
         if b == 0:
             continue
         ratio = b / iso.profile_f(mask.bit_count(), c, n, gamma, 2)
@@ -471,8 +469,8 @@ def _recipe_isoperimetry_small(params, out_dir, artifacts):
 def _recipe_folner_wreath(params, out_dir, artifacts):
     k_list = params.get("k_list", [1, 2, 3])
     assertions = []
-    bases = [("path-2", hand_built_graphs()[0][1]),
-             ("path-3", hand_built_graphs()[1][1]),
+    bases = [("path-2", _hand_built_graphs()[0][1]),
+             ("path-3", _hand_built_graphs()[1][1]),
              ("triangle", _graph_from([(0, 0), (1, 0), (0, 1)],
                                       [(0, 1), (0, 2), (1, 2)], 1))]
     rows = []
@@ -644,11 +642,15 @@ def _recipe_lemma45(params, out_dir, artifacts):
     total = 0
     worst_ratio = 0.0
     rows = []
+    radius = {n: bounds.surrogate_optimal_r(n, 2)[0] for n in range(1, n_max + 1)}
     for base_id, cluster in small_cluster_collection():
         laws = walk.exact_visited_laws(cluster, 2 * n_max)
-        for n in range(1, n_max + 1):
-            r_star, _ = bounds.surrogate_optimal_r(n, 2)
-            conf = walk.survival_probabilities(cluster, r_star, [n])[0][1]
+        survival = {}  # n -> P(sigma_r > n) at r = radius[n], one kernel per radius
+        for r in sorted(set(radius.values())):
+            survival.update(walk.survival_probabilities(
+                cluster, r, [n for n in radius if radius[n] == r]))
+        for n, r_star in radius.items():
+            conf = survival[n]
             law = laws[2 * n]
             for alpha in alphas:
                 total += 1

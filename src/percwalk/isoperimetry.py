@@ -20,22 +20,17 @@ from percwalk.percolation import ClusterGraph
 from percwalk.wreath import WreathGraph
 
 __all__ = [
-    "SubsetSelection",
-    "FolnerProfile",
     "IsoperimetryReport",
     "ConfigurationGraph",
-    "boundary_size",
     "profile_f",
     "isoperimetric_beta",
     "folner_function",
     "folner_lower_bound_check",
-    "configuration_graph",
     "prune_to_satisfiable",
+    "ns_edge_fraction",
     "flip_closure_bound_check",
     "lemma_neud_check",
     "iter_connected_subsets",
-    "neighbor_masks",
-    "mask_boundary",
 ]
 
 WREATH_FOLNER_C1 = np.log(2) / 9
@@ -43,62 +38,13 @@ WREATH_FOLNER_C2 = 1.0 / 1000.0
 WREATH_FOLNER_MAX_VERTICES = 24
 
 
-def neighbor_masks(adjacency: Sequence[Sequence[int]]) -> list:
+def _neighbor_masks(adjacency: Sequence[Sequence[int]]) -> list:
     """Per-vertex neighbor bitmasks (Python ints, arbitrary width)."""
     out = [0] * len(adjacency)
     for v, nbrs in enumerate(adjacency):
         for w in nbrs:
             out[v] |= 1 << w
     return out
-
-
-def mask_boundary(nbr: Sequence[int], mask: int) -> int:
-    """|{(x, y) in E : x in mask, y outside}| for an internal boundary."""
-    total = 0
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        total += (nbr[v] & ~mask).bit_count()
-        m &= m - 1
-    return total
-
-
-@dataclass
-class SubsetSelection:
-    """A vertex subset of a host graph with a declared boundary mode.
-
-    With no supergraph the boundary is internal to the host.  With a
-    supergraph and an embedding (host index -> supergraph index) the
-    boundary counts supergraph edges leaving the embedded image, which can
-    only be larger.
-    """
-
-    host: Sequence[Sequence[int]]
-    members: frozenset
-    super_adjacency: Sequence[Sequence[int]] | None = None
-    embed: Sequence[int] | None = None
-
-    def __post_init__(self):
-        for v in self.members:
-            if not 0 <= v < len(self.host):
-                raise ValueError(f"member {v} is not a host vertex")
-        if (self.super_adjacency is None) != (self.embed is None):
-            raise ValueError("supergraph and embedding must come together")
-        if self.embed is not None:
-            for v, img in enumerate(self.embed):
-                host_nbrs = {self.embed[w] for w in self.host[v]}
-                if not host_nbrs <= set(self.super_adjacency[img]):
-                    raise ValueError("host is not an induced subgraph under the embedding")
-
-
-def boundary_size(selection: SubsetSelection) -> int:
-    if selection.super_adjacency is None:
-        return sum(1 for v in selection.members for w in selection.host[v]
-                   if w not in selection.members)
-    image = {selection.embed[v] for v in selection.members}
-    return sum(1 for v in selection.members
-               for w in selection.super_adjacency[selection.embed[v]]
-               if w not in image)
 
 
 def profile_f(x: float, c: float, n: int, gamma: float, d: int) -> float:
@@ -128,7 +74,7 @@ def iter_connected_subsets(adjacency: Sequence[Sequence[int]], size_cap: int,
     that image's degree.  An int sent into the generator lowers the size
     cap from then on.
     """
-    nbr = neighbor_masks(adjacency)
+    nbr = _neighbor_masks(adjacency)
     bnbr, bdeg = boundary or (nbr, [m.bit_count() for m in nbr])
     for v in range(len(adjacency)):
         if size_cap < 1:
@@ -199,7 +145,7 @@ def isoperimetric_beta(cluster: ClusterGraph, supergraph: ClusterGraph | None = 
     if supergraph is not None:
         embed = [supergraph.index_of(coord) for coord in cluster.coords]
         host_of = {img: v for v, img in enumerate(embed)}
-        boundary = (neighbor_masks([[host_of[w] for w in supergraph.adjacency[img]
+        boundary = (_neighbor_masks([[host_of[w] for w in supergraph.adjacency[img]
                                      if w in host_of] for img in embed]),
                     [len(set(supergraph.adjacency[img])) for img in embed])
     if cluster.n_vertices == 1:
@@ -227,19 +173,6 @@ def isoperimetric_beta(cluster: ClusterGraph, supergraph: ClusterGraph | None = 
 # ---------------------------------------------------------------------------
 # Folner functions
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FolnerProfile:
-    entries: list  # of (k, value or None, exact flag)
-    connected_only: bool
-    cap: int
-
-    def to_csv(self, out: TextIO):
-        out.write("k,value,exact,connected_only,cap\n")
-        for k, value, exact in self.entries:
-            out.write(f"{k!r},{'' if value is None else value},"
-                      f"{exact},{self.connected_only},{self.cap}\n")
-
 
 def _folner_minima(adjacency, k_list: Sequence[float], size_cap: int) -> dict:
     """Smallest |U| <= size_cap with k |boundary(U)| <= |U|, for every k at once.
@@ -286,14 +219,6 @@ def folner_function(adjacency: Sequence[Sequence[int]], k: float,
     """
     value = _folner_minima(adjacency, [k], size_cap)[k]
     return value, value is not None
-
-
-def folner_profile(adjacency, k_list: Sequence[float],
-                   size_cap: int = 20) -> FolnerProfile:
-    k_list = list(k_list)
-    values = _folner_minima(adjacency, k_list, size_cap)
-    entries = [(k, values[k], values[k] is not None) for k in k_list]
-    return FolnerProfile(entries, True, size_cap)
 
 
 def folner_lower_bound_check(base: ClusterGraph, k_list: Sequence[float]) -> list:
@@ -365,13 +290,6 @@ class ConfigurationGraph:
                     self.adjacency[j].append(i)
         self._present = present
 
-    @property
-    def n_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
-
-    def degrees(self) -> list:
-        return [len(a) for a in self.adjacency]
-
     def is_good_point(self, state: tuple) -> bool:
         """(x, f) is good when the lamp flip at its own position stays in U."""
         x, f = state
@@ -395,10 +313,6 @@ class ConfigurationGraph:
         return {"S": S, "NS": NS, "S_e": S_e, "NS_e": NS_e,
                 "good_points": good, "bad_points": bad,
                 "S_p": S_p, "NS_p": NS_p}
-
-
-def configuration_graph(wreath: WreathGraph, subset: Iterable[int]) -> ConfigurationGraph:
-    return ConfigurationGraph(wreath, frozenset(subset))
 
 
 def prune_to_satisfiable(adjacency: Sequence[Sequence[int]], b: float) -> set:
@@ -484,7 +398,7 @@ def lemma_neud_check(wreath: WreathGraph, subset: Iterable[int], k: float,
                                        wreath.base.n_vertices)
         if phi_k is None:
             raise ValueError("base Folner value not attained; supply phi_k")
-    K = configuration_graph(wreath, U)
+    K = ConfigurationGraph(wreath, U)
     cls = K.classify(phi_k / 3.0)
     bad_fraction = len(cls["bad_points"]) / len(U)
     ns_fraction = len(cls["NS_p"]) / len(U)

@@ -35,8 +35,6 @@ __all__ = [
     "largest_cluster",
     "chemical_distance",
     "chemical_ball",
-    "volume_growth_ratio",
-    "ball_growth_ratio",
     "classify_boxes",
     "cluster_to_text",
     "cluster_from_text",
@@ -76,10 +74,6 @@ class LatticeSpec:
         shifted = coords + self.n
         return int(np.ravel_multi_index(shifted, (self.side,) * self.d))
 
-    def vertex_coords(self, index: int) -> np.ndarray:
-        shifted = np.unravel_index(index, (self.side,) * self.d)
-        return np.array(shifted) - self.n
-
     def all_coords(self) -> np.ndarray:
         """All vertex coordinates, shape (n_vertices, d), in index order."""
         grids = np.meshgrid(*[np.arange(-self.n, self.n + 1)] * self.d, indexing="ij")
@@ -118,15 +112,6 @@ class BondConfiguration:
     def __post_init__(self):
         if self.open.shape != (self.spec.n_edges,):
             raise ValueError("open-flag array does not match the edge count")
-
-    def open_fraction(self) -> float:
-        return float(np.mean(self.open)) if self.open.size else 0.0
-
-    def with_edge_opened(self, edge_id: int) -> "BondConfiguration":
-        """Coupled configuration with one extra open edge (for monotonicity tests)."""
-        flags = self.open.copy()
-        flags[edge_id] = True
-        return BondConfiguration(self.spec, self.p, self.seed, flags)
 
 
 def sample_bond_config(spec: LatticeSpec, p: float, seed: int) -> BondConfiguration:
@@ -371,21 +356,6 @@ def chemical_ball(config: BondConfiguration, r: int) -> ClusterGraph:
     graph = _as_graph(*open_adjacency(config))
     dist = dijkstra(graph, indices=origin_id, unweighted=True, limit=r)
     return _induced_cluster(config, graph, np.flatnonzero(np.isfinite(dist)), origin_id)
-
-
-def volume_growth_ratio(config: BondConfiguration) -> float:
-    """|C_n| / n^d, the empirical volume-growth density of the origin cluster."""
-    spec = config.spec
-    if spec.n < 1:
-        raise ValueError("volume growth needs box radius >= 1")
-    return component_of_origin(config).n_vertices / spec.n**spec.d
-
-
-def ball_growth_ratio(config: BondConfiguration, r: int) -> float:
-    """|B_r(C)| / r^d for the chemical ball of radius ``r >= 1``."""
-    if r < 1:
-        raise ValueError("ball growth needs radius >= 1")
-    return chemical_ball(config, r).n_vertices / r**config.spec.d
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ N_n is counted by a uint64 visited mask per chain when the radius-n_max chemical
 ball has at most 64 vertices, and by sorting each trajectory prefix otherwise.
 The killed walk's top eigenvalue comes from dense ``eigvalsh`` on chemical balls
 of at most 300 vertices and from Lanczos (``eigsh``) above; a ball holding the
-whole cluster kills nothing and has lambda1 = 0.
+whole cluster kills nothing and has lambda1 = 0.  A walk from an isolated origin
+stays there: it visits one site, returns at every t and is never killed.
 """
 
 from __future__ import annotations
@@ -32,13 +33,10 @@ from scipy.sparse.linalg import eigsh
 from percwalk.percolation import ClusterGraph, induced_csr
 
 __all__ = [
-    "WalkPath",
     "WalkSeries",
     "KilledOperatorReport",
     "BudgetExceededError",
     "BallTooWideError",
-    "simulate_walk",
-    "visited_count",
     "exact_visited_laws",
     "exact_visited_distribution",
     "exact_laplace",
@@ -67,20 +65,6 @@ class BallTooWideError(RuntimeError):
     """A ball over the merged sweep's mask width, with unequal degrees."""
 
 
-@dataclass(frozen=True)
-class WalkPath:
-    steps: tuple
-    seed: int
-
-    def __post_init__(self):
-        if len(self.steps) == 0:
-            raise ValueError("a walk path has at least its starting point")
-
-    @property
-    def length(self) -> int:
-        return len(self.steps) - 1
-
-
 @dataclass
 class WalkSeries:
     """Per-n values of a walk functional with provenance and errors."""
@@ -106,35 +90,6 @@ class WalkSeries:
         for n, value, stderr, method in self.entries:
             out.write(f"{n},{value!r},{stderr!r},{method},"
                       f"{self.alpha!r},{self.p!r},{self.d},{self.seed}\n")
-
-
-# ---------------------------------------------------------------------------
-# Path sampling
-# ---------------------------------------------------------------------------
-
-def simulate_walk(cluster: ClusterGraph, n: int, seed: int) -> WalkPath:
-    """One seeded trajectory X_0..X_n starting at the cluster origin."""
-    if cluster.is_empty:
-        raise ValueError("cannot walk on the empty cluster")
-    if cluster.origin is None:
-        raise ValueError("cluster has no distinguished origin")
-    if cluster.n_vertices == 1:
-        if n > 0:
-            raise ValueError("the single-vertex cluster admits only n=0")
-        return WalkPath((cluster.origin,), seed)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    indptr, indices = cluster.csr
-    steps = [cluster.origin]
-    pos = cluster.origin
-    for _ in range(n):
-        pos = int(indices[indptr[pos] + rng.integers(indptr[pos + 1] - indptr[pos])])
-        steps.append(pos)
-    return WalkPath(tuple(steps), seed)
-
-
-def visited_count(path: WalkPath) -> int:
-    """N_n: the number of distinct vertices among X_0..X_n."""
-    return len(set(path.steps))
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +418,8 @@ def _ball_kernel(cluster: ClusterGraph, r: int):
     if ball.size == 0:
         raise ValueError("empty ball")
     deg = cluster.degrees.astype(np.float64)
+    if cluster.n_vertices == 1:  # an isolated origin holds the walk, as everywhere here
+        return ball, 0, deg, sp.identity(1, format="csr")
     indptr, indices = induced_csr(*cluster.csr, ball)
     vals = 1.0 / np.repeat(deg[ball], np.diff(indptr))
     P = sp.csr_matrix((vals, indices, indptr), shape=(ball.size, ball.size))
@@ -503,17 +460,18 @@ def killed_operator_report(cluster: ClusterGraph, r: int,
                          f"cap of {_EIGEN_CAP}")
     half = int(np.count_nonzero(dist <= r // 2))
 
-    # similarity transform by sqrt(nu) makes the kernel symmetric
-    s = np.sqrt(deg[ball])
-    A = sp.diags(s) @ P @ sp.diags(1.0 / s)
-    A = (A + A.T) / 2
     if ball.size == cluster.n_vertices:
         top = 1.0  # no edge leaves the ball, so P is stochastic and nothing is killed
-    elif ball.size <= _DENSE_EIGEN_MAX:
-        top = float(np.linalg.eigvalsh(A.toarray())[-1])
     else:
-        # sqrt(deg), the unkilled Perron vector, as a fixed start makes ARPACK repeatable
-        top = float(eigsh(A, k=1, which="LA", v0=s, return_eigenvectors=False)[0])
+        # similarity transform by sqrt(nu) makes the kernel symmetric
+        s = np.sqrt(deg[ball])
+        A = sp.diags(s) @ P @ sp.diags(1.0 / s)
+        A = (A + A.T) / 2
+        if ball.size <= _DENSE_EIGEN_MAX:
+            top = float(np.linalg.eigvalsh(A.toarray())[-1])
+        else:
+            # sqrt(deg), the unkilled Perron vector, as a fixed start makes ARPACK repeatable
+            top = float(eigsh(A, k=1, which="LA", v0=s, return_eigenvectors=False)[0])
     lambda1 = 1.0 - top
 
     d = cluster.meta.get("d", cluster.coords.shape[1])

@@ -1,34 +1,31 @@
 """Finite lamplighter graphs: a base cluster wreathed with on/off lamps.
 
 States are pairs (base vertex, lamp bitmask over the base vertices), stored
-densely at index ``a * 2^m + f``.  The walk moves along a base edge and
-rerandomizes the lamps at both endpoints of the move, with weight ``alpha``
-for switching a lamp off and ``1 - alpha`` for on: the switch-walk-switch
-lamplighter walk.  No transition matrix is stored; ``LamplighterKernel.step``
-applies the kernel to a mass vector edge by edge, each move being a sum over
-the two lamps it touches followed by their reweighting.
+densely at index ``a * 2^m + f``.  The walk moves along a base edge and sets
+each of the two lamps at the ends of the move afresh, off with probability
+``alpha`` and on with ``1 - alpha``, whatever its state was: the
+switch-walk-switch lamplighter walk.  No transition matrix is stored;
+``LamplighterKernel.step`` applies the kernel to a mass vector edge by edge,
+each move being a sum over the two lamps it touches followed by their
+reweighting.  ``return_probability`` is the left side of the identity
+P(back at (origin, all off) after 2n) = E[alpha^{N_2n} 1{X_2n = origin}] for
+n >= 1, which the ``identity-sweep`` recipe checks against the walk layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from percwalk.percolation import ClusterGraph
-from percwalk.walk import exact_laplace
 
 __all__ = [
     "WreathGraph",
     "LamplighterKernel",
     "build_wreath",
     "reversible_measure",
-    "lamplighter_step_distribution",
     "return_probability",
-    "verify_identity",
-    "position_marginal",
-    "lamp_law_given_trajectory",
 ]
 
 MAX_BASE = 16
@@ -141,17 +138,6 @@ def reversible_measure(kernel: LamplighterKernel) -> np.ndarray:
     return nu * ratio**lamps
 
 
-def lamplighter_step_distribution(kernel: LamplighterKernel, state) -> dict:
-    """Outgoing distribution from one state, as {(a, f): mass}."""
-    g = kernel.wreath
-    if isinstance(state, tuple):
-        state = g.state_index(*state)
-    point = np.zeros(g.n_vertices)
-    point[state] = 1.0
-    row = kernel.step(point)
-    return {g.state_of(j): float(row[j]) for j in np.flatnonzero(row).tolist()}
-
-
 def return_probability(kernel: LamplighterKernel, steps: int,
                        allowed: set | None = None) -> float:
     """Exact probability of being back at (origin, all lamps off) after ``steps``.
@@ -181,50 +167,3 @@ def return_probability(kernel: LamplighterKernel, steps: int,
         if mask is not None:
             v = np.where(mask, v, 0.0)
     return float(v[g.origin_state])
-
-
-def verify_identity(base: ClusterGraph, alpha: float, n: int) -> tuple:
-    """Lamplighter return probability at 2n against the pinned transform.
-
-    Returns (lhs, rhs, |lhs - rhs|) where lhs is the exact return probability
-    of the lamplighter walk and rhs = E[alpha^{N_2n} 1{X_2n = origin}].
-    Requires n >= 1: at time 0 no lamp has been rerandomized yet, so the two
-    sides are 1 and alpha respectively.
-    """
-    if n < 1:
-        raise ValueError("the identity needs at least one step pair (n >= 1)")
-    kernel = LamplighterKernel(build_wreath(base), alpha)
-    lhs = return_probability(kernel, 2 * n)
-    rhs = exact_laplace(base, alpha, 2 * n, pinned=True)
-    return lhs, rhs, abs(lhs - rhs)
-
-
-def position_marginal(kernel: LamplighterKernel, steps: int) -> np.ndarray:
-    """Distribution of the base position after ``steps`` from the origin state."""
-    g = kernel.wreath
-    v = np.zeros(g.n_vertices)
-    v[g.origin_state] = 1.0
-    for _ in range(steps):
-        v = kernel.step(v)
-    return v.reshape(g.m, 2**g.m).sum(axis=1)
-
-
-def lamp_law_given_trajectory(base: ClusterGraph, alpha: float,
-                              trajectory: Sequence[int]) -> np.ndarray:
-    """Exact law of the lamp configuration after a fixed base trajectory.
-
-    The trajectory must follow base edges.  Returns a vector over all 2^m
-    bitmasks.  Useful for checking that lamps at different sites are
-    conditionally independent given the path.
-    """
-    m = base.n_vertices
-    for a, b in zip(trajectory, trajectory[1:]):
-        if b not in base.adjacency[a]:
-            raise ValueError(f"({a}, {b}) is not a base edge")
-    law = np.zeros((2,) * m)
-    law[(0,) * m] = 1.0
-    for a, b in zip(trajectory, trajectory[1:]):
-        # the same lamp update as one move of LamplighterKernel.step
-        law = law.sum(axis=(m - 1 - a, m - 1 - b), keepdims=True) * \
-            _lamp_weights(m, a, b, alpha, 1.0)
-    return law.reshape(-1)

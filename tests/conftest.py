@@ -8,7 +8,9 @@ the implementations they check.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from percwalk.bounds import LOG4, NashProfile, OdeSolution
-from percwalk.isoperimetry import SubsetSelection, boundary_size, profile_f
+from percwalk.isoperimetry import profile_f
 from percwalk.percolation import BlockStatus, ClusterGraph
 
 
@@ -163,12 +165,16 @@ def killed_lambda1_oracle(cluster: ClusterGraph, r: int) -> float:
     """lambda_1 of the walk killed outside the chemical ball D <= r, by a
     dense eigensolve: one minus the top eigenvalue of the symmetric matrix
     1 / sqrt(deg x * deg y) over the ball's edges, with the ball from a plain
-    BFS over the adjacency lists and the degrees of the whole cluster."""
+    BFS over the adjacency lists and the degrees of the whole cluster.  A
+    vertex without neighbours holds the walk, as if by a self-loop, so an
+    isolated origin kills nothing and has lambda_1 = 0."""
     dist = bfs_oracle(cluster.adjacency, cluster.origin)
     ball = sorted(v for v, k in dist.items() if k <= r)
     row = {v: i for i, v in enumerate(ball)}
     sym = np.zeros((len(ball), len(ball)))
     for v in ball:
+        if not cluster.adjacency[v]:
+            sym[row[v], row[v]] = 1.0
         for w in cluster.adjacency[v]:
             if w in row:
                 deg_v, deg_w = len(cluster.adjacency[v]), len(cluster.adjacency[w])
@@ -383,6 +389,45 @@ def classify_boxes_oracle(config, N: int) -> dict:
 
         blocks[tuple(i)] = BlockStatus(True, crossing, edge_event)
     return blocks
+
+
+@dataclass
+class SubsetSelection:
+    """A vertex subset of a host graph with a declared boundary mode.
+
+    With no supergraph the boundary is internal to the host.  With a
+    supergraph and an embedding (host index -> supergraph index) the
+    boundary counts supergraph edges leaving the embedded image, which can
+    only be larger.
+    """
+
+    host: Sequence[Sequence[int]]
+    members: frozenset
+    super_adjacency: Sequence[Sequence[int]] | None = None
+    embed: Sequence[int] | None = None
+
+    def __post_init__(self):
+        for v in self.members:
+            if not 0 <= v < len(self.host):
+                raise ValueError(f"member {v} is not a host vertex")
+        if (self.super_adjacency is None) != (self.embed is None):
+            raise ValueError("supergraph and embedding must come together")
+        if self.embed is not None:
+            for v, img in enumerate(self.embed):
+                host_nbrs = {self.embed[w] for w in self.host[v]}
+                if not host_nbrs <= set(self.super_adjacency[img]):
+                    raise ValueError("host is not an induced subgraph under the embedding")
+
+
+def boundary_size(selection: SubsetSelection) -> int:
+    """Edges leaving the members: host edges, or supergraph edges leaving the image."""
+    if selection.super_adjacency is None:
+        return sum(1 for v in selection.members for w in selection.host[v]
+                   if w not in selection.members)
+    image = {selection.embed[v] for v in selection.members}
+    return sum(1 for v in selection.members
+               for w in selection.super_adjacency[selection.embed[v]]
+               if w not in image)
 
 
 def boundary_oracle(adjacency, members) -> int:

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from percwalk import bounds, cli, walk, wreath
-from percwalk.harness import (ExperimentSpec, RECIPES, hand_built_graphs,
-                              parse_config, run, seed_manifest,
-                              small_cluster_collection)
+from percwalk.harness import (ExperimentSpec, RECIPES, _hand_built_graphs, parse_config,
+                              run, seed_manifest, small_cluster_collection)
 from percwalk import percolation as perc
 
 
@@ -66,10 +67,10 @@ class TestConfig:
 
 class TestGraphCollections:
     def test_hand_built(self):
-        names = [name for name, _ in hand_built_graphs()]
+        names = [name for name, _ in _hand_built_graphs()]
         assert names == ["path-2", "path-3", "path-4", "star-3",
                          "cycle-4", "cycle-6"]
-        for _, g in hand_built_graphs():
+        for _, g in _hand_built_graphs():
             g.validate()
 
     def test_small_cluster_collection(self):
@@ -142,6 +143,23 @@ class TestCli:
     def test_unknown_recipe_exits_nonzero(self):
         with pytest.raises(SystemExit):
             cli.main(["no-such-recipe"])
+
+
+@pytest.mark.parametrize("name", ["percolation", "walk", "wreath", "isoperimetry",
+                                  "bounds", "harness"])
+def test_public_surface(name):
+    # __all__ lists every public function and class the module defines, and
+    # may add constants; a star import brings all of it
+    namespace = {}
+    exec(f"from percwalk.{name} import *", namespace)
+    module = importlib.import_module(f"percwalk.{name}")
+    assert set(module.__all__) <= set(namespace)
+    defined = {key for key, value in vars(module).items() if not key.startswith("_")
+               and (inspect.isfunction(value) or inspect.isclass(value))
+               and value.__module__ == module.__name__}
+    exported = {key for key in module.__all__
+                if inspect.isfunction(namespace[key]) or inspect.isclass(namespace[key])}
+    assert sorted(exported) == sorted(defined)
 
 
 def _bench_tracer():

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from percwalk import isoperimetry as iso, percolation as perc, wreath as wr
-from conftest import (beta_oracle, boundary_oracle, connected_subsets_oracle,
-                      folner_oracle, make_graph)
+from conftest import (SubsetSelection, beta_oracle, boundary_oracle, boundary_size,
+                      connected_subsets_oracle, folner_oracle, make_graph)
 
 
 def grid_graph(nx: int, ny: int):
@@ -35,14 +35,14 @@ def full_box(n: int):
 class TestBoundary:
     def test_singleton_in_lattice(self):
         host = full_box(2)
-        sel = iso.SubsetSelection(host.adjacency, frozenset({host.origin}))
-        assert iso.boundary_size(sel) == 4
+        sel = SubsetSelection(host.adjacency, frozenset({host.origin}))
+        assert boundary_size(sel) == 4
 
     def test_domino_in_lattice(self):
         host = full_box(2)
         pair = {host.origin, host.index_of((1, 0))}
-        sel = iso.SubsetSelection(host.adjacency, frozenset(pair))
-        assert iso.boundary_size(sel) == 6
+        sel = SubsetSelection(host.adjacency, frozenset(pair))
+        assert boundary_size(sel) == 6
 
     def test_matches_edge_scan(self):
         config = perc.sample_bond_config(perc.LatticeSpec(2, 4), 0.7, 13)
@@ -52,26 +52,26 @@ class TestBoundary:
             size = int(rng.integers(1, cluster.n_vertices))
             members = frozenset(
                 int(v) for v in rng.choice(cluster.n_vertices, size, replace=False))
-            sel = iso.SubsetSelection(cluster.adjacency, members)
-            assert iso.boundary_size(sel) == boundary_oracle(cluster.adjacency,
+            sel = SubsetSelection(cluster.adjacency, members)
+            assert boundary_size(sel) == boundary_oracle(cluster.adjacency,
                                                              members)
 
     def test_complement_symmetry(self):
         host = grid_graph(3, 3)
         members = frozenset({0, 1, 4})
         comp = frozenset(range(9)) - members
-        a = iso.boundary_size(iso.SubsetSelection(host.adjacency, members))
-        b = iso.boundary_size(iso.SubsetSelection(host.adjacency, comp))
+        a = boundary_size(SubsetSelection(host.adjacency, members))
+        b = boundary_size(SubsetSelection(host.adjacency, comp))
         assert a == b
 
     def test_relative_boundary_not_smaller(self):
         sub = make_graph([(0, 0), (1, 0)], [(0, 1)])
         host = full_box(2)
         embed = [host.index_of(tuple(c)) for c in sub.coords]
-        internal = iso.SubsetSelection(sub.adjacency, frozenset({0}))
-        relative = iso.SubsetSelection(sub.adjacency, frozenset({0}),
+        internal = SubsetSelection(sub.adjacency, frozenset({0}))
+        relative = SubsetSelection(sub.adjacency, frozenset({0}),
                                        host.adjacency, embed)
-        assert iso.boundary_size(relative) >= iso.boundary_size(internal)
+        assert boundary_size(relative) >= boundary_size(internal)
 
 
 class TestProfileF:
@@ -151,7 +151,6 @@ class TestIsoperimetricBeta:
     def test_grid_matches_all_subsets_oracle(self):
         g = grid_graph(3, 3)
         report = iso.isoperimetric_beta(g, None, 1.0, 0.125, 9, 4)
-        nbr = iso.neighbor_masks(g.adjacency)
         best = None
         for mask in range(1, (1 << 9) - 1):
             verts = [v for v in range(9) if mask >> v & 1]
@@ -165,7 +164,7 @@ class TestIsoperimetricBeta:
                         frontier.append(w)
             if len(seen) != len(verts):
                 continue
-            ratio = iso.mask_boundary(nbr, mask) / iso.profile_f(
+            ratio = boundary_oracle(g.adjacency, verts) / iso.profile_f(
                 len(verts), 1.0, 4, 0.125, 2)
             best = ratio if best is None else min(best, ratio)
         assert report.beta == pytest.approx(best, abs=1e-12)
@@ -321,14 +320,6 @@ class TestFolner:
         assert iso._folner_minima(wreath.adjacency_lists(), [1, 2, 3], 24) == \
             {1: 2, 2: 8, 3: 12}
 
-    def test_profile_csv_schema(self):
-        profile = iso.folner_profile(grid_graph(3, 3).adjacency, [1.0, 2.0], 9)
-        buf = io.StringIO()
-        profile.to_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "k,value,exact,connected_only,cap"
-        assert len(lines) == 3
-
 
 class TestFolnerLowerBound:
     @staticmethod
@@ -360,28 +351,30 @@ class TestFolnerLowerBound:
 class TestConfigurationGraph:
     def test_full_wreath_over_k2_is_square(self, k2):
         g = wr.build_wreath(k2)
-        K = iso.configuration_graph(g, range(g.n_vertices))
+        K = iso.ConfigurationGraph(g, frozenset(range(g.n_vertices)))
         assert K.configs == [0, 1, 2, 3]
-        assert K.n_edges == 4
-        assert sorted(K.degrees()) == [2, 2, 2, 2]
+        assert sorted(map(len, K.adjacency)) == [2, 2, 2, 2]  # a 4-cycle: 4 edges
 
     def test_single_element(self, k2):
         g = wr.build_wreath(k2)
-        K = iso.configuration_graph(g, {g.state_index(0, 0b10)})
-        assert len(K.configs) == 1 and K.n_edges == 0
+        K = iso.ConfigurationGraph(g, frozenset({g.state_index(0, 0b10)}))
+        assert K.configs == [0b10] and K.adjacency == [[]]
         cls = K.classify(1)
         assert cls["bad_points"] == {(0, 0b10)}
 
     def test_remark_edge_count(self, k2):
         g = wr.build_wreath(k2)
-        K = iso.configuration_graph(g, range(g.n_vertices))
-        assert g.n_vertices == 2 * K.n_edges  # equality: no isolated config
+        def n_edges(K):
+            return sum(map(len, K.adjacency)) // 2
+
+        K = iso.ConfigurationGraph(g, frozenset(range(g.n_vertices)))
+        assert g.n_vertices == 2 * n_edges(K)  # equality: no isolated config
         rng = np.random.Generator(np.random.Philox(key=3))
         for _ in range(20):
             size = int(rng.integers(1, g.n_vertices + 1))
             subset = [int(v) for v in rng.choice(g.n_vertices, size, replace=False)]
-            K = iso.configuration_graph(g, subset)
-            assert len(subset) >= 2 * K.n_edges
+            K = iso.ConfigurationGraph(g, frozenset(subset))
+            assert len(subset) >= 2 * n_edges(K)
 
 
 class TestPruning:
@@ -448,8 +441,8 @@ class TestSmallBoundaryLemma:
 def test_boundary_oracle_property(mask):
     g = grid_graph(3, 3)
     members = frozenset(v for v in range(9) if mask >> v & 1)
-    sel = iso.SubsetSelection(g.adjacency, members)
-    assert iso.boundary_size(sel) == boundary_oracle(g.adjacency, members)
+    sel = SubsetSelection(g.adjacency, members)
+    assert boundary_size(sel) == boundary_oracle(g.adjacency, members)
 
 
 PAIRS_12 = list(itertools.combinations(range(12), 2))
@@ -477,9 +470,9 @@ RANDOM_EDGES = st.one_of(
 def test_enumerator_carries_the_boundary(n, edges, cap_cut):
     adjacency = _random_graph(n, edges)
     cap = max(1, n - cap_cut)
-    nbr = iso.neighbor_masks(adjacency)
     pairs = list(iso.iter_connected_subsets(adjacency, cap))
-    assert [b for _, b in pairs] == [iso.mask_boundary(nbr, mask) for mask, _ in pairs]
+    assert [b for _, b in pairs] == [
+        boundary_oracle(adjacency, [v for v in range(n) if mask >> v & 1]) for mask, _ in pairs]
     masks = [mask for mask, _ in pairs]
     assert len(masks) == len(set(masks))
     assert set(masks) == connected_subsets_oracle(adjacency, cap)
@@ -500,6 +493,5 @@ def test_folner_one_pass_matches_oracle(n, edges, ks, cap_cut):
     adjacency = _random_graph(n, edges)
     cap = max(1, n - cap_cut)
     want = folner_oracle(adjacency, ks, cap)
-    profile = iso.folner_profile(adjacency, ks, cap)
-    assert [(k, want[k], want[k] is not None) for k in ks] == profile.entries
+    assert iso._folner_minima(adjacency, ks, cap) == want
     assert iso.folner_function(adjacency, ks[0], cap) == (want[ks[0]], want[ks[0]] is not None)

@@ -1,4 +1,4 @@
-"""Walk sampling, visited counts, exact/MC Laplace estimators, killed walk."""
+"""Walk chains, exact/MC Laplace estimators, visited counts, killed walk."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import json
 import sys
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,57 +29,42 @@ def sampled_cluster(n: int, p: float, seed: int) -> perc.ClusterGraph:
     return perc.component_of_origin(config)
 
 
-class TestSimulateWalk:
-    def test_single_edge_alternates(self, k2):
-        path = walk.simulate_walk(k2, 6, 1)
-        assert list(path.steps) == [0, 1, 0, 1, 0, 1, 0]
+def chains(cluster: perc.ClusterGraph, n: int, samples: int, seed: int) -> np.ndarray:
+    """X_0..X_n of ``samples`` Monte Carlo chains, one per column, copied out of
+    the one chunked loop."""
+    out = np.empty((n + 1, samples), dtype=np.int64)
 
-    def test_single_vertex_rejects_steps(self):
-        lone = perc.component_of_origin(perc.BondConfiguration(
-            perc.LatticeSpec(2, 1), 0.01, 0, np.zeros(4 + 8, dtype=bool)))
-        assert walk.simulate_walk(lone, 0, 3).steps == (0,)
-        with pytest.raises(ValueError):
-            walk.simulate_walk(lone, 1, 3)
+    def keep(first, traj):
+        out[:, first: first + traj.shape[1]] = traj
+    walk._map_chunks(cluster, n, samples, seed, keep)
+    return out
+
+
+class TestChains:
+    """The walk rule, read off the trajectories of the chunked Monte Carlo loop."""
 
     def test_steps_follow_edges(self):
         cluster = sampled_cluster(4, 0.7, 5)
-        path = walk.simulate_walk(cluster, 50, 17)
-        for a, b in zip(path.steps, path.steps[1:]):
+        traj = chains(cluster, 50, 20, 17)
+        assert traj[0].tolist() == [cluster.origin] * 20
+        for a, b in zip(traj[:-1].ravel().tolist(), traj[1:].ravel().tolist()):
             assert b in cluster.adjacency[a]
 
     def test_interior_directions_uniform(self):
         cluster = full_lattice(60)
-        path = walk.simulate_walk(cluster, 40000, 12345)
-        counts = {}
-        for a, b in zip(path.steps, path.steps[1:]):
-            if len(cluster.adjacency[a]) == 4:
-                move = tuple(cluster.coords[b] - cluster.coords[a])
-                counts[move] = counts.get(move, 0) + 1
-        total = sum(counts.values())
+        traj = chains(cluster, 100, 400, 12345)
+        inner = cluster.degrees[traj[:-1]] == 4
+        moves = cluster.coords[traj[1:][inner]] - cluster.coords[traj[:-1][inner]]
+        directions, counts = np.unique(moves, axis=0, return_counts=True)
+        total = counts.sum()
         sigma = np.sqrt(total * 0.25 * 0.75)
-        assert len(counts) == 4
-        for c in counts.values():
-            assert abs(c - total / 4) <= 3 * sigma
+        assert sorted(map(tuple, directions.tolist())) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+        assert np.all(np.abs(counts - total / 4) <= 3 * sigma)
 
     def test_reproducible(self):
         cluster = sampled_cluster(4, 0.7, 5)
-        a = walk.simulate_walk(cluster, 30, 9)
-        b = walk.simulate_walk(cluster, 30, 9)
-        assert a.steps == b.steps
-
-
-class TestVisitedCount:
-    def test_trivial_paths(self):
-        assert walk.visited_count(walk.WalkPath((0,), 0)) == 1
-        assert walk.visited_count(walk.WalkPath((0, 1, 0, 1), 0)) == 2
-
-    def test_matches_recount(self):
-        cluster = sampled_cluster(4, 0.7, 5)
-        path = walk.simulate_walk(cluster, 10, 3)
-        seen = {}
-        for v in path.steps:
-            seen[v] = True
-        assert walk.visited_count(path) == len(seen)
+        assert np.array_equal(chains(cluster, 30, 50, 9), chains(cluster, 30, 50, 9))
+        assert not np.array_equal(chains(cluster, 30, 50, 9), chains(cluster, 30, 50, 10))
 
 
 class TestExactLaplace:
@@ -458,6 +444,19 @@ class TestKilledOperator:
         with pytest.raises(ValueError, match=r"lambda1 out of \[0, 2\]"):
             walk.KilledOperatorReport(1, 1, 1, -1e-16, 0.0, 0.0, [])
 
+    def test_isolated_origin_holds_the_walk(self):
+        # as in confinement_probability and the exact laws, the walk stays put
+        cluster = sampled_cluster(14, 0.75, 889)
+        assert cluster.n_vertices == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = walk.killed_operator_report(cluster, 1, [0, 1, 3])
+        assert (report.lambda1, report.survival) == (0.0, [(0, 1.0), (1, 1.0), (3, 1.0)])
+        assert walk.survival_probabilities(cluster, 1, [3]) == [(3, 1.0)]
+        assert walk.confinement_probability(cluster, 1, 3, 10, 0) == (1.0, 0.0)
+        assert walk.exact_visited_laws(cluster, 3) == [{(1, True): 1.0}] * 4
+        assert killed_lambda1_oracle(cluster, 1) == 0.0
+
     def test_json_schema(self):
         report = walk.killed_operator_report(full_lattice(3), 1, [0, 2])
         buf = io.StringIO()
@@ -502,6 +501,7 @@ def test_one_sweep_equals_per_step_laws_property(seed, p, box, n_max):
        p=st.floats(min_value=0.6, max_value=1.0), r=st.integers(min_value=1, max_value=22))
 @example(seed=0, p=1.0, r=11)  # 265 vertices: dense
 @example(seed=0, p=1.0, r=12)  # 313 vertices: Lanczos
+@example(seed=889, p=0.75, r=1)  # isolated origin
 def test_killed_lambda1_property(seed, p, r):
     cluster = sampled_cluster(14, p, seed)
     first = walk.killed_operator_report(cluster, r, [0])
