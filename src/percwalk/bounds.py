@@ -98,13 +98,12 @@ class OdeSolution:
     L: np.ndarray
 
 
-def nash_ode_solve(profile: NashProfile, t_max: float,
-                   n_samples: int = 2000) -> OdeSolution:
+def nash_ode_solve(profile: NashProfile, t_max: float) -> OdeSolution:
     """Exact solution of a' = -a / (8 F_inv(4/a)^2), a(0) = 1, sampled at
-    t = expm1(s) for n_samples values of s evenly spaced over [0, log1p(t_max)]."""
+    t = expm1(s) for 2000 values of s evenly spaced over [0, log1p(t_max)]."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    t = np.expm1(np.linspace(0.0, float(np.log1p(t_max)), n_samples))
+    t = np.expm1(np.linspace(0.0, float(np.log1p(t_max)), 2000))
     L = np.empty_like(t)
     branches = profile.branches()
     ends = [b[0] for b in branches[1:]] + [np.inf]
@@ -116,10 +115,10 @@ def nash_ode_solve(profile: NashProfile, t_max: float,
     return OdeSolution(profile, t, L)
 
 
-def tail_exponent(solution: OdeSolution, decades: float = 1.0) -> float:
-    """Least-squares slope of log(-log a) against log t over the last decades."""
+def tail_exponent(solution: OdeSolution) -> float:
+    """Least-squares slope of log(-log a) against log t over the last decade."""
     t, L = solution.t, solution.L
-    keep = (t > 0) & (L > 0) & (t >= t[-1] / 10**decades)
+    keep = (t > 0) & (L > 0) & (t >= t[-1] / 10)
     if np.count_nonzero(keep) < 3:
         raise ValueError("not enough tail samples")
     slope, _ = np.polyfit(np.log(t[keep]), np.log(L[keep]), 1)
@@ -177,12 +176,12 @@ def piecewise_constants_fit(solution: OdeSolution) -> dict:
 # Lower bound assembly
 # ---------------------------------------------------------------------------
 
-def surrogate_optimal_r(n: int, d: int, r_max: int | None = None) -> tuple[int, float]:
-    """argmin over integer r >= 1 of r^d + n / r^2, by direct scan."""
+def surrogate_optimal_r(n: int, d: int) -> tuple[int, float]:
+    """argmin over integer r >= 1 of r^d + n / r^2, by direct scan up to
+    max(2, ceil(n^(1/d)))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if r_max is None:
-        r_max = max(2, int(np.ceil(n ** (1.0 / d))))
+    r_max = max(2, int(np.ceil(n ** (1.0 / d))))
     rs = np.arange(1, r_max + 1, dtype=np.float64)
     vals = rs**d + n / rs**2
     i = int(np.argmin(vals))
@@ -270,14 +269,14 @@ def lemma_4_5_check(cluster: ClusterGraph, n: int, budget: int = DEFAULT_BUDGET)
 # Exponent fitting
 # ---------------------------------------------------------------------------
 
-def fit_exponent(series: WalkSeries, noise_factor: float = 10.0) -> dict:
+def fit_exponent(series: WalkSeries) -> dict:
     """Slope of log(-log value) against log n over the usable entries.
 
     Entries must sit strictly inside (0, 1) and clear the Monte Carlo noise
-    floor (value > noise_factor * stderr); at least three are required.
+    floor (value > 10 stderr); at least three are required.
     """
     pts = [(n, v) for n, v, se, _ in series.entries
-           if 0.0 < v < 1.0 and v > noise_factor * se and n >= 1]
+           if 0.0 < v < 1.0 and v > 10.0 * se and n >= 1]
     if len(pts) < 3:
         raise ValueError(f"only {len(pts)} usable points, need at least 3")
     x = np.log([n for n, _ in pts])

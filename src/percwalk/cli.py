@@ -18,9 +18,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="directory for CSV/JSON artifacts")
     args = parser.parse_args(argv)
 
-    params = parse_config(args.config) if args.config else {}
-    spec = ExperimentSpec(args.recipe, params, args.out)
-    report = run(spec)
+    try:
+        params = parse_config(args.config) if args.config else {}
+        report = run(ExperimentSpec(args.recipe, params, args.out))
+    except ValueError as err:  # a malformed line, an unread param or a rejected value
+        parser.error(str(err))
     report.write(sys.stdout)
     return 0 if report.passed else 1
 

@@ -1,18 +1,19 @@
 """Experiment recipes, configuration, seeding and report emission.
 
 Each recipe bundles one quantitative claim of the toolkit into a batch run
-with explicit assertions; the command-line tool dispatches here.  All
-randomness flows from a master seed through `seed_manifest`, so any report
-can be regenerated bit-identically from its echoed spec.
+with explicit assertions; the command-line tool dispatches here.  A seeded
+recipe draws everything from its master ``seed``: some streams through
+`seed_manifest`, while `_sampled_origin_clusters` scans bond seeds upward
+from the master and ``pruning-property`` keys Philox with it directly.  So
+any report can be regenerated bit-identically from its echoed spec.
 """
 
 from __future__ import annotations
 
-import io
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -116,29 +117,41 @@ def parse_config(path) -> dict:
     return out
 
 
-def _check(assertions: list, name: str, passed: bool, detail: str = ""):
-    assertions.append({"name": name, "passed": bool(passed), "detail": detail})
+@dataclass
+class _Run:
+    """One recipe call: its params, where it writes, and what it found.
+    ``get`` records each key it reads, so ``run`` can reject the others."""
 
+    params: dict
+    out_dir: Path | None
+    assertions: list = field(default_factory=list)   # dicts: name, passed, detail
+    artifacts: list = field(default_factory=list)    # paths written
+    read: set = field(default_factory=set)
 
-def _write_artifact(out_dir: Path | None, name: str, writer: Callable,
-                    artifacts: list):
-    if out_dir is None:
-        return
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    with open(path, "w") as fh:
-        writer(fh)
-    artifacts.append(str(path))
+    def get(self, key: str, default):
+        self.read.add(key)
+        return self.params.get(key, default)
 
+    def check(self, name: str, passed: bool, detail: str = ""):
+        self.assertions.append({"name": name, "passed": bool(passed), "detail": detail})
 
-def _write_rows(out_dir: Path | None, name: str, header: str, rows, artifacts: list):
-    """CSV of the rows, floats in repr so that they read back bit for bit."""
-    def writer(fh):
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
-    _write_artifact(out_dir, name, writer, artifacts)
+    def write(self, name: str, writer: Callable):
+        if self.out_dir is None:
+            return
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        path = self.out_dir / name
+        with open(path, "w") as fh:
+            writer(fh)
+        self.artifacts.append(str(path))
+
+    def write_rows(self, name: str, header: str, rows):
+        """CSV of the rows, floats in repr so that they read back bit for bit."""
+        def writer(fh):
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x)
+                                  for x in row) + "\n")
+        self.write(name, writer)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +192,9 @@ def _hand_built_graphs() -> list:
     return out
 
 
-def small_cluster_collection(max_size: int = 6) -> list:
-    """Every connected induced subgraph of a 3x2 grid block (>= 2 vertices,
-    up to max_size), plus the hand-built graphs."""
+def small_cluster_collection() -> list:
+    """Every connected induced subgraph of a 3x2 grid block with >= 2
+    vertices, plus the hand-built graphs."""
     coords = [(x, y) for x in range(3) for y in range(2)]
     index = {c: i for i, c in enumerate(coords)}
     adjacency = [[] for _ in coords]
@@ -191,7 +204,7 @@ def small_cluster_collection(max_size: int = 6) -> list:
             if j is not None:
                 adjacency[i].append(j)
     out = []
-    for mask, _ in iso.iter_connected_subsets(adjacency, max_size):
+    for mask, _ in iso.iter_connected_subsets(adjacency, len(coords)):
         if mask.bit_count() < 2:
             continue
         verts = [i for i in range(len(coords)) if mask >> i & 1]
@@ -208,11 +221,10 @@ def small_cluster_collection(max_size: int = 6) -> list:
 # Recipes
 # ---------------------------------------------------------------------------
 
-def _recipe_identity_sweep(params, out_dir, artifacts):
-    alphas = params.get("alphas", [0.3, 0.5, 0.7])
-    n_max = params.get("n_max", 5)
-    tol = params.get("tol", IDENTITY_TOL)
-    assertions = []
+def _recipe_identity_sweep(ctx):
+    alphas = ctx.get("alphas", [0.3, 0.5, 0.7])
+    n_max = ctx.get("n_max", 5)
+    tol = ctx.get("tol", IDENTITY_TOL)
     rows = []
     worst = 0.0
     for base_id, cluster in small_cluster_collection():
@@ -229,11 +241,9 @@ def _recipe_identity_sweep(params, out_dir, artifacts):
                 gap = abs(lhs - rhs)
                 worst = max(worst, gap)
                 rows.append((base_id, cluster.n_vertices, alpha, n, lhs, rhs, gap))
-    _check(assertions, "identity gap", worst <= tol,
-           f"max |lhs-rhs| = {worst:.3e} over {len(rows)} cases, tol {tol:g}")
-    _write_rows(out_dir, "identity.csv", "base_id,base_size,alpha,n,lhs,rhs,gap", rows,
-                artifacts)
-    return assertions
+    ctx.check("identity gap", worst <= tol,
+              f"max |lhs-rhs| = {worst:.3e} over {len(rows)} cases, tol {tol:g}")
+    ctx.write_rows("identity.csv", "base_id,base_size,alpha,n,lhs,rhs,gap", rows)
 
 
 def _sampled_origin_clusters(d, box_n, p, count, start_seed, min_size):
@@ -249,16 +259,21 @@ def _sampled_origin_clusters(d, box_n, p, count, start_seed, min_size):
     return out
 
 
-def _recipe_confinement(params, out_dir, artifacts):
+def _full_lattice(box_n: int) -> perc.ClusterGraph:
+    """The origin's cluster of the fully open box [-box_n, box_n]^2."""
+    return perc.component_of_origin(
+        perc.sample_bond_config(perc.LatticeSpec(2, box_n), 1.0, 0))
+
+
+def _recipe_confinement(ctx):
     """Monte Carlo estimators against their exact oracles."""
-    p = params.get("p", 0.7)
-    box_n = params.get("box_n", 2)
-    samples = params.get("samples", 10**6)
-    alphas = params.get("alphas", [0.5, 0.9])
-    n_list = params.get("n_list", [6, 10, 12])
-    n_clusters = params.get("clusters", 5)
-    master = params.get("seed", 20240)
-    assertions = []
+    p = ctx.get("p", 0.7)
+    box_n = ctx.get("box_n", 2)
+    samples = ctx.get("samples", 10**6)
+    alphas = ctx.get("alphas", [0.5, 0.9])
+    n_list = ctx.get("n_list", [6, 10, 12])
+    n_clusters = ctx.get("clusters", 5)
+    master = ctx.get("seed", 20240)
     seeds = seed_manifest(master, n_clusters + 1)
     picked = _sampled_origin_clusters(2, box_n, p, n_clusters, master, 4)
     all_ok = True
@@ -281,85 +296,73 @@ def _recipe_confinement(params, out_dir, artifacts):
                 worst = max(worst, sigmas)
                 all_ok = all_ok and ok
             series = walk.WalkSeries(entries, alpha, p, 2, seeds[i])
-            _write_artifact(out_dir, f"mc_cluster{i}_alpha{alpha}.csv",
-                            series.to_csv, artifacts)
+            ctx.write(f"mc_cluster{i}_alpha{alpha}.csv", series.to_csv)
         del counts  # free this cluster's samples before drawing the next one's
-    _check(assertions, "mc vs exact Laplace", all_ok,
-           f"worst deviation {worst:.2f} sigma over "
-           f"{len(picked) * len(alphas) * len(n_list)} cases (limit 4)")
+    ctx.check("mc vs exact Laplace", all_ok,
+              f"worst deviation {worst:.2f} sigma over "
+              f"{len(picked) * len(alphas) * len(n_list)} cases (limit 4)")
 
     # confinement estimator against exact survival on the first cluster
     _, _, cluster = picked[0]
-    r, n_conf = params.get("conf_r", 2), params.get("conf_n", 8)
-    mc_samples = params.get("conf_samples", 10**5)
+    r, n_conf = ctx.get("conf_r", 2), ctx.get("conf_n", 8)
+    mc_samples = ctx.get("conf_samples", 10**5)
     est, se = walk.confinement_probability(cluster, r, n_conf, mc_samples, seeds[-1])
     exact_surv = walk.survival_probabilities(cluster, r, [n_conf])[0][1]
     dev = abs(est - exact_surv) / se if se > 0 else abs(est - exact_surv)
     ok = dev <= 4.0 if se > 0 else dev <= 1e-12
-    _check(assertions, "confinement vs exact survival", ok,
-           f"mc {est:.5f} vs exact {exact_surv:.5f} ({dev:.2f} sigma)")
-    return assertions
+    ctx.check("confinement vs exact survival", ok,
+              f"mc {est:.5f} vs exact {exact_surv:.5f} ({dev:.2f} sigma)")
 
 
-def _recipe_exponent_fit(params, out_dir, artifacts):
-    p_list = params.get("p_list", [1.0, 0.7])
-    alpha = params.get("alpha", 0.9)
-    box_n = params.get("box_n", 120)
-    n_list = params.get("n_list", [20, 30, 45, 65, 90, 120])
-    samples = params.get("samples", 30000)
-    master = params.get("seed", 31)
-    lo, hi = params.get("slope_band", [0.35, 0.65])
-    assertions = []
+def _recipe_exponent_fit(ctx):
+    p_list = ctx.get("p_list", [1.0, 0.7])
+    alpha = ctx.get("alpha", 0.9)
+    box_n = ctx.get("box_n", 120)
+    n_list = ctx.get("n_list", [20, 30, 45, 65, 90, 120])
+    samples = ctx.get("samples", 30000)
+    master = ctx.get("seed", 31)
+    lo, hi = ctx.get("slope_band", [0.35, 0.65])
     seeds = seed_manifest(master, 2 * len(p_list))
     for j, p in enumerate(p_list):
         config = perc.sample_bond_config(perc.LatticeSpec(2, box_n), p, seeds[2 * j])
         cluster = perc.component_of_origin(config)
         series = walk.mc_laplace(cluster, alpha, n_list, samples, seeds[2 * j + 1])
         fit = bounds.fit_exponent(series)
-        _write_artifact(out_dir, f"series_p{p}.csv", series.to_csv, artifacts)
-        _write_artifact(
-            out_dir, f"fit_p{p}.txt",
+        ctx.write(f"series_p{p}.csv", series.to_csv)
+        ctx.write(
+            f"fit_p{p}.txt",
             lambda fh, fit=fit: fh.write(
                 f"slope,intercept,residual,points_used\n"
                 f"{fit['slope']!r},{fit['intercept']!r},"
-                f"{fit['residual']!r},{fit['points_used']}\n"),
-            artifacts)
-        _check(assertions, f"noise floor p={p}",
-               fit["points_used"] == len(n_list),
-               f"{fit['points_used']}/{len(n_list)} points usable")
-        _check(assertions, f"slope band p={p}", lo <= fit["slope"] <= hi,
-               f"slope {fit['slope']:.4f}, band [{lo}, {hi}]")
-    return assertions
+                f"{fit['residual']!r},{fit['points_used']}\n"))
+        ctx.check(f"noise floor p={p}",
+                  fit["points_used"] == len(n_list),
+                  f"{fit['points_used']}/{len(n_list)} points usable")
+        ctx.check(f"slope band p={p}", lo <= fit["slope"] <= hi,
+                  f"slope {fit['slope']:.4f}, band [{lo}, {hi}]")
 
 
-def _recipe_spectral_bracket(params, out_dir, artifacts):
-    r_list = params.get("r_list", [5, 10, 20])
-    p_list = params.get("p_list", [0.7, 1.0])
-    n_seeds = params.get("seeds", 5)
-    master = params.get("seed", 404)
-    assertions = []
+def _recipe_spectral_bracket(ctx):
+    r_list = ctx.get("r_list", [5, 10, 20])
+    p_list = ctx.get("p_list", [0.7, 1.0])
+    n_seeds = ctx.get("seeds", 5)
+    master = ctx.get("seed", 404)
 
     # exact sanity value on the smallest full-lattice ball
-    config = perc.sample_bond_config(perc.LatticeSpec(2, 2), 1.0, 0)
-    cluster = perc.component_of_origin(config)
-    report = walk.killed_operator_report(cluster, 1, [0, 1])
-    _check(assertions, "lambda1(B_1) = 1/2 on the full lattice",
-           abs(report.lambda1 - 0.5) <= 1e-10,
-           f"lambda1 = {report.lambda1!r}")
-    _check(assertions, "survival at n=0", report.survival[0][1] == 1.0,
-           f"value {report.survival[0][1]}")
+    report = walk.killed_operator_report(_full_lattice(2), 1, [0, 1])
+    ctx.check("lambda1(B_1) = 1/2 on the full lattice",
+              abs(report.lambda1 - 0.5) <= 1e-10,
+              f"lambda1 = {report.lambda1!r}")
+    ctx.check("survival at n=0", report.survival[0][1] == 1.0,
+              f"value {report.survival[0][1]}")
 
     bound_ok = True
     rayleigh_ok = True
     detail = []
     for p in p_list:
         for r in r_list:
-            box_n = r + 1 if p == 1.0 else r
-            picked = _sampled_origin_clusters(2, box_n, p, n_seeds, master, 5) \
-                if p < 1.0 else [(0, None,
-                                  perc.component_of_origin(
-                                      perc.sample_bond_config(
-                                          perc.LatticeSpec(2, box_n), 1.0, 0)))]
+            picked = [(0, None, _full_lattice(r + 1))] if p == 1.0 else \
+                _sampled_origin_clusters(2, r, p, n_seeds, master, 5)
             for i, (_, _, cluster) in enumerate(picked):
                 rep = walk.killed_operator_report(cluster, r, [0])
                 if rep.lambda1 > rep.paper_bound:
@@ -368,30 +371,25 @@ def _recipe_spectral_bracket(params, out_dir, artifacts):
                 if rep.lambda1 > rep.rayleigh_h + 1e-10:
                     rayleigh_ok = False
                 if p == 1.0 and i == 0:
-                    _write_artifact(out_dir, f"killed_r{r}_p{p}.json",
-                                    rep.to_json, artifacts)
-    _check(assertions, "lambda1 within the volume bound", bound_ok,
-           "; ".join(detail) if detail else
-           f"all r in {r_list}, p in {p_list}, {n_seeds} seeds")
-    _check(assertions, "lambda1 below the Rayleigh quotient of h", rayleigh_ok, "")
+                    ctx.write(f"killed_r{r}_p{p}.json", rep.to_json)
+    ctx.check("lambda1 within the volume bound", bound_ok,
+              "; ".join(detail) if detail else
+              f"all r in {r_list}, p in {p_list}, {n_seeds} seeds")
+    ctx.check("lambda1 below the Rayleigh quotient of h", rayleigh_ok, "")
 
     decay_ok = True
     decay_detail = []
     for r in (3, 5):
-        box_n = r + 1
-        config = perc.sample_bond_config(perc.LatticeSpec(2, box_n), 1.0, 0)
-        cluster = perc.component_of_origin(config)
         n = 50 * r * r
-        rep = walk.killed_operator_report(cluster, r, [n])
+        rep = walk.killed_operator_report(_full_lattice(r + 1), r, [n])
         rate = -np.log(rep.survival[0][1]) / n
         target = -np.log(1.0 - rep.lambda1)
         rel = abs(rate - target) / abs(target)
         decay_detail.append(f"r={r}: rel err {rel:.3f}")
         if rel > 0.1:
             decay_ok = False
-    _check(assertions, "survival decay rate matches lambda1", decay_ok,
-           "; ".join(decay_detail))
-    return assertions
+    ctx.check("survival decay rate matches lambda1", decay_ok,
+              "; ".join(decay_detail))
 
 
 def _connected_mask(nbr, mask: int) -> bool:
@@ -426,15 +424,14 @@ def _beta_oracle(cluster, c, gamma, n):
     return best
 
 
-def _recipe_isoperimetry_small(params, out_dir, artifacts):
-    p = params.get("p", 0.7)
-    box_n = params.get("box_n", 4)
-    n_seeds = params.get("seeds", 20)
-    cap = params.get("size_cap", 8)
-    oracle_limit = params.get("oracle_limit", 14)
-    c, gamma = params.get("c", 1.0), params.get("gamma", 0.125)
-    master = params.get("seed", 77)
-    assertions = []
+def _recipe_isoperimetry_small(ctx):
+    p = ctx.get("p", 0.7)
+    box_n = ctx.get("box_n", 4)
+    n_seeds = ctx.get("seeds", 20)
+    cap = ctx.get("size_cap", 8)
+    oracle_limit = ctx.get("oracle_limit", 14)
+    c, gamma = ctx.get("c", 1.0), ctx.get("gamma", 0.125)
+    master = ctx.get("seed", 77)
     # Box radius 1 keeps clusters at 9 vertices or fewer, so the brute-force
     # oracle below always has something to chew on.
     picked = [(box_n, t) for t in
@@ -458,21 +455,17 @@ def _recipe_isoperimetry_small(params, out_dir, artifacts):
             if oracle is None or abs(full.beta - oracle) > 1e-12:
                 oracle_ok = False
         if i == 0:
-            _write_artifact(out_dir, "beta_first.json", report.to_json, artifacts)
-    _check(assertions, "beta > 0 on every sampled cluster", all_positive,
-           f"min beta {min(betas):.4f} over {len(picked)} clusters")
-    _check(assertions, "exhaustive search matches the all-subsets oracle",
-           oracle_ok, f"{oracle_count} fully enumerable instances compared")
-    return assertions
+            ctx.write("beta_first.json", report.to_json)
+    ctx.check("beta > 0 on every sampled cluster", all_positive,
+              f"min beta {min(betas):.4f} over {len(picked)} clusters")
+    ctx.check("exhaustive search matches the all-subsets oracle",
+              oracle_ok, f"{oracle_count} fully enumerable instances compared")
 
 
-def _recipe_folner_wreath(params, out_dir, artifacts):
-    k_list = params.get("k_list", [1, 2, 3])
-    assertions = []
-    bases = [("path-2", _hand_built_graphs()[0][1]),
-             ("path-3", _hand_built_graphs()[1][1]),
-             ("triangle", _graph_from([(0, 0), (1, 0), (0, 1)],
-                                      [(0, 1), (0, 2), (1, 2)], 1))]
+def _recipe_folner_wreath(ctx):
+    k_list = ctx.get("k_list", [1, 2, 3])
+    bases = _hand_built_graphs()[:2] + [
+        ("triangle", _graph_from([(0, 0), (1, 0), (0, 1)], [(0, 1), (0, 2), (1, 2)], 1))]
     rows = []
     all_hold = True
     for base_id, base in bases:
@@ -481,12 +474,11 @@ def _recipe_folner_wreath(params, out_dir, artifacts):
             rows.append((base_id, entry))
             if not (entry["holds"] and entry["exact"]):
                 all_hold = False
-    _check(assertions, "wreath Folner dominates exp(C1 Fol(C2 k))", all_hold,
-           "; ".join(f"{bid} k={e['k']}: {e['wreath_folner']} >= {e['rhs']:.3f}"
-                     for bid, e in rows))
-    _write_rows(out_dir, "folner.csv", "k,value,exact,connected_only,cap",
-                [(e["k"], e["wreath_folner"], e["exact"], False, "all") for _, e in rows],
-                artifacts)
+    ctx.check("wreath Folner dominates exp(C1 Fol(C2 k))", all_hold,
+              "; ".join(f"{bid} k={e['k']}: {e['wreath_folner']} >= {e['rhs']:.3f}"
+                        for bid, e in rows))
+    ctx.write_rows("folner.csv", "k,value,exact,connected_only,cap",
+                   [(e["k"], e["wreath_folner"], e["exact"], False, "all") for _, e in rows])
 
     # small-boundary subsets of the 2-vertex-base wreath: both fractions
     base = bases[0][1]
@@ -504,9 +496,8 @@ def _recipe_folner_wreath(params, out_dir, artifacts):
             result = iso.lemma_neud_check(graph, U, k)
             if not result["holds"]:
                 fractions_ok = False
-    _check(assertions, "bad-point and unsatisfiable fractions", fractions_ok,
-           f"{checked} qualifying subsets checked exhaustively")
-    return assertions
+    ctx.check("bad-point and unsatisfiable fractions", fractions_ok,
+              f"{checked} qualifying subsets checked exhaustively")
 
 
 def _random_graph(rng, nv: int, p_edge: float) -> list:
@@ -519,11 +510,10 @@ def _random_graph(rng, nv: int, p_edge: float) -> list:
     return adjacency
 
 
-def _recipe_pruning_property(params, out_dir, artifacts):
-    n_graphs = params.get("graphs", 1000)
-    n_families = params.get("families", 500)
-    master = params.get("seed", 5150)
-    assertions = []
+def _recipe_pruning_property(ctx):
+    n_graphs = ctx.get("graphs", 1000)
+    n_families = ctx.get("families", 500)
+    master = ctx.get("seed", 5150)
     rng = np.random.Generator(np.random.Philox(key=master))
     accepted = 0
     attempts = 0
@@ -547,9 +537,9 @@ def _recipe_pruning_property(params, out_dir, artifacts):
             deg = sum(1 for w in adjacency[v] if w in alive)
             if 3 * deg < b:
                 prune_ok = False
-    _check(assertions, "pruning terminates nonempty with min degree >= b/3",
-           prune_ok and accepted >= n_graphs,
-           f"{accepted} qualifying graphs (of {attempts} sampled)")
+    ctx.check("pruning terminates nonempty with min degree >= b/3",
+              prune_ok and accepted >= n_graphs,
+              f"{accepted} qualifying graphs (of {attempts} sampled)")
 
     flips_ok = True
     holding = 0
@@ -577,22 +567,20 @@ def _recipe_pruning_property(params, out_dir, artifacts):
             holding += 1
             if not verdict["bound_holds"]:
                 flips_ok = False
-    _check(assertions, "flip-closed families have >= 2^Y members", flips_ok,
-           f"{holding} premise-holding families of {n_families}")
-    return assertions
+    ctx.check("flip-closed families have >= 2^Y members", flips_ok,
+              f"{holding} premise-holding families of {n_families}")
 
 
-def _recipe_nash_curve(params, out_dir, artifacts):
-    t_max = params.get("t_max", 1e7)
-    assertions = []
+def _recipe_nash_curve(ctx):
+    t_max = ctx.get("t_max", 1e7)
     settings = {2: dict(n=2**24, gamma=0.125), 3: dict(n=4**10, gamma=0.1)}
-    for d in params.get("d_list", [2, 3]):
+    for d in ctx.get("d_list", [2, 3]):
         prof = bounds.NashProfile(d=d, n=settings[d]["n"],
                                   gamma=settings[d]["gamma"])
         sol = bounds.nash_ode_solve(prof, t_max)
-        _check(assertions, f"a positive and strictly decreasing (d={d})",
-               bool(np.all(np.isfinite(sol.L)) and np.all(np.diff(sol.L) > 0)),
-               f"{sol.L.size} samples, -log a up to {sol.L[-1]:.1f}")
+        ctx.check(f"a positive and strictly decreasing (d={d})",
+                  bool(np.all(np.isfinite(sol.L)) and np.all(np.diff(sol.L) > 0)),
+                  f"{sol.L.size} samples, -log a up to {sol.L[-1]:.1f}")
 
         # t(L) = int_0^L 8 f(l + log 4)^2 dl by trapezoids at step h and h/2
         def t_of_L(panels, L_end=sol.L[-1], prof=prof):
@@ -601,40 +589,36 @@ def _recipe_nash_curve(params, out_dir, artifacts):
         t_h, t_h2 = t_of_L(20_000), t_of_L(40_000)
         rel = abs(t_h - t_h2) / t_h2
         gap = max(abs(t_h - sol.t[-1]), abs(t_h2 - sol.t[-1])) / sol.t[-1]
-        _check(assertions, f"self-convergence under step halving (d={d})",
-               rel < 1e-6 and gap < 1e-6,
-               f"relative change of t(-log a(t_max)): {rel:.2e}, off t_max by {gap:.2e}")
+        ctx.check(f"self-convergence under step halving (d={d})",
+                  rel < 1e-6 and gap < 1e-6,
+                  f"relative change of t(-log a(t_max)): {rel:.2e}, off t_max by {gap:.2e}")
         slope = bounds.tail_exponent(sol)
         target = d / (d + 2.0)
-        _check(assertions, f"tail slope near d/(d+2) (d={d})",
-               abs(slope - target) / target <= 0.05,
-               f"slope {slope:.4f}, target {target:.4f}")
+        ctx.check(f"tail slope near d/(d+2) (d={d})",
+                  abs(slope - target) / target <= 0.05,
+                  f"slope {slope:.4f}, target {target:.4f}")
         fit = bounds.piecewise_constants_fit(sol)
-        _check(assertions, f"piecewise forms fit with small residual (d={d})",
-               fit["max_relative_residual"] < 1e-3 and fit["slopes_positive"],
-               f"max rel residual {fit['max_relative_residual']:.2e}")
-        _check(assertions, f"continuity at regime boundaries (d={d})",
-               all(c < 1e-3 for c in fit["continuity_mismatch"]),
-               f"mismatches {['%.2e' % c for c in fit['continuity_mismatch']]}")
-        _write_rows(out_dir, f"nash_d{d}.csv", "t,neg_log_a", zip(sol.t, sol.L), artifacts)
-    return assertions
+        ctx.check(f"piecewise forms fit with small residual (d={d})",
+                  fit["max_relative_residual"] < 1e-3 and fit["slopes_positive"],
+                  f"max rel residual {fit['max_relative_residual']:.2e}")
+        ctx.check(f"continuity at regime boundaries (d={d})",
+                  all(c < 1e-3 for c in fit["continuity_mismatch"]),
+                  f"mismatches {['%.2e' % c for c in fit['continuity_mismatch']]}")
+        ctx.write_rows(f"nash_d{d}.csv", "t,neg_log_a", zip(sol.t, sol.L))
 
 
-def _recipe_lemma45(params, out_dir, artifacts):
-    n_max = params.get("n_max", 5)
-    alphas = params.get("alphas", [0.3, 0.5, 0.7])
-    assertions = []
+def _recipe_lemma45(ctx):
+    n_max = ctx.get("n_max", 5)
+    alphas = ctx.get("alphas", [0.3, 0.5, 0.7])
 
     # doubling inequality by exact enumeration on the full lattice
     doubling_ok = True
     for n in range(1, n_max + 1):
-        config = perc.sample_bond_config(perc.LatticeSpec(2, 2 * n + 1), 1.0, 0)
-        cluster = perc.component_of_origin(config)
-        report = bounds.lemma_4_5_check(cluster, n)
+        report = bounds.lemma_4_5_check(_full_lattice(2 * n + 1), n)
         if not report["doubling_holds"]:
             doubling_ok = False
-    _check(assertions, "doubling inequality on the full lattice", doubling_ok,
-           f"every m, n = 1..{n_max}")
+    ctx.check("doubling inequality on the full lattice", doubling_ok,
+              f"every m, n = 1..{n_max}")
 
     # assembled lower bound against the exact pinned value, criterion-1 instances
     violations = []
@@ -665,41 +649,38 @@ def _recipe_lemma45(params, out_dir, artifacts):
                                       assembled / pinned if pinned > 0 else np.inf)
                 if certified > pinned * (1 + 1e-12):
                     exact_violations.append((base_id, alpha, n))
-    _check(assertions, "assembled lower bound below the exact pinned value",
-           not violations,
-           f"{len(violations)} violations of {total} instances"
-           + (f", worst ratio {worst_ratio:.2f}, e.g. {violations[0]}"
-              if violations else ""))
-    _check(assertions, "cluster-aware assembly below the exact pinned value",
-           not exact_violations,
-           f"{len(exact_violations)} violations of {total} instances")
-    _write_rows(out_dir, "lower_bound.csv", "base_id,alpha,n,r,assembled,pinned", rows,
-                artifacts)
-    return assertions
+    ctx.check("assembled lower bound below the exact pinned value",
+              not violations,
+              f"{len(violations)} violations of {total} instances"
+              + (f", worst ratio {worst_ratio:.2f}, e.g. {violations[0]}"
+                 if violations else ""))
+    ctx.check("cluster-aware assembly below the exact pinned value",
+              not exact_violations,
+              f"{len(exact_violations)} violations of {total} instances")
+    ctx.write_rows("lower_bound.csv", "base_id,alpha,n,r,assembled,pinned", rows)
 
 
-def _recipe_renorm_field(params, out_dir, artifacts):
-    assertions = []
+def _recipe_renorm_field(ctx):
     spec_small = perc.LatticeSpec(2, 14)
     full = perc.sample_bond_config(spec_small, 1.0, 0)
     field_full = perc.classify_boxes(full, 4)
     good = [field_full.blocks[i].good for i in field_full.classifiable_blocks()]
-    _check(assertions, "all classifiable blocks good at p=1",
-           len(good) > 0 and all(good), f"{len(good)} blocks")
+    ctx.check("all classifiable blocks good at p=1",
+              len(good) > 0 and all(good), f"{len(good)} blocks")
 
     empty = perc.BondConfiguration(spec_small, 0.0, 0,
                                    np.zeros(spec_small.n_edges, dtype=bool))
     field_empty = perc.classify_boxes(empty, 4)
     bad = [not field_empty.blocks[i].good
            for i in field_empty.classifiable_blocks()]
-    _check(assertions, "all classifiable blocks bad with no open edge",
-           len(bad) > 0 and all(bad), f"{len(bad)} blocks")
+    ctx.check("all classifiable blocks bad with no open edge",
+              len(bad) > 0 and all(bad), f"{len(bad)} blocks")
 
-    p = params.get("p", 0.95)
-    N = params.get("N", 10)
-    n_seeds = params.get("seeds", 20)
-    master = params.get("seed", 909)
-    box_n = params.get("box_n", 33)
+    p = ctx.get("p", 0.95)
+    N = ctx.get("N", 10)
+    n_seeds = ctx.get("seeds", 20)
+    master = ctx.get("seed", 909)
+    box_n = ctx.get("box_n", 33)
     seeds = seed_manifest(master, n_seeds)
     good_count = 0
     classifiable = 0
@@ -710,15 +691,14 @@ def _recipe_renorm_field(params, out_dir, artifacts):
             classifiable += 1
             good_count += field.blocks[i].good
     frac = good_count / classifiable
-    _check(assertions, "good fraction above 0.9 at p=0.95", frac > 0.9,
-           f"{good_count}/{classifiable} = {frac:.3f}")
+    ctx.check("good fraction above 0.9 at p=0.95", frac > 0.9,
+              f"{good_count}/{classifiable} = {frac:.3f}")
 
     def writer(fh):
         for i in sorted(field_full.blocks):
             s = field_full.blocks[i]
             fh.write(f"{i} classifiable={s.classifiable} good={s.good}\n")
-    _write_artifact(out_dir, "renorm_p1.txt", writer, artifacts)
-    return assertions
+    ctx.write("renorm_p1.txt", writer)
 
 
 DEFAULT_SEEDS = {
@@ -749,19 +729,24 @@ RECIPES = {
 
 
 def run(spec: ExperimentSpec) -> RunReport:
-    """Dispatch one recipe; returns the report with per-assertion outcomes."""
+    """Dispatch one recipe; returns the report with per-assertion outcomes.
+
+    A param that the recipe never reads is an error, raised before
+    ``report.txt`` is written; ``seed`` is exempt, as a seedless recipe
+    draws nothing from it.
+    """
     start = time.perf_counter()
-    artifacts: list = []
     params = dict(spec.params)
     params.setdefault("seed", DEFAULT_SEEDS[spec.recipe])
     spec = ExperimentSpec(spec.recipe, params, spec.out_dir)
-    assertions = RECIPES[spec.recipe](params, spec.out_dir, artifacts)
+    ctx = _Run(params, spec.out_dir)
+    RECIPES[spec.recipe](ctx)
+    unread = sorted(set(params) - ctx.read - {"seed"})
+    if unread:
+        raise ValueError(f"recipe {spec.recipe!r} does not read param {unread}; "
+                         f"it reads {sorted(ctx.read)}")
     elapsed = time.perf_counter() - start
     report = RunReport(spec, seed_manifest(params["seed"], 1),
-                       assertions, artifacts, elapsed)
-    if spec.out_dir is not None:
-        buf = io.StringIO()
-        report.write(buf)
-        _write_artifact(spec.out_dir, "report.txt",
-                        lambda fh: fh.write(buf.getvalue()), artifacts)
+                       ctx.assertions, ctx.artifacts, elapsed)
+    ctx.write("report.txt", report.write)
     return report

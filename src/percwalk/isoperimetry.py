@@ -124,7 +124,7 @@ class IsoperimetryReport:
             "c": self.c,
             "gamma": self.gamma,
             "n": self.n,
-        }, out, indent=2)
+        }, out, indent=2, allow_nan=False)
         out.write("\n")
 
 
@@ -269,8 +269,8 @@ class ConfigurationGraph:
 
     wreath: WreathGraph
     subset: frozenset  # of wreath state indices
-    configs: list = field(default=None)
-    adjacency: list = field(default=None)
+    configs: list = field(init=False)
+    adjacency: list = field(init=False)
 
     def __post_init__(self):
         if not self.subset:
@@ -290,29 +290,13 @@ class ConfigurationGraph:
                     self.adjacency[j].append(i)
         self._present = present
 
-    def is_good_point(self, state: tuple) -> bool:
-        """(x, f) is good when the lamp flip at its own position stays in U."""
-        x, f = state
-        return (x, f) in self._present and (x, f ^ (1 << x)) in self._present
-
     def classify(self, b: float) -> dict:
-        """S(b)/NS(b) configurations, edge classes, and good/bad points of U."""
-        deg = {f: len(self.adjacency[i]) for i, f in enumerate(self.configs)}
-        S = {f for f in self.configs if deg[f] >= b}
-        NS = set(self.configs) - S
-        S_e, NS_e = [], []
-        for i, f in enumerate(self.configs):
-            for j in self.adjacency[i]:
-                if j > i:
-                    e = (f, self.configs[j])
-                    (S_e if f in S and self.configs[j] in S else NS_e).append(e)
-        good = {u for u in self._present if self.is_good_point(u)}
-        bad = self._present - good
-        S_p = {u for u in self._present if u[1] in S}
-        NS_p = self._present - S_p
-        return {"S": S, "NS": NS, "S_e": S_e, "NS_e": NS_e,
-                "good_points": good, "bad_points": bad,
-                "S_p": S_p, "NS_p": NS_p}
+        """The bad points (x, f) of U, whose lamp flip at x leaves U, and the
+        points NS_p of U whose configuration has K_U degree below b."""
+        NS = {f for i, f in enumerate(self.configs) if len(self.adjacency[i]) < b}
+        return {"bad_points": {(x, f) for x, f in self._present
+                               if (x, f ^ (1 << x)) not in self._present},
+                "NS_p": {u for u in self._present if u[1] in NS}}
 
 
 def prune_to_satisfiable(adjacency: Sequence[Sequence[int]], b: float) -> set:
@@ -375,14 +359,13 @@ def flip_closure_bound_check(family: Iterable[int], n_sites: int, Y: int) -> dic
             "family_size": len(fam), "required": 2**Y}
 
 
-def lemma_neud_check(wreath: WreathGraph, subset: Iterable[int], k: float,
-                     phi_k: int | None = None) -> dict:
+def lemma_neud_check(wreath: WreathGraph, subset: Iterable[int], k: float) -> dict:
     """Bad-point and unsatisfiable-point fractions of a small-boundary subset.
 
     Precondition: |boundary(U)| / |U| <= 1/(1000 k) in the wreath graph.
     Checks the two displayed fractions: bad points <= 1/(1000 k) of U, and
     points whose configuration has K_U degree < phi(k)/3 at most 1/500 of U,
-    where phi is the base Folner function (computed here when not supplied).
+    where phi is the base Folner function.
     """
     U = frozenset(subset)
     if not U:
@@ -393,11 +376,9 @@ def lemma_neud_check(wreath: WreathGraph, subset: Iterable[int], k: float,
     if ratio > 1.0 / (1000.0 * k):
         raise ValueError(
             f"subset boundary ratio {ratio:.4g} exceeds 1/(1000k); lemma not applicable")
+    phi_k, _ = folner_function(wreath.base.adjacency, k, wreath.base.n_vertices)
     if phi_k is None:
-        phi_k, exact = folner_function(wreath.base.adjacency, k,
-                                       wreath.base.n_vertices)
-        if phi_k is None:
-            raise ValueError("base Folner value not attained; supply phi_k")
+        raise ValueError("base Folner value not attained")
     K = ConfigurationGraph(wreath, U)
     cls = K.classify(phi_k / 3.0)
     bad_fraction = len(cls["bad_points"]) / len(U)

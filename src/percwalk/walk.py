@@ -401,9 +401,10 @@ class KilledOperatorReport:
             "half_ball_size": self.half_ball_size,
             "lambda1": self.lambda1,
             "paper_bound": self.paper_bound,
-            "rayleigh_h": self.rayleigh_h,
+            # infinite when h has zero norm (an isolated origin): JSON null
+            "rayleigh_h": self.rayleigh_h if np.isfinite(self.rayleigh_h) else None,
             "survival": [{"n": n, "p": p} for n, p in self.survival],
-        }, out, indent=2)
+        }, out, indent=2, allow_nan=False)
         out.write("\n")
 
 

@@ -138,32 +138,13 @@ def reversible_measure(kernel: LamplighterKernel) -> np.ndarray:
     return nu * ratio**lamps
 
 
-def return_probability(kernel: LamplighterKernel, steps: int,
-                       allowed: set | None = None) -> float:
-    """Exact probability of being back at (origin, all lamps off) after ``steps``.
-
-    With ``allowed`` (a set of base vertex indices), transitions whose target
-    has a position or a lit lamp outside the set are killed, mirroring a walk
-    stopped on exiting the sub-wreath over those vertices.
-    """
+def return_probability(kernel: LamplighterKernel, steps: int) -> float:
+    """Exact probability of being back at (origin, all lamps off) after ``steps``."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     g = kernel.wreath
     v = np.zeros(g.n_vertices)
     v[g.origin_state] = 1.0
-    mask = None
-    if allowed is not None:
-        allowed_bits = 0
-        for a in allowed:
-            allowed_bits |= 1 << a
-        idx = np.arange(g.n_vertices)
-        pos_ok = np.isin(idx // 2**g.m, sorted(allowed))
-        lamp_ok = ((idx % 2**g.m) & ~allowed_bits) == 0
-        mask = pos_ok & lamp_ok
-        if not mask[g.origin_state]:
-            raise ValueError("origin state outside the allowed sub-wreath")
     for _ in range(steps):
         v = kernel.step(v)
-        if mask is not None:
-            v = np.where(mask, v, 0.0)
     return float(v[g.origin_state])

@@ -442,23 +442,29 @@ FOLNER_ORACLE_LIMIT = 24
 def folner_oracle(adjacency, k_list, size_cap: int) -> dict:
     """All-subsets oracle for Folner minima: for each k the smallest |U| <=
     size_cap with k |boundary(U)| <= |U| (None when none), found by scoring
-    every nonempty vertex subset, connected or not, up to 24 vertices."""
+    every nonempty vertex subset, connected or not, up to 24 vertices.
+
+    The boundary of every mask comes from a doubling table: a mask with top
+    vertex v is v added to a mask below 2^v, which adds deg v minus twice
+    the edges from v into it."""
     n = len(adjacency)
     if n > FOLNER_ORACLE_LIMIT:
         raise ValueError(f"{n} vertices is past the oracle's limit of {FOLNER_ORACLE_LIMIT}")
-    nbr = [np.uint32(sum(1 << w for w in set(nbrs))) for nbrs in adjacency]
+    boundary = np.zeros(1 << n, dtype=np.int16)
+    for v, nbrs in enumerate(adjacency):
+        nbr = set(nbrs) - {v}
+        below = np.uint32(sum(1 << w for w in nbr if w < v))
+        low = np.arange(1 << v, dtype=np.uint32)
+        boundary[1 << v:2 << v] = boundary[:1 << v] + len(nbr) \
+            - 2 * np.bitwise_count(low & below).astype(np.int16)
     best = {k: None for k in k_list}
     chunk = 1 << 21
     for start in range(1, 1 << n, chunk):
         masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
         sizes = np.bitwise_count(masks).astype(np.int64)
-        boundary = np.zeros(masks.size, dtype=np.int64)
-        for v in range(n):
-            inside = (masks >> np.uint32(v)) & np.uint32(1)
-            boundary += inside.astype(np.int64) * \
-                np.bitwise_count(nbr[v] & ~masks).astype(np.int64)
+        b = boundary[start:start + masks.size]
         for k in k_list:
-            ok = (k * boundary <= sizes) & (sizes <= size_cap)
+            ok = (k * b <= sizes) & (sizes <= size_cap)
             if np.any(ok):
                 m = int(sizes[ok].min())
                 best[k] = m if best[k] is None else min(best[k], m)

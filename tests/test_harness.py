@@ -122,6 +122,19 @@ class TestRun:
         run(ExperimentSpec(recipe, {}))
         assert len(sweeps) == len(small_cluster_collection()) + checks
 
+    def test_unread_param_named(self, tmp_path):
+        spec = ExperimentSpec("nash-curve", {"t_mx": 10.0, "d_list": [2]}, tmp_path)
+        with pytest.raises(ValueError, match=r"\['t_mx'\]"):
+            run(spec)
+        assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("recipe", ["identity-sweep", "folner-wreath",
+                                        "lemma45", "nash-curve"])
+    def test_seedless_recipe_accepts_seed(self, recipe):
+        # the benchmark hands every recipe a seed
+        report = run(ExperimentSpec(recipe, {"seed": 3}))
+        assert report.spec.params == {"seed": 3}
+
     def test_all_recipes_registered(self):
         assert sorted(RECIPES) == sorted([
             "identity-sweep", "isoperimetry-small", "folner-wreath",
@@ -139,6 +152,14 @@ class TestCli:
         assert code == 0
         assert "result: PASS" in out
         assert (tmp_path / "out" / "report.txt").exists()
+
+    def test_unknown_config_key_exits_nonzero(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("n_mx = 1\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["identity-sweep", "--config", str(cfg)])
+        assert exit_info.value.code != 0
+        assert "n_mx" in capsys.readouterr().err
 
     def test_unknown_recipe_exits_nonzero(self):
         with pytest.raises(SystemExit):

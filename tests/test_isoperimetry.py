@@ -228,6 +228,11 @@ class TestIsoperimetricBeta:
         assert set(data) >= {"beta", "argmin_size", "argmin_vertices",
                              "c", "gamma", "n"}
 
+    def test_json_rejects_non_finite(self):
+        report = iso.IsoperimetryReport(float("inf"), 1, [0], 1.0, 0.125, 1)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            report.to_json(io.StringIO())
+
 
 class TestFolner:
     def test_grid_k1(self):

@@ -466,6 +466,18 @@ class TestKilledOperator:
                              "paper_bound", "rayleigh_h", "survival"}
         assert data["survival"][0] == {"n": 0, "p": 1.0}
 
+    def test_json_of_isolated_origin_is_strict(self):
+        # h has zero norm there, so the Rayleigh quotient is infinite: null in JSON
+        report = walk.killed_operator_report(sampled_cluster(14, 0.75, 889), 1, [0, 3])
+        assert report.rayleigh_h == float("inf")
+        buf = io.StringIO()
+        report.to_json(buf)
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+        data = json.loads(buf.getvalue(), parse_constant=reject)
+        assert (data["rayleigh_h"], data["lambda1"]) == (None, 0.0)
+
 
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(min_value=0, max_value=4),

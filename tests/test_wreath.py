@@ -142,23 +142,16 @@ class TestOperatorAgainstMatrix:
         assert np.abs(kernel.step(v) - matrix.T @ v).max() <= 1e-15
 
     @settings(max_examples=40, deadline=None)
-    @given(base=connected_bases(), alpha=st.floats(0.05, 0.95),
-           steps=st.integers(0, 6), data=st.data())
-    def test_return_probability_follows_matrix(self, base, alpha, steps, data):
+    @given(base=connected_bases(), alpha=st.floats(0.05, 0.95), steps=st.integers(0, 6))
+    def test_return_probability_follows_matrix(self, base, alpha, steps):
         g = wr.build_wreath(base)
         kernel = wr.LamplighterKernel(g, alpha)
         matrix = lamplighter_matrix_oracle(g, alpha)
-        subset = data.draw(st.sets(st.integers(0, g.m - 1))) | {base.origin}
-        for allowed in (None, subset):
-            inside = allowed if allowed is not None else set(range(g.m))
-            keep = np.array([a in inside and all(b in inside for b in range(g.m) if f >> b & 1)
-                             for a, f in map(g.state_of, range(g.n_vertices))])
-            v = np.zeros(g.n_vertices)
-            v[g.origin_state] = 1.0
-            for _ in range(steps):
-                v = np.where(keep, matrix.T @ v, 0.0)
-            got = wr.return_probability(kernel, steps, allowed)
-            assert abs(got - v[g.origin_state]) <= 1e-15
+        v = np.zeros(g.n_vertices)
+        v[g.origin_state] = 1.0
+        for _ in range(steps):
+            v = matrix.T @ v
+        assert abs(wr.return_probability(kernel, steps) - v[g.origin_state]) <= 1e-15
 
 
 class TestReturnProbability:
@@ -178,13 +171,6 @@ class TestReturnProbability:
         kernel = wr.LamplighterKernel(wr.build_wreath(k2), 0.5)
         with pytest.raises(ValueError):
             wr.return_probability(kernel, -1)
-
-    def test_confined_never_larger(self):
-        kernel = wr.LamplighterKernel(wr.build_wreath(base_path(4)), 0.4)
-        for steps in (2, 4, 6):
-            free = wr.return_probability(kernel, steps)
-            confined = wr.return_probability(kernel, steps, allowed={0, 1})
-            assert confined <= free + 1e-15
 
 
 def identity_sides(base, alpha: float, n: int) -> tuple:
