@@ -273,7 +273,7 @@ def _recipe_confinement(ctx):
     alphas = ctx.get("alphas", [0.5, 0.9])
     n_list = ctx.get("n_list", [6, 10, 12])
     n_clusters = ctx.get("clusters", 5)
-    master = ctx.get("seed", 20240)
+    master = ctx.params["seed"]
     seeds = seed_manifest(master, n_clusters + 1)
     picked = _sampled_origin_clusters(2, box_n, p, n_clusters, master, 4)
     all_ok = True
@@ -320,7 +320,7 @@ def _recipe_exponent_fit(ctx):
     box_n = ctx.get("box_n", 120)
     n_list = ctx.get("n_list", [20, 30, 45, 65, 90, 120])
     samples = ctx.get("samples", 30000)
-    master = ctx.get("seed", 31)
+    master = ctx.params["seed"]
     lo, hi = ctx.get("slope_band", [0.35, 0.65])
     seeds = seed_manifest(master, 2 * len(p_list))
     for j, p in enumerate(p_list):
@@ -346,7 +346,7 @@ def _recipe_spectral_bracket(ctx):
     r_list = ctx.get("r_list", [5, 10, 20])
     p_list = ctx.get("p_list", [0.7, 1.0])
     n_seeds = ctx.get("seeds", 5)
-    master = ctx.get("seed", 404)
+    master = ctx.params["seed"]
 
     # exact sanity value on the smallest full-lattice ball
     report = walk.killed_operator_report(_full_lattice(2), 1, [0, 1])
@@ -431,7 +431,7 @@ def _recipe_isoperimetry_small(ctx):
     cap = ctx.get("size_cap", 8)
     oracle_limit = ctx.get("oracle_limit", 14)
     c, gamma = ctx.get("c", 1.0), ctx.get("gamma", 0.125)
-    master = ctx.get("seed", 77)
+    master = ctx.params["seed"]
     # Box radius 1 keeps clusters at 9 vertices or fewer, so the brute-force
     # oracle below always has something to chew on.
     picked = [(box_n, t) for t in
@@ -513,7 +513,7 @@ def _random_graph(rng, nv: int, p_edge: float) -> list:
 def _recipe_pruning_property(ctx):
     n_graphs = ctx.get("graphs", 1000)
     n_families = ctx.get("families", 500)
-    master = ctx.get("seed", 5150)
+    master = ctx.params["seed"]
     rng = np.random.Generator(np.random.Philox(key=master))
     accepted = 0
     attempts = 0
@@ -679,7 +679,7 @@ def _recipe_renorm_field(ctx):
     p = ctx.get("p", 0.95)
     N = ctx.get("N", 10)
     n_seeds = ctx.get("seeds", 20)
-    master = ctx.get("seed", 909)
+    master = ctx.params["seed"]
     box_n = ctx.get("box_n", 33)
     seeds = seed_manifest(master, n_seeds)
     good_count = 0
@@ -701,6 +701,7 @@ def _recipe_renorm_field(ctx):
     ctx.write("renorm_p1.txt", writer)
 
 
+# the one table of default seeds: a recipe reads ctx.params["seed"], which run fills
 DEFAULT_SEEDS = {
     "identity-sweep": 0,
     "confinement": 20240,

@@ -8,10 +8,13 @@ origin), an enumerator of the equally likely paths that keeps one column of
 positions per step instead of the paths.
 
 The Monte Carlo estimator runs chunks of 65,536 chains as column-vectorized
-trajectories, chunk k keyed (master seed, k), and spreads whole chunks over the
-cores this process may use; the output does not depend on how many there are.
-N_n is counted by a uint64 visited mask per chain when the radius-n_max chemical
-ball has at most 64 vertices, and by sorting each trajectory prefix otherwise.
+trajectories, chunk k keyed (master seed, k), and spreads them over the cores
+this process may use: whole chunks, or, when there are fewer chunks than cores,
+one column tile per core cut from each chunk, a tile seeking each row's draws
+in the chunk's Philox stream.  The output does not depend on how many cores
+there are.  N_n is counted by a uint64 visited mask per chain when the
+radius-n_max chemical ball has at most 64 vertices, and otherwise by sorting
+the trajectory prefixes in place, shortest first.
 The killed walk's top eigenvalue comes from dense ``eigvalsh`` on chemical balls
 of at most 300 vertices and from Lanczos (``eigsh``) above; a ball holding the
 whole cluster kills nothing and has lambda1 = 0.  A walk from an isolated origin
@@ -251,41 +254,58 @@ _CHUNK = 65536
 
 
 def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, reduce):
-    """Call reduce(first_chain, traj) once per chunk of the ``samples`` chains,
-    traj (n_max + 1, chunk) holding one chain per column.  Chunk k draws
-    u = Philox(key=(seed << 64) + k).random((n_max, chunk)) one row per step,
-    and u moves a chain at v to neighbour floor(u * deg(v)) of v in CSR order.
+    """Call reduce(first_chain, traj) once per column tile of the ``samples``
+    chains, traj (n_max + 1, tile width) holding one chain per column.  Chunk k
+    of 65,536 chains draws u = Philox(key=(seed << 64) + k).random((n_max,
+    chunk)) one row per step, and u moves a chain at v to neighbour
+    floor(u * deg(v)) of v in CSR order.
 
-    Chunks are dealt round-robin to one share per core this process may use:
-    the calling thread walks share 0, helper threads the rest, all in buffers
-    allocated here (what a helper frees stays in its own malloc arena).  One
-    chunk runs on the calling thread alone, with no pool."""
+    A tile is a whole chunk, unless the call has fewer chunks than this process
+    may use cores: then each chunk is cut into one tile per core, its width
+    rounded up to a multiple of 4.  Row ``step`` of a narrower tile starting at
+    column a reads the chunk's stream from position at = step * chunk + a, so
+    the tile seeks there with Philox(key, counter=at // 4) and drops at % 4
+    draws; a whole-chunk tile reads its one generator straight through.
+
+    Tiles are dealt round-robin to one share per core: the calling thread walks
+    share 0, helper threads the rest, each in buffers as wide as its widest
+    tile, allocated here (what a helper frees stays in its own malloc arena).
+    One core, or one tile (at most 4 chains), builds no pool."""
     nbr = _neighbor_table(cluster)  # take() reads it flattened
     width = nbr.shape[1]
     deg = cluster.degrees.astype(np.float64)
     if nbr.max() >= deg.size:  # take() skips this check in mode="clip"; floor(u*deg) < deg
         raise ValueError("neighbour table names a vertex outside the cluster")
     firsts = range(0, samples, _CHUNK)
-    shares = min(len(os.sched_getaffinity(0)), len(firsts))
-    cols = min(_CHUNK, samples)
+    cores = len(os.sched_getaffinity(0))
+    tiles = []  # (chunk k, its width, first column a, tile width)
+    for k, first in enumerate(firsts):
+        chunk = min(_CHUNK, samples - first)
+        w = -(-chunk // (4 * cores)) * 4 if len(firsts) < cores else chunk
+        tiles += [(k, chunk, a, min(w, chunk - a)) for a in range(0, chunk, w)]
+    shares = min(cores, len(tiles))
 
     def walk_share(j, traj, u, dg, off, pick):
-        for k in range(j, len(firsts), shares):
-            chunk = min(_CHUNK, samples - firsts[k])
-            rng = np.random.Generator(np.random.Philox(key=(seed << 64) + k))
-            block, u_k, dg_k, off_k, pick_k = (a[..., :chunk] for a in (traj, u, dg, off, pick))
+        for k, chunk, a, w in tiles[j::shares]:
+            block, u_k, dg_k, off_k, pick_k = (x[..., :w] for x in (traj, u, dg, off, pick))
             block[0] = cluster.origin
             for step in range(n_max):
+                if step == 0 or w < chunk:  # seek to row step, column a of the stream
+                    at = step * chunk + a
+                    bits = np.random.Philox(key=(seed << 64) + k, counter=at // 4)
+                    bits.random_raw(at % 4)
+                    rng = np.random.Generator(bits)
                 cur = block[step]
                 rng.random(out=u_k)
                 u_k *= deg.take(cur, out=dg_k, mode="clip")
                 pick_k[:] = u_k  # truncates, as astype(np.int32) did
                 pick_k += np.multiply(cur, width, out=off_k)
                 nbr.take(pick_k, out=block[step + 1], mode="clip")
-            reduce(firsts[k], block)
+            reduce(firsts[k] + a, block)
 
+    widest = [max(w for *_, w in tiles[j::shares]) for j in range(shares)]
     buffers = [(np.empty((n_max + 1, cols), np.int32), np.empty(cols), np.empty(cols),
-                np.empty(cols, np.int32), np.empty(cols, np.int32)) for _ in range(shares)]
+                np.empty(cols, np.int32), np.empty(cols, np.int32)) for cols in widest]
     if shares == 1:
         return walk_share(0, *buffers[0])
     with ThreadPoolExecutor(shares - 1) as pool:
@@ -299,7 +319,10 @@ def mc_visited_samples(cluster: ClusterGraph, n_list: Sequence[int],
                        samples: int, seed: int) -> dict:
     """Sampled N_n arrays per n, one entry per chain; chunk k keyed (seed, k).
     N_n is the popcount of a uint64 visited mask, one bit per ball vertex, when
-    the chemical ball of radius max(n_list) has at most 64 vertices."""
+    the chemical ball of radius max(n_list) has at most 64 vertices.  Otherwise
+    each tile sorts its rows 0..n in place for n ascending and counts the
+    distinct sites per column: a sort permutes rows within the prefix only, so
+    every longer prefix keeps its sites, and no copy is made."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n_max = max(n_list)
@@ -309,8 +332,8 @@ def mc_visited_samples(cluster: ClusterGraph, n_list: Sequence[int],
         def count(first, traj):
             cols = slice(first, first + traj.shape[1])
             for n in sorted(out):
-                # n_max comes last, so its block may sort the chunk in place
-                block = traj[: n + 1] if n == n_max else traj[: n + 1].copy()
+                # sorting a prefix in place keeps each longer prefix's sites
+                block = traj[: n + 1]
                 block.sort(axis=0)
                 out[n][cols] = 1 + np.count_nonzero(block[1:] != block[:-1], axis=0)
     else:

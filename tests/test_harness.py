@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from percwalk import bounds, cli, walk, wreath
-from percwalk.harness import (ExperimentSpec, RECIPES, _hand_built_graphs, parse_config,
-                              run, seed_manifest, small_cluster_collection)
+from percwalk.harness import (ExperimentSpec, RECIPES, _hand_built_graphs, _Run,
+                              parse_config, run, seed_manifest, small_cluster_collection)
 from percwalk import percolation as perc
 
 
@@ -134,6 +134,14 @@ class TestRun:
         # the benchmark hands every recipe a seed
         report = run(ExperimentSpec(recipe, {"seed": 3}))
         assert report.spec.params == {"seed": 3}
+
+    @pytest.mark.parametrize("recipe", ["confinement", "exponent-fit", "spectral-bracket",
+                                        "isoperimetry-small", "pruning-property",
+                                        "renorm-field"])
+    def test_seeded_recipe_has_no_hidden_seed(self, recipe):
+        # run fills the seed from DEFAULT_SEEDS, the one table of defaults
+        with pytest.raises(KeyError, match="seed"):
+            RECIPES[recipe](_Run({}, None))
 
     def test_all_recipes_registered(self):
         assert sorted(RECIPES) == sorted([

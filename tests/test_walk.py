@@ -240,6 +240,14 @@ class TestMonteCarloStream:
         assert {n: c.tolist() for n, c in counts.items()} == \
             oracle_counts(cluster, [3, 8], 800, 12, range(800))
 
+    def test_sort_path_prefixes_sorted_in_place(self):
+        # each n sorts rows 0..n of the chains the shorter n already sorted
+        cluster = full_lattice(6)
+        assert walk._reachable_ball(cluster, 8)[0].size > 64
+        counts = walk.mc_visited_samples(cluster, [0, 3, 5, 8], 500, 17)
+        assert {n: c.tolist() for n, c in counts.items()} == \
+            oracle_counts(cluster, [0, 3, 5, 8], 500, 17, range(500))
+
     @pytest.mark.parametrize("m", [64, 65])
     def test_ball_of_64_and_65_vertices(self, m):
         cluster = reversed_path(m)
@@ -296,7 +304,8 @@ def pretend_cores(monkeypatch, cores: int):
 
 
 class TestCoreCount:
-    """Whole chunks are shared over the cores; no count depends on how many."""
+    """Whole chunks, or column tiles of fewer chunks than cores, are shared
+    over the cores; no count depends on how many."""
 
     SAMPLES = 3 * walk._CHUNK + 5  # shares of 2 and 1 chunks on 2 cores; short last chunk
     CHAINS = [0, walk._CHUNK - 1, walk._CHUNK, 2 * walk._CHUNK + 7, 3 * walk._CHUNK,
@@ -346,18 +355,50 @@ class TestCoreCount:
         with pytest.raises(RuntimeError, match="helper chunk failed"):
             walk.mc_visited_samples(sampled_cluster(3, 0.7, 2), [4], walk._CHUNK + 1, 0)
 
+    @pytest.mark.parametrize("path", ["mask", "sort"])
+    @pytest.mark.parametrize("samples", [1001, 1003])
+    def test_one_chunk_tiles(self, monkeypatch, path, samples):
+        # a chunk whose width is not a multiple of 4, so rows start mid-block
+        cluster = sampled_cluster(3, 0.7, 2) if path == "mask" else full_lattice(6)
+        assert (walk._reachable_ball(cluster, 8)[0].size <= 64) == (path == "mask")
+        runs, hits = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost hit would show
+        try:
+            for cores in (1, 2, 3):
+                pretend_cores(monkeypatch, cores)
+                tiles = []
+                walk._map_chunks(cluster, 2, samples, 16,
+                                 lambda first, traj: tiles.append((first, traj.shape[1])))
+                tiles.sort()
+                assert len(tiles) == cores and tiles[-1][0] + tiles[-1][1] == samples
+                assert all(w % 4 == 0 for _, w in tiles[:-1])
+                chains = sorted({c for a, w in tiles for c in (a, a + w - 1)})
+                runs.append(walk.mc_visited_samples(cluster, [3, 8], samples, 16))
+                assert {n: c[chains].tolist() for n, c in runs[-1].items()} == \
+                    oracle_counts(cluster, [3, 8], samples, 16, chains)
+                hits.append(walk.confinement_probability(cluster, 2, 8, samples, 16))
+        finally:
+            sys.setswitchinterval(interval)
+        for counts in runs[1:]:
+            assert all(np.array_equal(counts[n], runs[0][n]) for n in (3, 8))
+        assert hits[1:] == hits[:1] * 2
+
     def test_one_chunk_builds_no_pool(self, monkeypatch):
+        """One tile builds no pool: one core, or a call too narrow to split."""
         def no_pool(*args, **kwargs):
             raise AssertionError("pool built")
         monkeypatch.setattr(walk, "ThreadPoolExecutor", no_pool)
         cluster = sampled_cluster(5, 0.7, 7)
         pretend_cores(monkeypatch, 2)
-        walk.mc_visited_samples(cluster, [4], walk._CHUNK, 0)
-        walk.confinement_probability(cluster, 2, 6, walk._CHUNK, 0)
-        with pytest.raises(AssertionError, match="pool built"):
-            walk.mc_visited_samples(cluster, [4], walk._CHUNK + 1, 0)
+        walk.mc_visited_samples(cluster, [4], 4, 0)
+        walk.confinement_probability(cluster, 2, 6, 4, 0)
+        for samples in (5, walk._CHUNK, walk._CHUNK + 1):
+            with pytest.raises(AssertionError, match="pool built"):
+                walk.mc_visited_samples(cluster, [4], samples, 0)
         pretend_cores(monkeypatch, 1)
         walk.mc_visited_samples(cluster, [4], walk._CHUNK + 1, 0)
+        walk.confinement_probability(cluster, 2, 6, walk._CHUNK, 0)
 
 
 class TestConfinement:
