@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from percwalk.percolation import ClusterGraph
-from percwalk.walk import DEFAULT_BUDGET, WalkSeries, exact_visited_laws
+from percwalk.walk import WalkSeries, exact_visited_laws
 
 __all__ = [
     "NashProfile",
@@ -188,17 +188,21 @@ def surrogate_optimal_r(n: int, d: int) -> tuple[int, float]:
     return int(rs[i]), float(vals[i])
 
 
-def lower_bound_assemble(r: int, n: int, alpha: float, d: int,
-                         confinement: float) -> float:
-    """alpha^{r^d} / (2 d r^d) times the squared confinement probability."""
+def _checked_confinement(r: int, n: int, alpha: float, confinement: float) -> float:
+    """The confinement probability of an assembly, after its argument checks."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     if r < 1:
         raise ValueError("r must be >= 1")
     if not 0.0 <= confinement <= 1.0:
         raise ValueError("confinement probability out of [0, 1]")
-    if n <= r:
-        confinement = 1.0  # the walk cannot leave the ball in n <= r steps
+    return 1.0 if n <= r else confinement  # the walk cannot leave the ball in n <= r steps
+
+
+def lower_bound_assemble(r: int, n: int, alpha: float, d: int,
+                         confinement: float) -> float:
+    """alpha^{r^d} / (2 d r^d) times the squared confinement probability."""
+    confinement = _checked_confinement(r, n, alpha, confinement)
     return alpha ** (r**d) / (2.0 * d * r**d) * confinement**2
 
 
@@ -210,23 +214,15 @@ def lower_bound_assemble_exact(cluster: ClusterGraph, r: int, n: int,
     (vertex degree) and the actual ball size, so the result is a certified
     lower bound on E[alpha^{N_2n} 1{X_2n = 0}] for every finite cluster.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if not 0.0 <= confinement <= 1.0:
-        raise ValueError("confinement probability out of [0, 1]")
-    if n <= r:
-        confinement = 1.0
-    dist = cluster.distances_from_origin()
-    in_ball = (dist >= 0) & (dist <= r)
+    confinement = _checked_confinement(r, n, alpha, confinement)
+    in_ball = cluster.distances_from_origin() <= r
     deg = cluster.degrees
     nu_ball = float(deg[in_ball].sum())
     nu0 = float(deg[cluster.origin])
     return nu0 * alpha ** int(in_ball.sum()) / nu_ball * confinement**2
 
 
-def lemma_4_5_check(cluster: ClusterGraph, n: int, budget: int = DEFAULT_BUDGET) -> dict:
+def lemma_4_5_check(cluster: ClusterGraph, n: int) -> dict:
     """Exact check of the doubling inequalities tying N_n to pinned N_2n.
 
     For every m with P(N_n = m) > 0 verifies
@@ -235,7 +231,7 @@ def lemma_4_5_check(cluster: ClusterGraph, n: int, budget: int = DEFAULT_BUDGET)
     alpha1 = 1/(2 sqrt 5).
     """
     d = int(cluster.meta.get("d", cluster.coords.shape[1]))
-    laws = exact_visited_laws(cluster, 2 * n, budget)
+    laws = exact_visited_laws(cluster, 2 * n)
     dist_n, dist_2n = laws[n], laws[2 * n]
 
     pn = {}

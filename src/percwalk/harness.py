@@ -5,7 +5,8 @@ with explicit assertions; the command-line tool dispatches here.  A seeded
 recipe draws everything from its master ``seed``: some streams through
 `seed_manifest`, while `_sampled_origin_clusters` scans bond seeds upward
 from the master and ``pruning-property`` keys Philox with it directly.  So
-any report can be regenerated bit-identically from its echoed spec.
+any report can be regenerated bit-identically from its echoed spec, on any
+number of cores.
 """
 
 from __future__ import annotations
@@ -247,14 +248,15 @@ def _recipe_identity_sweep(ctx):
 
 
 def _sampled_origin_clusters(d, box_n, p, count, start_seed, min_size):
-    """First `count` seeds (scanning upward) whose origin cluster is big enough."""
+    """Origin clusters of the first `count` bond seeds, scanning upward from
+    `start_seed`, whose origin cluster has at least `min_size` vertices."""
     out = []
     seed = start_seed
     while len(out) < count:
         config = perc.sample_bond_config(perc.LatticeSpec(d, box_n), p, seed)
         cluster = perc.component_of_origin(config)
         if cluster.n_vertices >= min_size:
-            out.append((seed, config, cluster))
+            out.append(cluster)
         seed += 1
     return out
 
@@ -278,7 +280,7 @@ def _recipe_confinement(ctx):
     picked = _sampled_origin_clusters(2, box_n, p, n_clusters, master, 4)
     all_ok = True
     worst = 0.0
-    for i, (cseed, config, cluster) in enumerate(picked):
+    for i, cluster in enumerate(picked):
         counts = walk.mc_visited_samples(cluster, n_list, samples, seeds[i])
         exact_laws = walk.exact_visited_laws(cluster, max(n_list))
         for alpha in alphas:
@@ -303,7 +305,7 @@ def _recipe_confinement(ctx):
               f"{len(picked) * len(alphas) * len(n_list)} cases (limit 4)")
 
     # confinement estimator against exact survival on the first cluster
-    _, _, cluster = picked[0]
+    cluster = picked[0]
     r, n_conf = ctx.get("conf_r", 2), ctx.get("conf_n", 8)
     mc_samples = ctx.get("conf_samples", 10**5)
     est, se = walk.confinement_probability(cluster, r, n_conf, mc_samples, seeds[-1])
@@ -361,9 +363,9 @@ def _recipe_spectral_bracket(ctx):
     detail = []
     for p in p_list:
         for r in r_list:
-            picked = [(0, None, _full_lattice(r + 1))] if p == 1.0 else \
+            picked = [_full_lattice(r + 1)] if p == 1.0 else \
                 _sampled_origin_clusters(2, r, p, n_seeds, master, 5)
-            for i, (_, _, cluster) in enumerate(picked):
+            for i, cluster in enumerate(picked):
                 rep = walk.killed_operator_report(cluster, r, [0])
                 if rep.lambda1 > rep.paper_bound:
                     bound_ok = False
@@ -442,7 +444,7 @@ def _recipe_isoperimetry_small(ctx):
     oracle_ok = True
     oracle_count = 0
     betas = []
-    for i, (radius, (_, _, cluster)) in enumerate(picked):
+    for i, (radius, cluster) in enumerate(picked):
         report = iso.isoperimetric_beta(cluster, None, c, gamma, cap, radius)
         betas.append(report.beta)
         if not report.beta > 0:

@@ -74,26 +74,15 @@ class LatticeSpec:
         shifted = coords + self.n
         return int(np.ravel_multi_index(shifted, (self.side,) * self.d))
 
-    def all_coords(self) -> np.ndarray:
-        """All vertex coordinates, shape (n_vertices, d), in index order."""
-        grids = np.meshgrid(*[np.arange(-self.n, self.n + 1)] * self.d, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Canonical edge arrays ``(tails, heads, axes)`` of the box graph."""
-        coords = self.all_coords()
-        strides = np.array([self.side ** (self.d - 1 - a) for a in range(self.d)])
-        tails, heads, axes = [], [], []
-        for a in range(self.d):
-            valid = np.nonzero(coords[:, a] < self.n)[0]
-            tails.append(valid)
-            heads.append(valid + strides[a])
-            axes.append(np.full(valid.shape, a))
-        tails = np.concatenate(tails)
-        heads = np.concatenate(heads)
-        axes = np.concatenate(axes)
-        order = np.lexsort((axes, tails))
-        return tails[order], heads[order], axes[order]
+        """Canonical edge arrays ``(tails, heads, axes)`` of the box graph, sorted
+        by tail and then axis: one edge per vertex and axis whose coordinate
+        on that axis is below n."""
+        strides = self.side ** np.arange(self.d - 1, -1, -1)
+        ids = np.arange(self.n_vertices)
+        # row-major nonzero lists (tail, axis) pairs in canonical order
+        tails, axes = np.nonzero(ids[:, None] // strides % self.side < self.side - 1)
+        return tails, tails + strides[axes], axes
 
     @property
     def n_edges(self) -> int:

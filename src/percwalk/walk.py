@@ -15,10 +15,10 @@ in the chunk's Philox stream.  The output does not depend on how many cores
 there are.  N_n is counted by a uint64 visited mask per chain when the
 radius-n_max chemical ball has at most 64 vertices, and otherwise by sorting
 the trajectory prefixes in place, shortest first.
-The killed walk's top eigenvalue comes from dense ``eigvalsh`` on chemical balls
-of at most 300 vertices and from Lanczos (``eigsh``) above; a ball holding the
-whole cluster kills nothing and has lambda1 = 0.  A walk from an isolated origin
-stays there: it visits one site, returns at every t and is never killed.
+The killed walk's top eigenvalue comes from one Lanczos (``eigsh``) solve from a
+fixed start, so it does not depend on the core count; a ball holding the whole
+cluster kills nothing and has lambda1 = 0.  A walk from an isolated origin stays
+there: it visits one site, returns at every t and is never killed.
 """
 
 from __future__ import annotations
@@ -112,11 +112,11 @@ def _neighbor_table(cluster: ClusterGraph) -> np.ndarray:
 def _reachable_ball(cluster: ClusterGraph, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Vertices within chemical distance n of the origin, and their distances."""
     dist = cluster.distances_from_origin()
-    keep = np.nonzero((dist >= 0) & (dist <= n))[0]
+    keep = np.nonzero(dist <= n)[0]
     return keep, dist[keep]
 
 
-def _merged_state_laws(cluster: ClusterGraph, n: int, budget: int) -> list:
+def _merged_state_laws(cluster: ClusterGraph, n: int) -> list:
     """Joint laws of (N_t, X_t) for t = 0..n as {(count, pinned): prob} via
     bitmask states, one sweep to n cut to the chemical ball of radius n (the
     cut keeps the degree of every vertex the walk can leave from).  Local ids
@@ -143,8 +143,8 @@ def _merged_state_laws(cluster: ClusterGraph, n: int, budget: int) -> list:
         lengths = (indptr[verts + 1] - indptr[verts]).astype(np.int64)
         total = int(lengths.sum())
         expansions += total
-        if expansions > budget:
-            raise BudgetExceededError(expansions * (n / (step + 1)), budget)
+        if expansions > DEFAULT_BUDGET:
+            raise BudgetExceededError(expansions * (n / (step + 1)), DEFAULT_BUDGET)
         starts = np.repeat(indptr[verts], lengths)
         cum = np.cumsum(lengths) - lengths
         offs = np.arange(total, dtype=np.int64) - np.repeat(cum, lengths)
@@ -160,7 +160,7 @@ def _merged_state_laws(cluster: ClusterGraph, n: int, budget: int) -> list:
         probs = np.add.reduceat(new_probs, heads)
 
 
-def _uniform_path_laws(cluster: ClusterGraph, n: int, budget: int) -> list:
+def _uniform_path_laws(cluster: ClusterGraph, n: int) -> list:
     """Joint laws of (N_t, X_t) for t = 0..n by enumerating equal-weight paths.
 
     Valid only when every vertex at distance <= n-1 from the origin has the
@@ -172,8 +172,8 @@ def _uniform_path_laws(cluster: ClusterGraph, n: int, budget: int) -> list:
     keep, dist = _reachable_ball(cluster, n)
     degs = cluster.degrees[keep[dist <= n - 1]]
     g = int(degs.min())
-    if g**n > budget:  # every step offers at least g moves
-        raise BudgetExceededError(float(g) ** n, budget)
+    if g**n > DEFAULT_BUDGET:  # every step offers at least g moves
+        raise BudgetExceededError(float(g) ** n, DEFAULT_BUDGET)
     if degs.max() != g:
         raise BallTooWideError(
             f"the radius-{n} chemical ball has {keep.size} vertices, over the {MASK_WIDTH}-vertex"
@@ -203,8 +203,7 @@ def _uniform_path_laws(cluster: ClusterGraph, n: int, budget: int) -> list:
     return laws
 
 
-def exact_visited_laws(cluster: ClusterGraph, n_max: int,
-                       budget: int = DEFAULT_BUDGET) -> list:
+def exact_visited_laws(cluster: ClusterGraph, n_max: int) -> list:
     """Exact joint laws [{(N_t value, X_t == origin): probability}, t = 0..n_max].
 
     The law at t comes from the merged sweep while the radius-t chemical ball
@@ -215,24 +214,23 @@ def exact_visited_laws(cluster: ClusterGraph, n_max: int,
     if cluster.n_vertices == 1:
         return [{(1, True): 1.0} for _ in range(n_max + 1)]
     dist = cluster.distances_from_origin()
-    sizes = np.cumsum(np.bincount(dist[dist >= 0], minlength=n_max + 1))[: n_max + 1]
+    sizes = np.cumsum(np.bincount(dist, minlength=n_max + 1))[: n_max + 1]
     merged = int(np.count_nonzero(sizes <= MASK_WIDTH))  # balls only grow with t
-    laws = _merged_state_laws(cluster, merged - 1, budget)
+    laws = _merged_state_laws(cluster, merged - 1)
     if merged <= n_max:
-        laws += _uniform_path_laws(cluster, n_max, budget)[merged:]
+        laws += _uniform_path_laws(cluster, n_max)[merged:]
     return laws
 
 
-def exact_visited_distribution(cluster: ClusterGraph, n: int,
-                               budget: int = DEFAULT_BUDGET) -> dict:
+def exact_visited_distribution(cluster: ClusterGraph, n: int) -> dict:
     """Exact joint law {(N_n value, X_n == origin): probability}."""
-    return exact_visited_laws(cluster, n, budget)[-1]
+    return exact_visited_laws(cluster, n)[-1]
 
 
 def exact_laplace(cluster: ClusterGraph, alpha: float, n: int,
-                  pinned: bool = False, budget: int = DEFAULT_BUDGET) -> float:
+                  pinned: bool = False) -> float:
     """E[alpha^{N_n}], optionally restricted to walks returning at time n."""
-    return _laplace_of(exact_visited_distribution(cluster, n, budget), alpha, pinned)
+    return _laplace_of(exact_visited_distribution(cluster, n), alpha, pinned)
 
 
 def _laplace_of(dist: dict, alpha: float, pinned: bool = False) -> float:
@@ -431,7 +429,6 @@ class KilledOperatorReport:
         out.write("\n")
 
 
-_DENSE_EIGEN_MAX = 300  # ball size; measured crossover ~150 on Z^2, ~290 at p = 0.7
 _EIGEN_CAP = 20000
 
 
@@ -487,15 +484,12 @@ def killed_operator_report(cluster: ClusterGraph, r: int,
     if ball.size == cluster.n_vertices:
         top = 1.0  # no edge leaves the ball, so P is stochastic and nothing is killed
     else:
-        # similarity transform by sqrt(nu) makes the kernel symmetric
+        # A = diag(s) P diag(1/s) with s = sqrt(deg): entry 1 / (s_u s_v), symmetric as built
         s = np.sqrt(deg[ball])
-        A = sp.diags(s) @ P @ sp.diags(1.0 / s)
-        A = (A + A.T) / 2
-        if ball.size <= _DENSE_EIGEN_MAX:
-            top = float(np.linalg.eigvalsh(A.toarray())[-1])
-        else:
-            # sqrt(deg), the unkilled Perron vector, as a fixed start makes ARPACK repeatable
-            top = float(eigsh(A, k=1, which="LA", v0=s, return_eigenvectors=False)[0])
+        sym = 1.0 / (np.repeat(s, np.diff(P.indptr)) * s[P.indices])
+        A = sp.csr_matrix((sym, P.indices, P.indptr), shape=P.shape)
+        # sqrt(deg), the unkilled Perron vector, as a fixed start makes ARPACK repeatable
+        top = float(eigsh(A, k=1, which="LA", v0=s, return_eigenvectors=False)[0])
     lambda1 = 1.0 - top
 
     d = cluster.meta.get("d", cluster.coords.shape[1])

@@ -330,6 +330,12 @@ def _component_diameter(comp: list[int], adj: dict, cap: int) -> int:
     return diameter
 
 
+def all_coords(spec) -> np.ndarray:
+    """All vertex coordinates of the box, shape (n_vertices, d), in index order."""
+    grids = np.meshgrid(*[np.arange(-spec.n, spec.n + 1)] * spec.d, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 def classify_boxes_oracle(config, N: int) -> dict:
     """Per-block ``BlockStatus`` of ``classify_boxes``, by a set of every open
     edge and plain breadth-first searches per block: one per component, one
@@ -345,7 +351,7 @@ def classify_boxes_oracle(config, N: int) -> dict:
     tails, heads, _ = spec.edges()
     t_open, h_open = tails[config.open], heads[config.open]
     open_set = {(int(t), int(h)) for t, h in zip(t_open, h_open)}
-    coords_all = spec.all_coords()
+    coords_all = all_coords(spec)
     coords_t = coords_all[t_open]
     coords_h = coords_all[h_open]
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -118,12 +120,12 @@ class TestExactLaplace:
     def test_uniform_paths_against_dict_tally(self):
         # every t from one sweep; g = 4: every value is a dyadic fraction, held exactly
         square = full_lattice(7)
-        for n, got in enumerate(walk._uniform_path_laws(square, 7, walk.DEFAULT_BUDGET)):
+        for n, got in enumerate(walk._uniform_path_laws(square, 7)):
             want = uniform_paths_oracle(square, n)
             assert list(got.items()) == [(k, float(v)) for k, v in want.items()]
         # g = 6: same keys in the same order, values within one rounding
         cube = full_lattice(5, d=3)
-        for n, got in enumerate(walk._uniform_path_laws(cube, 5, walk.DEFAULT_BUDGET)):
+        for n, got in enumerate(walk._uniform_path_laws(cube, 5)):
             want = uniform_paths_oracle(cube, n)
             assert list(got) == list(want)
             for key, value in want.items():
@@ -158,9 +160,9 @@ class TestExactLaplace:
             walk.exact_visited_distribution(cluster, 6)
 
     def test_budget_guard(self):
-        cluster = full_lattice(30)
+        cluster = full_lattice(30)  # n = 40 needs at least 3^40 path extensions, over 2^28
         with pytest.raises(walk.BudgetExceededError) as err:
-            walk.exact_laplace(cluster, 0.5, 40, budget=10**6)
+            walk.exact_laplace(cluster, 0.5, 40)
         assert err.value.needed > err.value.budget
 
 
@@ -458,15 +460,32 @@ class TestKilledOperator:
         assert calls == [3]
         assert report.survival == walk.survival_probabilities(cluster, 3, [9, 4, 0])
 
-    def test_lanczos_only_above_the_dense_cutoff(self, monkeypatch):
+    def test_every_killed_ball_uses_lanczos(self, monkeypatch):
         sizes = []
         real = walk.eigsh
         monkeypatch.setattr(walk, "eigsh",
                             lambda A, **kw: sizes.append(A.shape[0]) or real(A, **kw))
-        below = walk.killed_operator_report(full_lattice(12), 11, [0])
-        above = walk.killed_operator_report(full_lattice(13), 12, [0])
-        assert (below.ball_size, above.ball_size) == (265, 313)
-        assert sizes == [313]
+        small = walk.killed_operator_report(full_lattice(12), 11, [0])
+        large = walk.killed_operator_report(full_lattice(13), 12, [0])
+        assert (small.ball_size, large.ball_size) == (265, 313)
+        assert sizes == [265, 313]
+
+    def test_lambda1_does_not_depend_on_the_thread_count(self):
+        """The r = 10 full-lattice ball (221 vertices) in a child interpreter held
+        to one BLAS thread gives the same lambda1, to the last bit, as this
+        process.  On a one-thread runner both sides use one thread, so this
+        passes trivially."""
+        here = walk.killed_operator_report(full_lattice(11), 10, [0])
+        assert here.ball_size == 221
+        code = ("from percwalk import percolation as perc, walk\n"
+                "spec = perc.LatticeSpec(2, 11)\n"
+                "cluster = perc.component_of_origin(perc.sample_bond_config(spec, 1.0, 0))\n"
+                "print(repr(walk.killed_operator_report(cluster, 10, [0]).lambda1))\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(walk.__file__)))
+        child = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                               capture_output=True, text=True)
+        assert float(child.stdout) == here.lambda1
 
     def test_eigensolve_cap_is_named(self):
         # the r = 100 diamond has 2 r^2 + 2 r + 1 = 20201 vertices
@@ -552,7 +571,7 @@ def test_one_sweep_equals_per_step_laws_property(seed, p, box, n_max):
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        p=st.floats(min_value=0.6, max_value=1.0), r=st.integers(min_value=1, max_value=22))
-@example(seed=0, p=1.0, r=11)  # 265 vertices: dense
+@example(seed=0, p=1.0, r=11)  # 265 vertices: Lanczos
 @example(seed=0, p=1.0, r=12)  # 313 vertices: Lanczos
 @example(seed=889, p=0.75, r=1)  # isolated origin
 def test_killed_lambda1_property(seed, p, r):
