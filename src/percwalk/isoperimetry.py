@@ -2,17 +2,19 @@
 configuration-graph machinery behind the wreath Folner lower bound.
 
 Graphs are plain adjacency lists here so the same code serves percolation
-clusters, lamplighter graphs and ad-hoc test graphs.  Subsets are Python int
-bitmasks; connected subsets are enumerated by the usual include/exclude
-frontier recursion, each subset visited exactly once and yielded with its
-boundary, which is carried along the recursion at one bit count per vertex.
+clusters, lamplighter graphs and ad-hoc test graphs.  Connected subsets are
+enumerated one size at a time in numpy: each level holds every connected
+subset of one size as rows of uint64 words (members, frontier, banned
+vertices), with its boundary and the order in which its vertices joined,
+and grows into the next level by one candidate per row and frontier vertex.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Generator, Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -36,15 +38,9 @@ __all__ = [
 WREATH_FOLNER_C1 = np.log(2) / 9
 WREATH_FOLNER_C2 = 1.0 / 1000.0
 WREATH_FOLNER_MAX_VERTICES = 24
-
-
-def _neighbor_masks(adjacency: Sequence[Sequence[int]]) -> list:
-    """Per-vertex neighbor bitmasks (Python ints, arbitrary width)."""
-    out = [0] * len(adjacency)
-    for v, nbrs in enumerate(adjacency):
-        for w in nbrs:
-            out[v] |= 1 << w
-    return out
+# Roots per frame: a frame's masks span its roots and the vertices they reach,
+# so their width does not grow with the graph.
+_FRAME_ROOTS = 128
 
 
 def profile_f(x: float, c: float, n: int, gamma: float, d: int) -> float:
@@ -60,46 +56,140 @@ def profile_f(x: float, c: float, n: int, gamma: float, d: int) -> float:
 # Connected-subset enumeration
 # ---------------------------------------------------------------------------
 
-def iter_connected_subsets(adjacency: Sequence[Sequence[int]], size_cap: int,
-                           boundary: tuple | None = None) -> Generator[tuple, int, None]:
-    """All connected induced vertex subsets of size <= size_cap, as
-    (bitmask, boundary) pairs.
+def _frame(adjacency, bnbr, bdeg, r0: int, r1: int, reach: int) -> tuple:
+    """Tables of the frame of roots r0..r1-1: its vertices, in id order,
+    are the roots and every vertex >= r0 that a path through such vertices
+    reaches from them in ``reach`` steps.  Each frame vertex gets rows of
+    uint64 words over the frame: its own bit, the bits up to its own, its
+    neighbours and its boundary neighbours.  Ids keep their order, so a
+    frame visits candidates as the whole graph would."""
+    seen = set(range(r0, r1))
+    ring = seen
+    for _ in range(reach):
+        ring = {w for v in ring for w in adjacency[v] if w >= r0} - seen
+        if not ring:
+            break
+        seen |= ring
+    ids = np.array(sorted(seen), np.intp)
+    here = np.arange(ids.size)
+    bit = np.zeros((ids.size, -(-ids.size // 64)), np.uint64)
+    bit[here, here >> 6] = np.left_shift(1, (here & 63).astype(np.uint64))
+    tables = []
+    for lists in (adjacency, bnbr):
+        members = [lists[v] for v in ids.tolist()]
+        src = np.repeat(here, [len(a) for a in members])
+        dst = np.fromiter(itertools.chain.from_iterable(members), np.intp, src.size)
+        at = np.searchsorted(ids, dst)  # the frame position of dst, if it is there
+        inside = ids.take(at, mode="clip") == dst
+        rows = np.zeros_like(bit)
+        np.bitwise_or.at(rows, src[inside], bit.take(at[inside], axis=0))
+        tables.append(rows)
+    return ids, bit, np.bitwise_or.accumulate(bit, axis=0), *tables, bdeg.take(ids)
 
-    Each subset is produced exactly once: subsets are rooted at their
-    smallest vertex and grown through an include/exclude split of the
-    frontier.  The boundary is carried along: adding c to S changes it by
-    deg(c) - 2 |N(c) & S|.  It is the internal one unless ``boundary`` =
-    (masks, degrees) counts it in a supergraph, masks[c] holding the
-    vertices whose images neighbour the image of c there and degrees[c]
-    that image's degree.  An int sent into the generator lowers the size
-    cap from then on.
+
+def _grow(frame: tuple, level: tuple, final: bool) -> tuple | None:
+    """The next level of a frame, None when it is empty.  A row with
+    members S, frontier C and banned set B gets one child per c in C: B
+    gains the candidates up to c, C loses them and gains the neighbours of
+    c not banned, and the boundary changes by bdeg(c) - 2 |bnbr(c) & S|.
+    The last level carries no frontier or banned set."""
+    ids, bit, low, nbr, bnbr, bdeg = frame
+    S, C, B, b, order = level
+    parents, joins = [], []
+    for j in range(C.shape[1]):  # peel each frontier word by its lowest set bit
+        rows = np.flatnonzero(C[:, j])
+        word = C[:, j].take(rows)
+        lowest = []
+        while rows.size:
+            lowest.append(word & -word)
+            parents.append(rows)
+            word ^= lowest[-1]
+            left = word != 0
+            rows, word = rows[left], word[left]
+        if lowest:
+            joins.append(np.bitwise_count(np.concatenate(lowest) - 1).astype(np.intp) + 64 * j)
+    if not parents:
+        return None
+    p, c = np.concatenate(parents), np.concatenate(joins)
+    S = S.take(p, axis=0)
+    hits = np.bitwise_count(bnbr.take(c, axis=0) & S)
+    count = hits[:, 0].astype(np.int64)
+    for j in range(1, hits.shape[1]):
+        count += hits[:, j]
+    b = b.take(p) + bdeg.take(c) - 2 * count
+    order = np.column_stack([order.take(p, axis=0), ids.take(c)])
+    if final:
+        return None, None, None, b, order
+    lows, C = low.take(c, axis=0), C.take(p, axis=0)
+    B = B.take(p, axis=0) | (C & lows)
+    C = (C & ~lows) | (nbr.take(c, axis=0) & ~B)
+    return S | bit.take(c, axis=0), C, B, b, order
+
+
+def _connected_levels(adjacency: Sequence[Sequence[int]], size_cap: int,
+                      boundary: tuple | None = None) -> Iterator[tuple]:
+    """Every connected induced vertex subset of 1..size_cap vertices, once,
+    one size at a time: yields (boundaries, orders) per size k, int64
+    boundaries and the (m, k) vertex ids of each subset in the order they
+    joined it, until a size has no subset.
+
+    A subset is rooted at its smallest vertex and grown through the
+    include/exclude frontier split, with each chain of excludes collapsed
+    into one child per candidate; the include-first depth-first order of
+    that split is the lexicographic order of ``orders``, a prefix first.
+    ``boundary`` is as for ``iter_connected_subsets``.  Roots are taken in
+    frames of _FRAME_ROOTS, each with masks only as wide as the vertices its
+    subsets can reach.
     """
-    nbr = _neighbor_masks(adjacency)
-    bnbr, bdeg = boundary or (nbr, [m.bit_count() for m in nbr])
-    for v in range(len(adjacency)):
-        if size_cap < 1:
+    if size_cap < 1:
+        return
+    bnbr, bdeg = boundary or (adjacency, [len(set(a)) for a in adjacency])
+    bdeg = np.asarray(bdeg, np.int64)
+    n = len(adjacency)
+    live = []  # (frame, level) of each frame whose last level was not empty
+    for r0 in range(0, n, _FRAME_ROOTS):
+        r1 = min(n, r0 + _FRAME_ROOTS)
+        frame = _frame(adjacency, bnbr, bdeg, r0, r1, size_cap - 1)
+        ids, bit, low, nbr, _, deg = frame
+        k = r1 - r0  # the roots come first in the frame
+        live.append((frame, (bit[:k], nbr[:k] & ~low[:k], low[:k], deg[:k], ids[:k, None])))
+    for size in range(1, size_cap + 1):
+        if size > 1:
+            live = [(frame, _grow(frame, level, size == size_cap)) for frame, level in live]
+            live = [(frame, level) for frame, level in live if level is not None]
+        if not live:
             return
-        root = 1 << v
-        cap = yield root, bdeg[v]
-        size_cap = size_cap if cap is None else min(size_cap, cap)
-        banned0 = root | (root - 1)
-        stack = [(root, nbr[v] & ~banned0, banned0, bdeg[v], 1)]
-        while stack:
-            subset, cand, banned, b, size = stack.pop()
-            if not cand or size >= size_cap:
-                continue
-            c = cand & -cand
-            rest = cand & ~c
-            stack.append((subset, rest, banned | c, b, size))
-            cv = c.bit_length() - 1
-            new_subset = subset | c
-            new_b = b + bdeg[cv] - 2 * (bnbr[cv] & subset).bit_count()
-            cap = yield new_subset, new_b
-            size_cap = size_cap if cap is None else min(size_cap, cap)
-            if size + 1 < size_cap:
-                new_banned = banned | c
-                stack.append((new_subset, rest | (nbr[cv] & ~new_banned),
-                              new_banned, new_b, size + 1))
+        if len(live) == 1:  # no copy
+            yield live[0][1][3:]
+        else:
+            yield tuple(np.concatenate([level[i] for _, level in live]) for i in (3, 4))
+
+
+def iter_connected_subsets(adjacency: Sequence[Sequence[int]], size_cap: int,
+                           boundary: tuple | None = None) -> Iterator[tuple]:
+    """All connected induced vertex subsets of size <= size_cap, as
+    (bitmask, boundary) pairs, each once.
+
+    Subsets are rooted at their smallest vertex and come in the depth-first
+    order of the include/exclude frontier split, include first: the
+    lexicographic order of the vertices in the order they joined, a prefix
+    before its extensions.  The boundary is the internal one unless
+    ``boundary`` = (lists, degrees) counts it in a supergraph, lists[c]
+    holding the vertices whose images neighbour the image of c there and
+    degrees[c] that image's degree.
+    """
+    levels = list(_connected_levels(adjacency, size_cap, boundary))
+    if not levels:
+        return
+    orders = np.full((sum(b.size for b, _ in levels), len(levels)), -1, np.intp)
+    at = 0
+    for _, order in levels:
+        orders[at:at + len(order), :order.shape[1]] = order
+        at += len(order)
+    rank = np.lexsort(orders.T[::-1])
+    boundaries = np.concatenate([b for b, _ in levels]).take(rank)
+    for row, b in zip(orders.take(rank, axis=0).tolist(), boundaries.tolist()):
+        yield sum(1 << v for v in row if v >= 0), b
 
 
 # ---------------------------------------------------------------------------
@@ -145,29 +235,34 @@ def isoperimetric_beta(cluster: ClusterGraph, supergraph: ClusterGraph | None = 
     if supergraph is not None:
         embed = [supergraph.index_of(coord) for coord in cluster.coords]
         host_of = {img: v for v, img in enumerate(embed)}
-        boundary = (_neighbor_masks([[host_of[w] for w in supergraph.adjacency[img]
-                                     if w in host_of] for img in embed]),
+        boundary = ([[host_of[w] for w in supergraph.adjacency[img] if w in host_of]
+                     for img in embed],
                     [len(set(supergraph.adjacency[img])) for img in embed])
     if cluster.n_vertices == 1:
         return IsoperimetryReport(0.0, 1, [0], c, gamma, n, degenerate=True)
     d = cluster.coords.shape[1]
     profile = [0.0] + [profile_f(k, c, n, gamma, d)  # f by subset size
                        for k in range(1, min(size_cap, cluster.n_vertices) + 1)]
+    # (ratio, order) of the first minimiser in visiting order: among exact
+    # ties, the least order, compared across sizes as lists
     best = None
-    best_mask = 0
-    for mask, b in iter_connected_subsets(cluster.adjacency, size_cap, boundary):
-        if b == 0 and supergraph is None:
-            continue  # whole component: excluded as degenerate
-        ratio = b / profile[mask.bit_count()]
-        if best is None or ratio < best:
-            best = ratio
-            best_mask = mask
+    levels = _connected_levels(cluster.adjacency, size_cap, boundary)
+    for size, (boundaries, orders) in enumerate(levels, 1):
+        ratios = boundaries / profile[size]
+        if supergraph is None:
+            ratios[boundaries == 0] = np.inf  # whole component: excluded as degenerate
+        least = float(ratios.min())
+        if least == np.inf:
+            continue
+        first = min(orders.take(np.flatnonzero(ratios == least), axis=0).tolist())
+        if best is None or (least, first) < best:
+            best = (least, first)
     if best is None:
         return IsoperimetryReport(0.0, cluster.n_vertices,
                                   list(range(cluster.n_vertices)), c, gamma, n,
                                   degenerate=True)
-    verts = [i for i in range(cluster.n_vertices) if best_mask >> i & 1]
-    return IsoperimetryReport(float(best), len(verts), verts, c, gamma, n)
+    verts = sorted(best[1])
+    return IsoperimetryReport(best[0], len(verts), verts, c, gamma, n)
 
 
 # ---------------------------------------------------------------------------
@@ -178,32 +273,23 @@ def _folner_minima(adjacency, k_list: Sequence[float], size_cap: int) -> dict:
     """Smallest |U| <= size_cap with k |boundary(U)| <= |U|, for every k at once.
 
     Maps each k to its minimum, None when no set under the cap qualifies.
-    One connected-subset pass serves all k, and once every k has a value no
-    set as large as the largest of them is grown.  The search is exact: the
-    components of a qualifying set split its boundary between them, so one
-    component qualifies too and is no larger.
+    One connected-subset pass serves all k: sizes come in increasing order,
+    so the first size at which some set qualifies for k is k's minimum (the
+    set of least boundary qualifies whenever any set of its size does), and
+    the pass stops at the first size at which every k has one.  The search
+    is exact: the components of a qualifying set split its boundary between
+    them, so one component qualifies too and is no larger.
     """
     if any(k <= 0 for k in k_list):
         raise ValueError("k must be positive")
     best: dict[float, int | None] = dict.fromkeys(k_list)
-    ceiling = None  # max of best once every k has a value
-    subsets = iter_connected_subsets(adjacency, size_cap)
-    try:
-        while True:
-            # sets of ceiling or more vertices cannot improve any k
-            mask, b = subsets.send(None if ceiling is None else ceiling - 1)
-            size = mask.bit_count()
-            if ceiling is not None and size >= ceiling:
-                continue
-            improved = False
-            for k, value in best.items():
-                if (value is None or size < value) and k * b <= size:
-                    best[k] = size
-                    improved = True
-            if improved and None not in best.values():
-                ceiling = max(best.values())
-    except StopIteration:
-        pass
+    for size, (boundaries, _) in enumerate(_connected_levels(adjacency, size_cap), 1):
+        least = int(boundaries.min())
+        for k, value in best.items():
+            if value is None and k * least <= size:
+                best[k] = size
+        if None not in best.values():
+            break
     return best
 
 

@@ -249,6 +249,9 @@ def _laplace_of(dist: dict, alpha: float, pinned: bool = False) -> float:
 # ---------------------------------------------------------------------------
 
 _CHUNK = 65536
+# Columns.  On 2 cores, mc_laplace calls of 1,000-8,190 chains ran 1.4-5x
+# faster as one tile than cut in two: a thread and per-row seeks cost more there.
+_MIN_TILE = 4096
 
 
 def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, reduce):
@@ -259,16 +262,17 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
     floor(u * deg(v)) of v in CSR order.
 
     A tile is a whole chunk, unless the call has fewer chunks than this process
-    may use cores: then each chunk is cut into one tile per core, its width
-    rounded up to a multiple of 4.  Row ``step`` of a narrower tile starting at
-    column a reads the chunk's stream from position at = step * chunk + a, so
-    the tile seeks there with Philox(key, counter=at // 4) and drops at % 4
-    draws; a whole-chunk tile reads its one generator straight through.
+    may use cores: then each chunk is cut into one tile per core, but into no
+    more tiles than it holds _MIN_TILE columns, each width rounded up to a
+    multiple of 4.  Row ``step`` of a narrower tile starting at column a reads
+    the chunk's stream from position at = step * chunk + a, so the tile seeks
+    there with Philox(key, counter=at // 4) and drops at % 4 draws; a
+    whole-chunk tile reads its one generator straight through.
 
     Tiles are dealt round-robin to one share per core: the calling thread walks
     share 0, helper threads the rest, each in buffers as wide as its widest
     tile, allocated here (what a helper frees stays in its own malloc arena).
-    One core, or one tile (at most 4 chains), builds no pool."""
+    One core, or one tile (fewer than 2 * _MIN_TILE chains), builds no pool."""
     nbr = _neighbor_table(cluster)  # take() reads it flattened
     width = nbr.shape[1]
     deg = cluster.degrees.astype(np.float64)
@@ -279,7 +283,8 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
     tiles = []  # (chunk k, its width, first column a, tile width)
     for k, first in enumerate(firsts):
         chunk = min(_CHUNK, samples - first)
-        w = -(-chunk // (4 * cores)) * 4 if len(firsts) < cores else chunk
+        parts = max(1, min(cores, chunk // _MIN_TILE)) if len(firsts) < cores else 1
+        w = -(-chunk // (4 * parts)) * 4
         tiles += [(k, chunk, a, min(w, chunk - a)) for a in range(0, chunk, w)]
     shares = min(cores, len(tiles))
 

@@ -497,6 +497,41 @@ def connected_subsets_oracle(adjacency, size_cap: int) -> set:
     return out
 
 
+def connected_subsets_dfs(adjacency, size_cap: int, boundary=None):
+    """(bitmask, boundary) of every connected vertex subset of 1..size_cap
+    vertices, by the include/exclude frontier recursion on Python-int masks:
+    rooted at the smallest vertex, include before exclude, the boundary
+    carried along as deg(c) - 2 |N(c) & S| per added vertex c (in the
+    supergraph of ``boundary`` = (lists, degrees) when given)."""
+    def masks(lists):
+        return [sum(1 << w for w in set(a)) for a in lists]
+    if size_cap < 1:
+        return
+    nbr = masks(adjacency)
+    bnbr, bdeg = (masks(boundary[0]), boundary[1]) if boundary else \
+        (nbr, [m.bit_count() for m in nbr])
+    for v in range(len(adjacency)):
+        root = 1 << v
+        yield root, bdeg[v]
+        banned0 = root | (root - 1)
+        stack = [(root, nbr[v] & ~banned0, banned0, bdeg[v], 1)]
+        while stack:
+            subset, cand, banned, b, size = stack.pop()
+            if not cand or size >= size_cap:
+                continue
+            c = cand & -cand
+            rest = cand & ~c
+            stack.append((subset, rest, banned | c, b, size))
+            cv = c.bit_length() - 1
+            new_subset = subset | c
+            new_b = b + bdeg[cv] - 2 * (bnbr[cv] & subset).bit_count()
+            yield new_subset, new_b
+            if size + 1 < size_cap:
+                new_banned = banned | c
+                stack.append((new_subset, rest | (nbr[cv] & ~new_banned),
+                              new_banned, new_b, size + 1))
+
+
 def beta_oracle(cluster: ClusterGraph, supergraph, c: float, gamma: float,
                 size_cap: int, n: int) -> tuple:
     """min |boundary(A)| / f(|A|) over connected A of at most size_cap

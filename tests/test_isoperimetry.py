@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import io
 import itertools
 import json
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from percwalk import isoperimetry as iso, percolation as perc, wreath as wr
+from percwalk import harness, isoperimetry as iso, percolation as perc, wreath as wr
 from conftest import (SubsetSelection, beta_oracle, boundary_oracle, boundary_size,
-                      connected_subsets_oracle, folner_oracle, make_graph)
+                      connected_subsets_dfs, connected_subsets_oracle, folner_oracle,
+                      make_graph)
 
 
 def grid_graph(nx: int, ny: int):
@@ -115,30 +117,19 @@ class TestConnectedEnumeration:
                        (0b1010, 2), (0b1110, 2), (0b0100, 2), (0b1100, 2),
                        (0b1000, 2)]
 
-    def test_sent_cap_zero_at_a_root_ends_the_pass(self):
-        path = grid_graph(5, 1).adjacency
-        subsets = iso.iter_connected_subsets(path, 5)
-        assert next(subsets) == (0b1, 1)
-        with pytest.raises(StopIteration):
-            subsets.send(0)
-
-    def test_sent_cap_one_leaves_only_roots(self):
-        path = grid_graph(5, 1).adjacency
-        subsets = iso.iter_connected_subsets(path, 5)
-        assert next(subsets) == (0b1, 1)
-        rest = [subsets.send(1)] + list(subsets)
-        assert rest == [(0b10, 2), (0b100, 2), (0b1000, 2), (0b10000, 1)]
-
-    def test_sent_cap_stops_growth_of_stacked_subsets(self):
-        graph = grid_graph(3, 3)
-        subsets = iso.iter_connected_subsets(graph.adjacency, 9)
-        got = [next(subsets) for _ in range(5)]
-        assert [mask.bit_count() for mask, _ in got] == [1, 2, 3, 4, 5]
-        got += [subsets.send(2)] + list(subsets)
-        late = [mask for mask, _ in got[5:]]
-        assert all(mask.bit_count() <= 2 for mask in late)
-        # every set of <= 2 vertices not seen yet still comes
-        assert connected_subsets_oracle(graph.adjacency, 2) <= {mask for mask, _ in got}
+    def test_long_path_names_every_vertex(self):
+        # 40,000 vertices: ids past 2^15, and roots in many frames
+        n = 40_000
+        path = [[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)]
+        count = collections.Counter()
+        last = collections.deque(maxlen=4)
+        for mask, b in iso.iter_connected_subsets(path, 2):
+            count[mask.bit_count()] += 1
+            last.append((mask, b))
+        top = 1 << (n - 1)
+        assert count == {1: n, 2: n - 1}
+        assert list(last) == [(top >> 2 | top >> 1, 2), (top >> 1, 2),
+                              (top >> 1 | top, 1), (top, 1)]
 
 
 class TestIsoperimetricBeta:
@@ -208,6 +199,20 @@ class TestIsoperimetricBeta:
                 assert report.argmin_vertices in argmins
                 assert report.argmin_size == len(report.argmin_vertices)
 
+    def test_first_dfs_minimiser_on_the_recipe_clusters(self):
+        # isoperimetry-small's 20 box-4 clusters (51-81 vertices) at cap 8
+        seed = harness.DEFAULT_SEEDS["isoperimetry-small"]
+        profile = [1.0] + [iso.profile_f(k, 1.0, 4, 0.125, 2) for k in range(1, 9)]
+        for cluster in harness._sampled_origin_clusters(2, 4, 0.7, 20, seed, 2):
+            report = iso.isoperimetric_beta(cluster, None, 1.0, 0.125, 8, 4)
+            best = None
+            for mask, b in connected_subsets_dfs(cluster.adjacency, 8):
+                if b and (best is None or b / profile[mask.bit_count()] < best[0]):
+                    best = (b / profile[mask.bit_count()], mask)
+            assert report.beta == best[0]
+            assert report.argmin_vertices == [
+                v for v in range(cluster.n_vertices) if best[1] >> v & 1]
+
     def test_supergraph_boundary_counts_edges_outside_the_cluster(self):
         # a 3-path along the x axis in the full radius-2 box: the image keeps
         # its lattice edges to the rest of the box
@@ -272,58 +277,35 @@ class TestFolner:
                 assert conn == want
 
     @staticmethod
-    def _count_yields(monkeypatch) -> list:
-        """Count the subsets each pass yields, passing sent caps through."""
+    def _count_levels(monkeypatch) -> list:
+        """Count the levels each pass draws from the enumerator."""
         counts = []
-        inner = iso.iter_connected_subsets
+        inner = iso._connected_levels
 
         def counted(*args):
-            subsets = inner(*args)
             counts.append(0)
-            cap = None
-            while True:
-                try:
-                    item = subsets.send(cap)
-                except StopIteration:
-                    return
+            for level in inner(*args):
                 counts[-1] += 1
-                cap = yield item
-        monkeypatch.setattr(iso, "iter_connected_subsets", counted)
+                yield level
+        monkeypatch.setattr(iso, "_connected_levels", counted)
         return counts
 
     def test_cut_off_at_a_root(self, monkeypatch):
-        counts = self._count_yields(monkeypatch)
+        counts = self._count_levels(monkeypatch)
         path = grid_graph(5, 1).adjacency
-        # the end vertex alone qualifies for both k: the pass stops there
+        # the end vertex alone qualifies for both k: the pass stops at size 1
         assert iso._folner_minima(path, [0.5, 1.0], 5) == {0.5: 1, 1.0: 1} \
             == folner_oracle(path, [0.5, 1.0], 5)
         assert counts == [1]
 
     def test_cut_off_at_cap_one(self, monkeypatch):
-        counts = self._count_yields(monkeypatch)
+        counts = self._count_levels(monkeypatch)
         cycle = make_graph([(x, 0) for x in range(6)],
                            [(i, (i + 1) % 6) for i in range(6)]).adjacency
-        # {0} qualifies for k = 0.5 and {0, 1} for k = 1: after them only
-        # the five other roots are yielded, not the 31 connected subsets
+        # {0} qualifies for k = 0.5 and {0, 1} for k = 1: sizes 3..6 are never grown
         assert iso._folner_minima(cycle, [0.5, 1.0], 6) == {0.5: 1, 1.0: 2} \
             == folner_oracle(cycle, [0.5, 1.0], 6)
-        assert counts == [7]
-
-    def test_exact_when_sends_are_swallowed(self, monkeypatch):
-        inner = iso.iter_connected_subsets
-
-        def swallowing(*args):  # a plain wrapper, as a profiler would add
-            for item in inner(*args):
-                yield item
-        monkeypatch.setattr(iso, "iter_connected_subsets", swallowing)
-        grid = grid_graph(3, 3).adjacency
-        ks = (0.5, 1.0, 2.0, 3.0)
-        assert iso._folner_minima(grid, ks, 9) == folner_oracle(grid, ks, 9)
-        # the 3-path wreath's minima, as pinned in TestFolnerLowerBound
-        wreath = wr.build_wreath(make_graph([(x, 0) for x in range(3)],
-                                            [(0, 1), (1, 2)]))
-        assert iso._folner_minima(wreath.adjacency_lists(), [1, 2, 3], 24) == \
-            {1: 2, 2: 8, 3: 12}
+        assert counts == [2]
 
 
 class TestFolnerLowerBound:
@@ -500,3 +482,25 @@ def test_folner_one_pass_matches_oracle(n, edges, ks, cap_cut):
     want = folner_oracle(adjacency, ks, cap)
     assert iso._folner_minima(adjacency, ks, cap) == want
     assert iso.folner_function(adjacency, ks[0], cap) == (want[ks[0]], want[ks[0]] is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=65, max_value=200), seed=st.integers(0, 2**32 - 1),
+       mean_degree=st.floats(min_value=1.0, max_value=4.0),
+       cap=st.integers(min_value=2, max_value=4), supergraph=st.booleans())
+def test_levels_match_the_dfs_past_one_word(n, seed, mean_degree, cap, supergraph):
+    # 2-4 mask words, and past 128 vertices more than one frame of roots
+    rng = np.random.Generator(np.random.Philox(key=seed))
+
+    def edges(count):
+        return {(min(i, j), max(i, j)) for i, j in rng.integers(0, n, (count, 2)).tolist()
+                if i != j}
+    inner = edges(int(n * mean_degree / 2))
+    adjacency = _random_graph(n, inner)
+    boundary = None
+    if supergraph:  # more edges among the images, and edges to vertices outside
+        lists = _random_graph(n, inner | edges(n // 2))
+        boundary = (lists, [len(a) + extra for a, extra in
+                            zip(lists, rng.integers(0, 3, n).tolist())])
+    assert list(iso.iter_connected_subsets(adjacency, cap, boundary)) == \
+        list(connected_subsets_dfs(adjacency, cap, boundary))

@@ -360,7 +360,9 @@ class TestCoreCount:
     @pytest.mark.parametrize("path", ["mask", "sort"])
     @pytest.mark.parametrize("samples", [1001, 1003])
     def test_one_chunk_tiles(self, monkeypatch, path, samples):
-        # a chunk whose width is not a multiple of 4, so rows start mid-block
+        # a chunk whose width is not a multiple of 4, so rows start mid-block;
+        # a minimum of 300 columns lets 3 cores cut it into 3 tiles
+        monkeypatch.setattr(walk, "_MIN_TILE", 300)
         cluster = sampled_cluster(3, 0.7, 2) if path == "mask" else full_lattice(6)
         assert (walk._reachable_ball(cluster, 8)[0].size <= 64) == (path == "mask")
         runs, hits = [], []
@@ -386,6 +388,22 @@ class TestCoreCount:
             assert all(np.array_equal(counts[n], runs[0][n]) for n in (3, 8))
         assert hits[1:] == hits[:1] * 2
 
+    @pytest.mark.parametrize("cores, samples, widths", [
+        (2, 8191, [8191]),
+        (2, 8192, [4096, 4096]),
+        (3, 12287, [6144, 6143]),
+        (3, 12289, [4100, 4100, 4089]),
+        (2, 30_000, [15_000] * 2),  # exponent-fit's calls
+        (2, 60_000, [30_000] * 2),  # the benchmark's mc-d3 call
+        (4, 65_541, [16_384] * 4 + [5])])  # two chunks: the short one stays whole
+    def test_tiles_no_narrower_than_the_minimum(self, monkeypatch, cores, samples, widths):
+        assert walk._MIN_TILE == 4096
+        pretend_cores(monkeypatch, cores)
+        tiles = []
+        walk._map_chunks(full_lattice(2), 1, samples, 0,
+                         lambda first, traj: tiles.append((first, traj.shape[1])))
+        assert [w for _, w in sorted(tiles)] == widths
+
     def test_one_chunk_builds_no_pool(self, monkeypatch):
         """One tile builds no pool: one core, or a call too narrow to split."""
         def no_pool(*args, **kwargs):
@@ -393,9 +411,9 @@ class TestCoreCount:
         monkeypatch.setattr(walk, "ThreadPoolExecutor", no_pool)
         cluster = sampled_cluster(5, 0.7, 7)
         pretend_cores(monkeypatch, 2)
-        walk.mc_visited_samples(cluster, [4], 4, 0)
-        walk.confinement_probability(cluster, 2, 6, 4, 0)
-        for samples in (5, walk._CHUNK, walk._CHUNK + 1):
+        walk.mc_visited_samples(cluster, [4], 2 * walk._MIN_TILE - 1, 0)
+        walk.confinement_probability(cluster, 2, 6, 2 * walk._MIN_TILE - 1, 0)
+        for samples in (2 * walk._MIN_TILE, walk._CHUNK, walk._CHUNK + 1):
             with pytest.raises(AssertionError, match="pool built"):
                 walk.mc_visited_samples(cluster, [4], samples, 0)
         pretend_cores(monkeypatch, 1)
