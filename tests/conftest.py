@@ -18,6 +18,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from percwalk.bounds import LOG4, NashProfile, OdeSolution
+from percwalk.harness import ExperimentSpec, run
 from percwalk.isoperimetry import profile_f
 from percwalk.percolation import BlockStatus, ClusterGraph
 
@@ -592,3 +593,17 @@ def path3() -> ClusterGraph:
 @pytest.fixture
 def k2() -> ClusterGraph:
     return make_graph([(0, 0), (1, 0)], [(0, 1)])
+
+
+@pytest.fixture(scope="session")
+def recipe_run(tmp_path_factory):
+    """recipe_run(recipe) -> (report, out_dir) of one default run of the recipe
+    per session, shared by the acceptance and golden-hash tests."""
+    runs = {}
+
+    def get(recipe: str):
+        if recipe not in runs:
+            out_dir = tmp_path_factory.mktemp(recipe)
+            runs[recipe] = run(ExperimentSpec(recipe, {}, out_dir)), out_dir
+        return runs[recipe]
+    return get

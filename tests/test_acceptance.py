@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import pytest
 
-from percwalk.harness import ExperimentSpec, run
-
 CRITERIA = [
     (1, "identity-sweep"),
     (2, "confinement"),
@@ -31,8 +29,8 @@ CRITERIA = [
 ]
 
 
-def _execute(number: int, recipe: str):
-    report = run(ExperimentSpec(recipe))
+def _execute(number: int, recipe: str, recipe_run):
+    report, _ = recipe_run(recipe)
     verdict = "PASS" if report.passed else "FAIL"
     print(f"criterion {number:2d} ({recipe}): {verdict}")
     for line in report.summary_lines():
@@ -42,5 +40,5 @@ def _execute(number: int, recipe: str):
 
 @pytest.mark.parametrize("number,recipe", CRITERIA,
                          ids=[f"criterion-{n:02d}-{r}" for n, r in CRITERIA])
-def test_acceptance(number, recipe):
-    _execute(number, recipe)
+def test_acceptance(number, recipe, recipe_run):
+    _execute(number, recipe, recipe_run)
