@@ -9,9 +9,11 @@ positions per step instead of the paths.
 
 The Monte Carlo estimator runs chunks of 65,536 chains as column-vectorized
 trajectories, chunk k keyed (master seed, k), and spreads them over the cores
-this process may use: whole chunks, or, when there are fewer chunks than cores,
-one column tile per core cut from each chunk, a tile seeking each row's draws
-in the chunk's Philox stream.  The output does not depend on how many cores
+this process may use: whole chunks, or column tiles cut from each chunk, one
+per core when there are fewer chunks than cores, and enough that no tile's
+int32 trajectory buffer passes 8 MiB (_TILE_BYTES) unless it is at most
+4,096 columns wide.  A tile seeks each row's draws in the chunk's Philox
+stream by setting the counter.  The output does not depend on how many cores
 there are.  N_n is counted by a uint64 visited mask per chain when the
 radius-n_max chemical ball has at most 64 vertices, and otherwise by sorting
 the trajectory prefixes in place, shortest first.
@@ -166,9 +168,11 @@ def _uniform_path_laws(cluster: ClusterGraph, n: int) -> list:
     Valid only when every vertex at distance <= n-1 from the origin has the
     same degree g, so each t-step path has weight g^-t.  No path is stored:
     column t holds X_t of all g^t paths, path i extending path i // g, so its
-    step j is row i // g^(t-j) of column j.  Keys appear in the order of their
-    first path; values are (number of paths) * g^-t, which for g = 6 (Z^3) may
-    differ from the path-by-path sum in the last bits."""
+    step j is row i // g^(t-j) of column j.  Keys are counted by bincount and
+    appear in the order of their first path, found by scanning 65,536-key
+    blocks, so no index array spans a column.  Values are (number of paths) *
+    g^-t, which for g = 6 (Z^3) may differ from the path-by-path sum in the
+    last bits."""
     keep, dist = _reachable_ball(cluster, n)
     degs = cluster.degrees[keep[dist <= n - 1]]
     g = int(degs.min())
@@ -192,14 +196,21 @@ def _uniform_path_laws(cluster: ClusterGraph, n: int) -> list:
                 rows = seen.reshape(col.size, -1)
                 rows |= x.reshape(col.size, -1) == col[:, None]
             distinct = np.repeat(distinct, g) + ~seen
+            del seen
             cols.append(x)
-        # (count, pinned) packed into int16, which numpy sorts by radix
-        keys, first, counts = np.unique(2 * distinct + (cols[-1] == cluster.origin),
-                                        return_index=True, return_counts=True)
-        order = np.argsort(first)
+        keys = 2 * distinct + (cols[-1] == cluster.origin)  # (count, pinned) in int16
+        counts = np.bincount(keys)
+        # keys by first path: scan blocks until every key counted has appeared
+        order = np.empty(0, dtype=keys.dtype)
+        for lo in range(0, keys.size, 2**16):
+            block, first = np.unique(keys[lo: lo + 2**16], return_index=True)
+            new = block[np.argsort(first)]
+            order = np.concatenate([order, new[~np.isin(new, order)]])
+            if order.size == np.count_nonzero(counts):
+                break
         w = float(g) ** (-t)
         laws.append({(k >> 1, bool(k & 1)): c * w
-                     for k, c in zip(keys[order].tolist(), counts[order].tolist())})
+                     for k, c in zip(order.tolist(), counts[order].tolist())})
     return laws
 
 
@@ -252,6 +263,7 @@ _CHUNK = 65536
 # Columns.  On 2 cores, mc_laplace calls of 1,000-8,190 chains ran 1.4-5x
 # faster as one tile than cut in two: a thread and per-row seeks cost more there.
 _MIN_TILE = 4096
+_TILE_BYTES = 2**23  # no tile wider than _MIN_TILE has a larger int32 trajectory buffer
 
 
 def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, reduce):
@@ -261,18 +273,23 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
     chunk)) one row per step, and u moves a chain at v to neighbour
     floor(u * deg(v)) of v in CSR order.
 
-    A tile is a whole chunk, unless the call has fewer chunks than this process
-    may use cores: then each chunk is cut into one tile per core, but into no
-    more tiles than it holds _MIN_TILE columns, each width rounded up to a
-    multiple of 4.  Row ``step`` of a narrower tile starting at column a reads
-    the chunk's stream from position at = step * chunk + a, so the tile seeks
-    there with Philox(key, counter=at // 4) and drops at % 4 draws; a
-    whole-chunk tile reads its one generator straight through.
+    Each chunk is cut into tiles of one width, rounded up to a multiple of 4
+    (the last may be narrower): one per core when the call has fewer chunks than this process may use
+    cores, but no more than the chunk holds _MIN_TILE columns; and at least
+    enough that no tile is wider than cap = max(_MIN_TILE, _TILE_BYTES //
+    (4 * (n_max + 1))) columns, rounded down to a multiple of 4.  So each
+    trajectory buffer holds at most max(_TILE_BYTES, 4 * (n_max + 1) *
+    _MIN_TILE) bytes, whatever n_max.  Row ``step`` of a tile narrower than
+    its chunk, starting at column a, reads the chunk's stream from position
+    at = step * chunk + a: the tile's one Philox seeks there by setting its
+    counter to at // 4 with the buffer spent, as Philox(key, counter=at // 4)
+    starts, and drops at % 4 draws; a whole-chunk tile reads straight through.
 
     Tiles are dealt round-robin to one share per core: the calling thread walks
     share 0, helper threads the rest, each in buffers as wide as its widest
     tile, allocated here (what a helper frees stays in its own malloc arena).
-    One core, or one tile (fewer than 2 * _MIN_TILE chains), builds no pool."""
+    One core, or one tile (at most _MIN_TILE chains, or fewer than 2 * _MIN_TILE
+    under a wider cap), builds no pool."""
     nbr = _neighbor_table(cluster)  # take() reads it flattened
     width = nbr.shape[1]
     deg = cluster.degrees.astype(np.float64)
@@ -280,10 +297,12 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
         raise ValueError("neighbour table names a vertex outside the cluster")
     firsts = range(0, samples, _CHUNK)
     cores = len(os.sched_getaffinity(0))
+    cap = max(_MIN_TILE, _TILE_BYTES // (4 * (n_max + 1))) // 4 * 4
     tiles = []  # (chunk k, its width, first column a, tile width)
     for k, first in enumerate(firsts):
         chunk = min(_CHUNK, samples - first)
         parts = max(1, min(cores, chunk // _MIN_TILE)) if len(firsts) < cores else 1
+        parts = max(parts, -(-chunk // cap))
         w = -(-chunk // (4 * parts)) * 4
         tiles += [(k, chunk, a, min(w, chunk - a)) for a in range(0, chunk, w)]
     shares = min(cores, len(tiles))
@@ -292,12 +311,16 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
         for k, chunk, a, w in tiles[j::shares]:
             block, u_k, dg_k, off_k, pick_k = (x[..., :w] for x in (traj, u, dg, off, pick))
             block[0] = cluster.origin
+            bits = np.random.Philox(key=(seed << 64) + k)
+            rng = np.random.Generator(bits)
             for step in range(n_max):
-                if step == 0 or w < chunk:  # seek to row step, column a of the stream
+                if w < chunk:  # seek to row step, column a of the stream
                     at = step * chunk + a
-                    bits = np.random.Philox(key=(seed << 64) + k, counter=at // 4)
+                    state = bits.state
+                    state["state"]["counter"][0] = at // 4
+                    state["buffer_pos"] = 4
+                    bits.state = state
                     bits.random_raw(at % 4)
-                    rng = np.random.Generator(bits)
                 cur = block[step]
                 rng.random(out=u_k)
                 u_k *= deg.take(cur, out=dg_k, mode="clip")
@@ -327,7 +350,9 @@ def mc_visited_samples(cluster: ClusterGraph, n_list: Sequence[int],
     distinct sites per column: a sort permutes rows within the prefix only, so
     every longer prefix keeps its sites, and no copy is made."""
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if len(n_list) == 0 or min(n_list) < 0:
+        raise ValueError(f"n_list must hold at least one n, each >= 0, got {list(n_list)}")
     n_max = max(n_list)
     out = {n: np.empty(samples, dtype=np.int64) for n in n_list}
     keep, _ = _reachable_ball(cluster, n_max)
@@ -386,7 +411,9 @@ def confinement_probability(cluster: ClusterGraph, r: int, n: int,
     distance grows by at most one per step) the value is exactly 1.
     """
     if r < 0 or n < 0:
-        raise ValueError("r and n must be >= 0")
+        raise ValueError(f"r and n must be >= 0, got r={r}, n={n}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if cluster.n_vertices == 1 or n <= r:
         return 1.0, 0.0
     if r == 0:

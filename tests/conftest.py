@@ -82,6 +82,33 @@ def uniform_paths_oracle(cluster: ClusterGraph, n: int) -> dict:
     return out
 
 
+def uniform_path_laws_by_unique(cluster: ClusterGraph, n: int) -> list:
+    """Joint laws of (N_t, X_t == origin), t = 0..n, on a base of uniform
+    degree g, from columns of X_t over all g^t paths (path i extends path
+    i // g), each column's keys 2 N_t + (X_t == origin) counted by one
+    np.unique over the whole column and ordered by argsort of their first
+    paths: the reference for the key order of walk._uniform_path_laws."""
+    g = len(cluster.adjacency[cluster.origin])
+    nbr = np.array([(list(nbrs) + [0] * g)[:g] for nbrs in cluster.adjacency])
+    cols = [np.array([cluster.origin])]
+    distinct = np.ones(1, dtype=np.int64)
+    laws = []
+    for t in range(n + 1):
+        if t:
+            x = nbr[cols[-1]].ravel()
+            seen = np.zeros(x.size, dtype=bool)
+            for col in cols:  # X_j of path i is row i // g^(t-j) of column j
+                seen |= x == np.repeat(col, x.size // col.size)
+            distinct = np.repeat(distinct, g) + ~seen
+            cols.append(x)
+        keys, first, counts = np.unique(2 * distinct + (cols[-1] == cluster.origin),
+                                        return_index=True, return_counts=True)
+        order = np.argsort(first)
+        laws.append({(int(k) >> 1, bool(k & 1)): int(c) * float(g) ** (-t)
+                     for k, c in zip(keys[order], counts[order])})
+    return laws
+
+
 def nash_ode_oracle(profile: NashProfile, t_max: float, n_samples: int = 2000,
                     rtol: float = 1e-10, max_step: float = np.inf) -> OdeSolution:
     """Integrate a' = -a / (8 F_inv(4/a)^2) from a(0) = 1 up to t_max by RK45,

@@ -18,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from percwalk import percolation as perc, walk
 from conftest import (bfs_oracle, killed_lambda1_oracle, laplace_oracle, make_graph,
-                      mc_counts_oracle, uniform_paths_oracle, visited_dist_oracle)
+                      mc_counts_oracle, uniform_path_laws_by_unique, uniform_paths_oracle,
+                      visited_dist_oracle)
 
 
 def full_lattice(n: int, d: int = 2) -> perc.ClusterGraph:
@@ -131,6 +132,14 @@ class TestExactLaplace:
             for key, value in want.items():
                 assert abs(Fraction(got[key]) - value) <= value * Fraction(1, 2**52)
 
+    @pytest.mark.parametrize("d, n", [(2, 8), (2, 10), (3, 5)])
+    def test_key_order_of_the_path_enumerator(self, d, n):
+        # key order fixes the float summation order of _laplace_of
+        cluster = full_lattice(n, d)
+        for got, want in zip(walk._uniform_path_laws(cluster, n),
+                             uniform_path_laws_by_unique(cluster, n), strict=True):
+            assert list(got.items()) == list(want.items())
+
     @pytest.mark.parametrize("d, n_max", [(2, 10), (3, 6)])
     def test_one_sweep_equals_per_step_laws(self, d, n_max):
         # both backends: balls of <= 60 vertices merge states, wider ones enumerate
@@ -202,6 +211,18 @@ class TestMonteCarlo:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "n,value,stderr,method,alpha,p,d,seed"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("n_list", [[-1, 3], []])
+    def test_rejects_a_bad_n_list(self, path3, n_list):
+        with pytest.raises(ValueError, match=rf"^n_list must hold at least one n, each >= 0, "
+                                             rf"got \[{', '.join(map(str, n_list))}\]$"):
+            walk.mc_visited_samples(path3, n_list, 10, 0)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_confinement_rejects_no_samples(self, monkeypatch, cores):
+        pretend_cores(monkeypatch, cores)
+        with pytest.raises(ValueError, match="^samples must be >= 1, got 0$"):
+            walk.confinement_probability(full_lattice(3), 1, 5, 0, 0)
 
     def test_series_validation(self):
         with pytest.raises(ValueError):
@@ -393,8 +414,8 @@ class TestCoreCount:
         (2, 8192, [4096, 4096]),
         (3, 12287, [6144, 6143]),
         (3, 12289, [4100, 4100, 4089]),
-        (2, 30_000, [15_000] * 2),  # exponent-fit's calls
-        (2, 60_000, [30_000] * 2),  # the benchmark's mc-d3 call
+        (2, 30_000, [15_000] * 2),  # exponent-fit's chain count, at n_max = 1
+        (2, 60_000, [30_000] * 2),  # mc-d3's chain count, at n_max = 1 (not 200)
         (4, 65_541, [16_384] * 4 + [5])])  # two chunks: the short one stays whole
     def test_tiles_no_narrower_than_the_minimum(self, monkeypatch, cores, samples, widths):
         assert walk._MIN_TILE == 4096
@@ -403,6 +424,50 @@ class TestCoreCount:
         walk._map_chunks(full_lattice(2), 1, samples, 0,
                          lambda first, traj: tiles.append((first, traj.shape[1])))
         assert [w for _, w in sorted(tiles)] == widths
+
+    @pytest.mark.parametrize("cores, samples, n_max, widths", [
+        (2, 60_000, 200, [10_000] * 6),  # the benchmark's mc-d3 call
+        (2, 131_072, 200, ([9364] * 6 + [9352]) * 2),  # two chunks, each over the cap
+        (2, 30_000, 120, [15_000] * 2),  # exponent-fit's calls: the core rule
+        (2, 8200, 600, [2736] * 2 + [2728]),  # the cap is floored at _MIN_TILE columns
+        (3, 65_536, 12, [21_848] * 2 + [21_840])])  # n = 12: whole chunks, cut per core
+    def test_tiles_no_wider_than_the_byte_cap(self, monkeypatch, cores, samples, n_max,
+                                              widths):
+        assert walk._TILE_BYTES == 2**23
+        pretend_cores(monkeypatch, cores)
+        tiles, buffers = [], []
+
+        def record(first, traj):
+            tiles.append((first, traj.shape[1]))
+            buffers.append(traj.base.nbytes)
+        walk._map_chunks(full_lattice(2), n_max, samples, 0, record)
+        assert [w for _, w in sorted(tiles)] == widths
+        assert max(buffers) <= max(walk._TILE_BYTES, 4 * (n_max + 1) * walk._MIN_TILE)
+
+    @pytest.mark.parametrize("path", ["mask", "sort"])
+    def test_counts_under_a_small_byte_cap(self, monkeypatch, path):
+        # a 1,000-column cap at n_max = 8 cuts both chunks on any core count (into
+        # 66 and 2 tiles; 3 on 3 cores); the second's 1,003 columns are not a multiple of 4
+        monkeypatch.setattr(walk, "_MIN_TILE", 100)
+        monkeypatch.setattr(walk, "_TILE_BYTES", 4 * 9 * 1000)
+        samples = walk._CHUNK + 1003
+        cluster = sampled_cluster(3, 0.7, 2) if path == "mask" else full_lattice(6)
+        assert (walk._reachable_ball(cluster, 8)[0].size <= 64) == (path == "mask")
+        runs, hits = [], []
+        for cores in (1, 2, 3):
+            pretend_cores(monkeypatch, cores)
+            tiles = []
+            walk._map_chunks(cluster, 8, samples, 16,
+                             lambda first, traj: tiles.append((first, traj.shape[1])))
+            assert len(tiles) == 66 + max(2, cores) and max(w for _, w in tiles) <= 1000
+            runs.append(walk.mc_visited_samples(cluster, [3, 8], samples, 16))
+            hits.append(walk.confinement_probability(cluster, 2, 8, samples, 16))
+        for counts in runs[1:]:
+            assert all(np.array_equal(counts[n], runs[0][n]) for n in (3, 8))
+        assert hits[1:] == hits[:1] * 2
+        chains = sorted({c for a, w in tiles for c in (a, a + w - 1)})
+        assert {n: c[chains].tolist() for n, c in runs[0].items()} == \
+            oracle_counts(cluster, [3, 8], samples, 16, chains)
 
     def test_one_chunk_builds_no_pool(self, monkeypatch):
         """One tile builds no pool: one core, or a call too narrow to split."""
