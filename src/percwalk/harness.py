@@ -160,14 +160,11 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 def _graph_from(coords: list, edges: list, meta_n: int = 1) -> perc.ClusterGraph:
-    adjacency = [[] for _ in coords]
-    for i, j in edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    adjacency = [sorted(a) for a in adjacency]
+    t, h = np.array(edges).T
     origin = min(range(len(coords)), key=lambda i: tuple(coords[i]))
-    return perc.ClusterGraph(np.array(coords), adjacency, origin,
-                             {"d": 2, "n": meta_n, "p": 1.0, "seed": 0})
+    return perc.ClusterGraph.from_csr(
+        np.array(coords), *perc.arcs_csr(len(coords), np.r_[t, h], np.r_[h, t]), origin,
+        {"d": 2, "n": meta_n, "p": 1.0, "seed": 0})
 
 
 def _hand_built_graphs() -> list:
@@ -195,25 +192,20 @@ def _hand_built_graphs() -> list:
 
 def small_cluster_collection() -> list:
     """Every connected induced subgraph of a 3x2 grid block with >= 2
-    vertices, plus the hand-built graphs."""
+    vertices, in depth-first order (that of their vertex lists in joining
+    order, a prefix first), plus the hand-built graphs."""
     coords = [(x, y) for x in range(3) for y in range(2)]
-    index = {c: i for i, c in enumerate(coords)}
-    adjacency = [[] for _ in coords]
-    for (x, y), i in index.items():
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            j = index.get((x + dx, y + dy))
-            if j is not None:
-                adjacency[i].append(j)
+    block = _graph_from(coords, [(i, j) for i, (x, y) in enumerate(coords)
+                                 for j, c in enumerate(coords) if c in ((x + 1, y), (x, y + 1))])
+    levels = iso._connected_levels(*block.csr, len(coords))
+    next(levels)  # the single vertices
     out = []
-    for mask, _ in iso.iter_connected_subsets(adjacency, len(coords)):
-        if mask.bit_count() < 2:
-            continue
-        verts = [i for i in range(len(coords)) if mask >> i & 1]
-        local = {v: li for li, v in enumerate(verts)}
-        sub_coords = [coords[v] for v in verts]
-        sub_edges = [(local[v], local[w]) for v in verts for w in adjacency[v]
-                     if w in local and v < w]
-        out.append((f"grid-{mask:02x}", _graph_from(sub_coords, sub_edges, 2)))
+    for order in sorted(order for _, orders in levels for order in orders.tolist()):
+        verts = np.sort(order)
+        sub = perc.ClusterGraph.from_csr(np.array(coords)[verts],
+                                         *perc.induced_csr(*block.csr, verts), 0,
+                                         {"d": 2, "n": 2, "p": 1.0, "seed": 0})
+        out.append((f"grid-{int(np.sum(1 << verts)):02x}", sub))
     out.extend(_hand_built_graphs())
     return out
 
@@ -394,6 +386,11 @@ def _recipe_spectral_bracket(ctx):
               "; ".join(decay_detail))
 
 
+def _neighbour_masks(indptr, indices) -> list:
+    """The neighbours of each vertex as a Python-int bitmask."""
+    return [sum(1 << w for w in row.tolist()) for row in np.split(indices, indptr[1:-1])]
+
+
 def _connected_mask(nbr, mask: int) -> bool:
     start = (mask & -mask).bit_length() - 1
     seen = 1 << start
@@ -411,7 +408,7 @@ def _connected_mask(nbr, mask: int) -> bool:
 
 def _beta_oracle(cluster, c, gamma, n):
     """Min ratio over ALL connected subsets, by scanning every bitmask."""
-    nbr = [sum(1 << w for w in nbrs) for nbrs in cluster.adjacency]
+    nbr = _neighbour_masks(*cluster.csr)
     nv = cluster.n_vertices
     best = None
     for mask in range(1, 1 << nv):
@@ -485,13 +482,13 @@ def _recipe_folner_wreath(ctx):
     # small-boundary subsets of the 2-vertex-base wreath: both fractions
     base = bases[0][1]
     graph = wr.build_wreath(base)
-    adj = graph.adjacency_lists()
+    nbr = _neighbour_masks(*graph.csr)
     checked = 0
     fractions_ok = True
     for k in k_list:
         for mask in range(1, 1 << graph.n_vertices):
             U = [v for v in range(graph.n_vertices) if mask >> v & 1]
-            boundary = sum(1 for u in U for w in adj[u] if not mask >> w & 1)
+            boundary = sum((nbr[u] & ~mask).bit_count() for u in U)
             if boundary / len(U) > 1.0 / (1000.0 * k):
                 continue
             checked += 1

@@ -1,24 +1,26 @@
 """Exhaustive isoperimetry: boundaries, profiles, Folner search and the
 configuration-graph machinery behind the wreath Folner lower bound.
 
-Graphs are plain adjacency lists here so the same code serves percolation
+Graphs are CSR arrays ``(indptr, indices)`` here, as ``ClusterGraph.csr``
+and ``WreathGraph.csr`` hold them, so the same code serves percolation
 clusters, lamplighter graphs and ad-hoc test graphs.  Connected subsets are
 enumerated one size at a time in numpy: each level holds every connected
 subset of one size as rows of uint64 words (members, frontier, banned
 vertices), with its boundary and the order in which its vertices joined,
 and grows into the next level by one candidate per row and frontier vertex.
+The configuration graphs and the pruning step work on plain neighbour
+lists: they never reach the subset engine.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from percwalk.percolation import ClusterGraph
+from percwalk.percolation import ClusterGraph, csr_rows, induced_csr
 from percwalk.wreath import WreathGraph
 
 __all__ = [
@@ -32,7 +34,6 @@ __all__ = [
     "ns_edge_fraction",
     "flip_closure_bound_check",
     "lemma_neud_check",
-    "iter_connected_subsets",
 ]
 
 WREATH_FOLNER_C1 = np.log(2) / 9
@@ -56,35 +57,32 @@ def profile_f(x: float, c: float, n: int, gamma: float, d: int) -> float:
 # Connected-subset enumeration
 # ---------------------------------------------------------------------------
 
-def _frame(adjacency, bnbr, bdeg, r0: int, r1: int, reach: int) -> tuple:
+def _frame(indptr, indices, boundary, r0: int, r1: int, reach: int) -> tuple:
     """Tables of the frame of roots r0..r1-1: its vertices, in id order,
     are the roots and every vertex >= r0 that a path through such vertices
     reaches from them in ``reach`` steps.  Each frame vertex gets rows of
     uint64 words over the frame: its own bit, the bits up to its own, its
     neighbours and its boundary neighbours.  Ids keep their order, so a
     frame visits candidates as the whole graph would."""
-    seen = set(range(r0, r1))
-    ring = seen
+    ids = ring = np.arange(r0, r1)
     for _ in range(reach):
-        ring = {w for v in ring for w in adjacency[v] if w >= r0} - seen
-        if not ring:
+        _, ring = csr_rows(indptr, indices, ring)
+        ring = np.setdiff1d(ring[ring >= r0], ids)
+        if not ring.size:
             break
-        seen |= ring
-    ids = np.array(sorted(seen), np.intp)
+        ids = np.union1d(ids, ring)
     here = np.arange(ids.size)
     bit = np.zeros((ids.size, -(-ids.size // 64)), np.uint64)
     bit[here, here >> 6] = np.left_shift(1, (here & 63).astype(np.uint64))
     tables = []
-    for lists in (adjacency, bnbr):
-        members = [lists[v] for v in ids.tolist()]
-        src = np.repeat(here, [len(a) for a in members])
-        dst = np.fromiter(itertools.chain.from_iterable(members), np.intp, src.size)
+    for graph in ((indptr, indices), boundary[:2]):
+        src, dst = csr_rows(*graph, ids)
         at = np.searchsorted(ids, dst)  # the frame position of dst, if it is there
         inside = ids.take(at, mode="clip") == dst
         rows = np.zeros_like(bit)
         np.bitwise_or.at(rows, src[inside], bit.take(at[inside], axis=0))
         tables.append(rows)
-    return ids, bit, np.bitwise_or.accumulate(bit, axis=0), *tables, bdeg.take(ids)
+    return ids, bit, np.bitwise_or.accumulate(bit, axis=0), *tables, boundary[2].take(ids)
 
 
 def _grow(frame: tuple, level: tuple, final: bool) -> tuple | None:
@@ -126,7 +124,7 @@ def _grow(frame: tuple, level: tuple, final: bool) -> tuple | None:
     return S | bit.take(c, axis=0), C, B, b, order
 
 
-def _connected_levels(adjacency: Sequence[Sequence[int]], size_cap: int,
+def _connected_levels(indptr: np.ndarray, indices: np.ndarray, size_cap: int,
                       boundary: tuple | None = None) -> Iterator[tuple]:
     """Every connected induced vertex subset of 1..size_cap vertices, once,
     one size at a time: yields (boundaries, orders) per size k, int64
@@ -137,19 +135,20 @@ def _connected_levels(adjacency: Sequence[Sequence[int]], size_cap: int,
     include/exclude frontier split, with each chain of excludes collapsed
     into one child per candidate; the include-first depth-first order of
     that split is the lexicographic order of ``orders``, a prefix first.
-    ``boundary`` is as for ``iter_connected_subsets``.  Roots are taken in
-    frames of _FRAME_ROOTS, each with masks only as wide as the vertices its
-    subsets can reach.
+    The boundary is the internal one unless ``boundary`` = (indptr,
+    indices, degrees) counts it in a supergraph: CSR row c holds the
+    vertices whose images neighbour the image of c there, of degree
+    degrees[c].  Roots are taken in frames of _FRAME_ROOTS, each with masks
+    only as wide as the vertices its subsets can reach.
     """
     if size_cap < 1:
         return
-    bnbr, bdeg = boundary or (adjacency, [len(set(a)) for a in adjacency])
-    bdeg = np.asarray(bdeg, np.int64)
-    n = len(adjacency)
+    boundary = boundary or (indptr, indices, np.diff(indptr))
+    n = indptr.size - 1
     live = []  # (frame, level) of each frame whose last level was not empty
     for r0 in range(0, n, _FRAME_ROOTS):
         r1 = min(n, r0 + _FRAME_ROOTS)
-        frame = _frame(adjacency, bnbr, bdeg, r0, r1, size_cap - 1)
+        frame = _frame(indptr, indices, boundary, r0, r1, size_cap - 1)
         ids, bit, low, nbr, _, deg = frame
         k = r1 - r0  # the roots come first in the frame
         live.append((frame, (bit[:k], nbr[:k] & ~low[:k], low[:k], deg[:k], ids[:k, None])))
@@ -163,33 +162,6 @@ def _connected_levels(adjacency: Sequence[Sequence[int]], size_cap: int,
             yield live[0][1][3:]
         else:
             yield tuple(np.concatenate([level[i] for _, level in live]) for i in (3, 4))
-
-
-def iter_connected_subsets(adjacency: Sequence[Sequence[int]], size_cap: int,
-                           boundary: tuple | None = None) -> Iterator[tuple]:
-    """All connected induced vertex subsets of size <= size_cap, as
-    (bitmask, boundary) pairs, each once.
-
-    Subsets are rooted at their smallest vertex and come in the depth-first
-    order of the include/exclude frontier split, include first: the
-    lexicographic order of the vertices in the order they joined, a prefix
-    before its extensions.  The boundary is the internal one unless
-    ``boundary`` = (lists, degrees) counts it in a supergraph, lists[c]
-    holding the vertices whose images neighbour the image of c there and
-    degrees[c] that image's degree.
-    """
-    levels = list(_connected_levels(adjacency, size_cap, boundary))
-    if not levels:
-        return
-    orders = np.full((sum(b.size for b, _ in levels), len(levels)), -1, np.intp)
-    at = 0
-    for _, order in levels:
-        orders[at:at + len(order), :order.shape[1]] = order
-        at += len(order)
-    rank = np.lexsort(orders.T[::-1])
-    boundaries = np.concatenate([b for b, _ in levels]).take(rank)
-    for row, b in zip(orders.take(rank, axis=0).tolist(), boundaries.tolist()):
-        yield sum(1 << v for v in row if v >= 0), b
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +205,8 @@ def isoperimetric_beta(cluster: ClusterGraph, supergraph: ClusterGraph | None = 
         n = int(cluster.meta.get("n", 1))
     boundary = None
     if supergraph is not None:
-        embed = [supergraph.index_of(coord) for coord in cluster.coords]
-        host_of = {img: v for v, img in enumerate(embed)}
-        boundary = ([[host_of[w] for w in supergraph.adjacency[img] if w in host_of]
-                     for img in embed],
-                    [len(set(supergraph.adjacency[img])) for img in embed])
+        embed = np.array([supergraph.index_of(coord) for coord in cluster.coords])
+        boundary = (*induced_csr(*supergraph.csr, embed), supergraph.degrees[embed])
     if cluster.n_vertices == 1:
         return IsoperimetryReport(0.0, 1, [0], c, gamma, n, degenerate=True)
     d = cluster.coords.shape[1]
@@ -246,7 +215,7 @@ def isoperimetric_beta(cluster: ClusterGraph, supergraph: ClusterGraph | None = 
     # (ratio, order) of the first minimiser in visiting order: among exact
     # ties, the least order, compared across sizes as lists
     best = None
-    levels = _connected_levels(cluster.adjacency, size_cap, boundary)
+    levels = _connected_levels(*cluster.csr, size_cap, boundary)
     for size, (boundaries, orders) in enumerate(levels, 1):
         ratios = boundaries / profile[size]
         if supergraph is None:
@@ -269,7 +238,8 @@ def isoperimetric_beta(cluster: ClusterGraph, supergraph: ClusterGraph | None = 
 # Folner functions
 # ---------------------------------------------------------------------------
 
-def _folner_minima(adjacency, k_list: Sequence[float], size_cap: int) -> dict:
+def _folner_minima(indptr: np.ndarray, indices: np.ndarray, k_list: Sequence[float],
+                   size_cap: int) -> dict:
     """Smallest |U| <= size_cap with k |boundary(U)| <= |U|, for every k at once.
 
     Maps each k to its minimum, None when no set under the cap qualifies.
@@ -283,7 +253,7 @@ def _folner_minima(adjacency, k_list: Sequence[float], size_cap: int) -> dict:
     if any(k <= 0 for k in k_list):
         raise ValueError("k must be positive")
     best: dict[float, int | None] = dict.fromkeys(k_list)
-    for size, (boundaries, _) in enumerate(_connected_levels(adjacency, size_cap), 1):
+    for size, (boundaries, _) in enumerate(_connected_levels(indptr, indices, size_cap), 1):
         least = int(boundaries.min())
         for k, value in best.items():
             if value is None and k * least <= size:
@@ -293,9 +263,10 @@ def _folner_minima(adjacency, k_list: Sequence[float], size_cap: int) -> dict:
     return best
 
 
-def folner_function(adjacency: Sequence[Sequence[int]], k: float,
+def folner_function(indptr: np.ndarray, indices: np.ndarray, k: float,
                     size_cap: int = 20) -> tuple:
-    """Smallest |U| with |boundary(U)| / |U| <= 1/k, internal boundary.
+    """Smallest |U| with |boundary(U)| / |U| <= 1/k in the CSR graph
+    ``(indptr, indices)``, internal boundary.
 
     Returns (value, exact).  ``value`` is None with ``exact`` False when no
     qualifying set exists within the size cap; a found value is the true
@@ -303,7 +274,7 @@ def folner_function(adjacency: Sequence[Sequence[int]], k: float,
     component no larger (so the connected restriction loses nothing) and
     the enumeration under the cap is exhaustive.
     """
-    value = _folner_minima(adjacency, [k], size_cap)[k]
+    value = _folner_minima(indptr, indices, [k], size_cap)[k]
     return value, value is not None
 
 
@@ -323,11 +294,10 @@ def folner_lower_bound_check(base: ClusterGraph, k_list: Sequence[float]) -> lis
         raise ValueError(
             f"wreath has {wreath.n_vertices} vertices, exact Folner search "
             f"capped at {WREATH_FOLNER_MAX_VERTICES}")
-    wreath_adj = wreath.adjacency_lists()
     k_list = list(k_list)
-    wreath_vals = _folner_minima(wreath_adj, k_list, wreath.n_vertices)
+    wreath_vals = _folner_minima(*wreath.csr, k_list, wreath.n_vertices)
     base_vals = _folner_minima(
-        base.adjacency, [WREATH_FOLNER_C2 * k for k in k_list], base.n_vertices)
+        *base.csr, [WREATH_FOLNER_C2 * k for k in k_list], base.n_vertices)
     out = []
     for k in k_list:
         lhs = wreath_vals[k]
@@ -456,13 +426,13 @@ def lemma_neud_check(wreath: WreathGraph, subset: Iterable[int], k: float) -> di
     U = frozenset(subset)
     if not U:
         raise ValueError("empty subset")
-    adj = wreath.adjacency_lists()
-    boundary = sum(1 for u in U for w in adj[u] if w not in U)
+    _, nbrs = csr_rows(*wreath.csr, np.fromiter(U, np.int64, len(U)))
+    boundary = sum(1 for w in nbrs.tolist() if w not in U)
     ratio = boundary / len(U)
     if ratio > 1.0 / (1000.0 * k):
         raise ValueError(
             f"subset boundary ratio {ratio:.4g} exceeds 1/(1000k); lemma not applicable")
-    phi_k, _ = folner_function(wreath.base.adjacency, k, wreath.base.n_vertices)
+    phi_k, _ = folner_function(*wreath.base.csr, k, wreath.base.n_vertices)
     if phi_k is None:
         raise ValueError("base Folner value not attained")
     K = ConfigurationGraph(wreath, U)

@@ -13,9 +13,9 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -29,7 +29,9 @@ __all__ = [
     "RenormalizedField",
     "UnreachableVertexError",
     "sample_bond_config",
+    "arcs_csr",
     "open_adjacency",
+    "csr_rows",
     "induced_csr",
     "component_of_origin",
     "largest_cluster",
@@ -112,37 +114,47 @@ def sample_bond_config(spec: LatticeSpec, p: float, seed: int) -> BondConfigurat
     return BondConfiguration(spec, p, seed, u < p)
 
 
+def arcs_csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of the arcs ``src[k] -> dst[k]`` on ``n``
+    vertices, each row's neighbours in ascending order."""
+    order = np.argsort(src * n + dst)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order]
+
+
 def open_adjacency(config: BondConfiguration) -> tuple[np.ndarray, np.ndarray]:
     """CSR adjacency ``(indptr, indices)`` of the open subgraph on all box
     vertices, each row's neighbours in ascending order."""
-    n = config.spec.n_vertices
     tails, heads, _ = config.spec.edges()
     t = tails[config.open]
     h = heads[config.open]
-    src = np.concatenate([t, h])
-    dst = np.concatenate([h, t])
-    order = np.argsort(src * n + dst)
-    counts = np.bincount(src, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return indptr, dst[order]
+    return arcs_csr(config.spec.n_vertices, np.concatenate([t, h]), np.concatenate([h, t]))
+
+
+def csr_rows(indptr: np.ndarray, indices: np.ndarray,
+             rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``rows`` of a CSR graph laid end to end: for each neighbour,
+    the position in ``rows`` of the vertex it neighbours, and its id."""
+    lengths = indptr[rows + 1] - indptr[rows]
+    starts = np.repeat(indptr[rows] - np.cumsum(lengths) + lengths, lengths)
+    return np.repeat(np.arange(rows.size), lengths), indices[starts + np.arange(starts.size)]
 
 
 def induced_csr(indptr: np.ndarray, indices: np.ndarray,
                 keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of the subgraph induced on the sorted vertex array ``keep``.
+    """CSR of the subgraph induced on the array of distinct vertices ``keep``.
 
     Vertex ``keep[i]`` becomes ``i``; each row keeps the order of its
     surviving neighbours.
     """
     local = np.full(indptr.size - 1, -1, dtype=np.int64)
     local[keep] = np.arange(keep.size)
-    lengths = indptr[keep + 1] - indptr[keep]
-    starts = np.repeat(indptr[keep] - np.cumsum(lengths) + lengths, lengths)
-    cols = local[indices[starts + np.arange(starts.size)]]
+    rows, cols = csr_rows(indptr, indices, keep)
+    cols = local[cols]
     inside = cols >= 0
-    rows = np.repeat(np.arange(keep.size), lengths)[inside]
     sub_indptr = np.zeros(keep.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=keep.size), out=sub_indptr[1:])
+    np.cumsum(np.bincount(rows[inside], minlength=keep.size), out=sub_indptr[1:])
     return sub_indptr, cols[inside]
 
 
@@ -158,52 +170,48 @@ def _components(graph: csr_matrix) -> np.ndarray:
     return connected_components(graph, directed=True, connection="strong")[1]
 
 
-@dataclass
 class ClusterGraph:
     """A connected open subgraph with vertex coordinates and a distinguished origin.
 
-    The graph lives in CSR arrays (``csr``); unless the caller passed them, the
-    neighbour lists are made from ``csr`` on the first read of ``adjacency``.
-    The empty sentinel (``is_empty``) stands for "no cluster at all" so the
-    connectivity invariant never needs a special case.  The degenerate
-    single-vertex cluster (isolated origin) is a valid non-empty instance.
+    The graph is held once, as CSR arrays ``csr = (indptr, indices)``: the
+    constructor converts per-vertex neighbour lists, ``from_csr`` takes the
+    arrays as they are.  ``adjacency`` is a read-only list view of the rows,
+    rebuilt on each read.  The empty sentinel (``is_empty``) stands for "no
+    cluster at all"; the single-vertex cluster (isolated origin) is a valid
+    non-empty instance.
     """
 
-    coords: np.ndarray
-    _adjacency: list | None  # neighbour lists, or None when _csr is given
-    origin: int | None
-    meta: dict = field(default_factory=dict)
-    _csr: tuple | None = field(default=None, repr=False)
-    _graph: csr_matrix | None = field(default=None, repr=False)
-    _dist: np.ndarray | None = field(default=None, repr=False)
-    _index: dict | None = field(default=None, repr=False)
+    def __init__(self, coords: np.ndarray, adjacency: Sequence[Sequence[int]],
+                 origin: int | None, meta: dict | None = None):
+        indptr = np.cumsum([0] + [len(nbrs) for nbrs in adjacency], dtype=np.int64)
+        indices = np.fromiter(chain.from_iterable(adjacency), np.int64, int(indptr[-1]))
+        self._hold(coords, indptr, indices, origin, meta)
 
-    def __post_init__(self):
-        if not self.is_empty:
-            self.validate()
+    @classmethod
+    def from_csr(cls, coords: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+                 origin: int | None, meta: dict | None = None) -> "ClusterGraph":
+        """The cluster over CSR arrays, taken as they are."""
+        cluster = cls.__new__(cls)
+        cluster._hold(coords, indptr, indices, origin, meta)
+        return cluster
+
+    def _hold(self, coords, indptr, indices, origin, meta):
+        self.coords = coords
+        self.csr = (indptr, indices)
+        self.origin = origin
+        self.meta = {} if meta is None else meta
+        self._graph = self._dist = self._index = None
+        self.validate()
 
     @classmethod
     def empty(cls, meta: dict | None = None) -> "ClusterGraph":
-        return cls(np.zeros((0, 0), dtype=int), [], None, meta or {})
+        return cls(np.zeros((0, 0), dtype=int), [], None, meta)
 
     @property
     def adjacency(self) -> list:
-        """Per-vertex neighbour lists in CSR row order, built on first read."""
-        if self._adjacency is None:
-            bounds, flat = (a.tolist() for a in self.csr)
-            self._adjacency = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-        return self._adjacency
-
-    @property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, indices)`` of the graph, rows in adjacency-list order."""
-        if self._csr is None:
-            indptr = np.zeros(len(self._adjacency) + 1, dtype=np.int64)
-            np.cumsum([len(nbrs) for nbrs in self._adjacency], out=indptr[1:])
-            indices = np.fromiter(chain.from_iterable(self._adjacency),
-                                  dtype=np.int64, count=int(indptr[-1]))
-            self._csr = (indptr, indices)
-        return self._csr
+        """Per-vertex neighbour lists in CSR row order, rebuilt on each read."""
+        bounds, flat = (a.tolist() for a in self.csr)
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @property
     def graph(self) -> csr_matrix:
@@ -238,12 +246,26 @@ class ClusterGraph:
         return self._index[tuple(coords)]
 
     def validate(self):
-        """Check adjacency symmetry and connectivity; raises on violation."""
+        """Check one coordinate row per vertex, neighbour ids, no self-loop or
+        repeated edge (on which ``scipy.sparse.csgraph`` never returns),
+        symmetry, connectivity and the origin; raise ValueError naming the first."""
         indptr, indices = self.csr
         n = self.n_vertices
+        if len(self.coords) != n:
+            raise ValueError(f"{len(self.coords)} coordinate rows for {n} vertices")
         rows = np.repeat(np.arange(n), np.diff(indptr))
+        bad = np.flatnonzero((indices < 0) | (indices >= n))
+        if bad.size:
+            raise ValueError(f"neighbour {indices[bad[0]]} of vertex {rows[bad[0]]} is "
+                             f"not a vertex id: the graph has {n} vertices")
+        bad = np.flatnonzero(rows == indices)
+        if bad.size:
+            raise ValueError(f"self-loop at {rows[bad[0]]}")
         # edge (i, j) as key i * n + j, against the keys of the transpose
         keys = np.sort(rows * n + indices)
+        bad = np.flatnonzero(keys[1:] == keys[:-1])
+        if bad.size:
+            raise ValueError("repeated edge ({}, {})".format(*divmod(int(keys[bad[0]]), n)))
         transposed = np.sort(indices * n + rows)
         bad = np.flatnonzero(keys != transposed)
         if bad.size:
@@ -251,9 +273,9 @@ class ClusterGraph:
             a, b = int(keys[bad[0]]), int(transposed[bad[0]])
             i, j = divmod(a, n) if a < b else divmod(b, n)[::-1]
             raise ValueError(f"adjacency not symmetric at ({i}, {j})")
-        if _components(self.graph).max() > 0:
+        if n and _components(self.graph).max() > 0:
             raise ValueError("cluster graph is not connected")
-        if self.origin is not None and not 0 <= self.origin < self.n_vertices:
+        if self.origin is not None and not 0 <= self.origin < n:
             raise ValueError("origin index out of range")
 
     def distances_from_origin(self) -> np.ndarray:
@@ -279,7 +301,7 @@ def _induced_cluster(config: BondConfiguration, graph: csr_matrix, ids: np.ndarr
     coords = np.stack(np.unravel_index(ids, (spec.side,) * spec.d), axis=1) - spec.n
     origin = int(np.searchsorted(ids, origin_id)) if origin_id is not None else None
     meta = {"d": spec.d, "n": spec.n, "p": config.p, "seed": config.seed}
-    return ClusterGraph(coords, None, origin, meta, _csr=(indptr, indices))
+    return ClusterGraph.from_csr(coords, indptr, indices, origin, meta)
 
 
 def component_of_origin(config: BondConfiguration) -> ClusterGraph:
@@ -490,11 +512,11 @@ def cluster_from_text(inp: TextIO) -> ClusterGraph:
             edges.append((int(parts[0]), int(parts[1])))
         else:
             raise ValueError(f"malformed line: {line!r}")
-    adjacency = [[] for _ in coords]
     for i, j in edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    adjacency = [sorted(nbrs) for nbrs in adjacency]
+        if not (0 <= i < len(coords) and 0 <= j < len(coords)):
+            raise ValueError(f"edge line '{i} {j}' names an unknown vertex ({len(coords)} listed)")
+    t, h = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    indptr, indices = arcs_csr(len(coords), np.concatenate([t, h]), np.concatenate([h, t]))
     origin = next((i for i, c in enumerate(coords) if not any(c)), None)
-    return ClusterGraph(np.array(coords), adjacency, origin,
-                        {"d": d, "n": n, "p": p, "seed": seed})
+    return ClusterGraph.from_csr(np.array(coords), indptr, indices, origin,
+                                 {"d": d, "n": n, "p": p, "seed": seed})

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from percwalk.percolation import ClusterGraph
+from percwalk.percolation import ClusterGraph, arcs_csr
 
 __all__ = [
     "WreathGraph",
@@ -67,12 +67,21 @@ class WreathGraph:
     def neighbors(self, index: int) -> list:
         """Wreath edges: flip the lamp at the current position, or move."""
         a, f = self.state_of(index)
+        indptr, indices = self.base.csr
         out = [self.state_index(a, f ^ (1 << a))]
-        out.extend(self.state_index(b, f) for b in self.base.adjacency[a])
+        out.extend(self.state_index(b, f) for b in indices[indptr[a]:indptr[a + 1]].tolist())
         return out
 
-    def adjacency_lists(self) -> list:
-        return [sorted(self.neighbors(i)) for i in range(self.n_vertices)]
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the wreath graph, each row ascending: the
+        lamp flip at every state, and every base move at every lamp pattern."""
+        indptr, indices = self.base.csr
+        m, states, lamps = self.m, np.arange(self.n_vertices), np.arange(2**self.m)
+        tails = np.repeat(np.arange(m), np.diff(indptr))
+        src = np.concatenate([states, np.ravel(tails[:, None] << m | lamps)])
+        dst = np.concatenate([states ^ 1 << (states >> m), np.ravel(indices[:, None] << m | lamps)])
+        return arcs_csr(self.n_vertices, src, dst)
 
 
 def build_wreath(base: ClusterGraph) -> WreathGraph:

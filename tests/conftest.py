@@ -41,13 +41,14 @@ def visited_dist_oracle(cluster: ClusterGraph, n: int) -> dict:
     """Joint law of (number of distinct visited vertices, endpoint == origin)
     by plain recursive path enumeration."""
     out = {}
+    adjacency = cluster.adjacency
 
     def recurse(pos, visited, prob, steps_left):
         if steps_left == 0:
             key = (len(visited), pos == cluster.origin)
             out[key] = out.get(key, 0.0) + prob
             return
-        nbrs = cluster.adjacency[pos]
+        nbrs = adjacency[pos]
         for w in nbrs:
             recurse(w, visited | {w}, prob / len(nbrs), steps_left - 1)
 
@@ -67,7 +68,8 @@ def uniform_paths_oracle(cluster: ClusterGraph, n: int) -> dict:
     on a base of uniform degree g, as exact fractions: every n-step path,
     taken in lexicographic order of its neighbour choices, adds g^-n to its
     key in a dict."""
-    w = Fraction(1, len(cluster.adjacency[cluster.origin]) ** n)
+    adjacency = cluster.adjacency
+    w = Fraction(1, len(adjacency[cluster.origin]) ** n)
     out = {}
 
     def recurse(pos, visited, steps_left):
@@ -75,7 +77,7 @@ def uniform_paths_oracle(cluster: ClusterGraph, n: int) -> dict:
             key = (len(visited), pos == cluster.origin)
             out[key] = out.get(key, 0) + w
             return
-        for v in cluster.adjacency[pos]:
+        for v in adjacency[pos]:
             recurse(v, visited | {v}, steps_left - 1)
 
     recurse(cluster.origin, {cluster.origin}, n)
@@ -88,8 +90,9 @@ def uniform_path_laws_by_unique(cluster: ClusterGraph, n: int) -> list:
     i // g), each column's keys 2 N_t + (X_t == origin) counted by one
     np.unique over the whole column and ordered by argsort of their first
     paths: the reference for the key order of walk._uniform_path_laws."""
-    g = len(cluster.adjacency[cluster.origin])
-    nbr = np.array([(list(nbrs) + [0] * g)[:g] for nbrs in cluster.adjacency])
+    adjacency = cluster.adjacency
+    g = len(adjacency[cluster.origin])
+    nbr = np.array([(list(nbrs) + [0] * g)[:g] for nbrs in adjacency])
     cols = [np.array([cluster.origin])]
     distinct = np.ones(1, dtype=np.int64)
     laws = []
@@ -112,7 +115,11 @@ def uniform_path_laws_by_unique(cluster: ClusterGraph, n: int) -> list:
 def nash_ode_oracle(profile: NashProfile, t_max: float, n_samples: int = 2000,
                     rtol: float = 1e-10, max_step: float = np.inf) -> OdeSolution:
     """Integrate a' = -a / (8 F_inv(4/a)^2) from a(0) = 1 up to t_max by RK45,
-    in L = -log a and s = log(1 + t), on the grid of ``nash_ode_solve``."""
+    in L = -log a and s = log(1 + t), on the grid of ``nash_ode_solve``.
+
+    F_inv has kinks where log(4/a) reaches C k0 and C k0^d, and an RK45 step
+    across one loses its order, so the integration stops at each kink, found
+    as an event, and restarts from there."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
 
@@ -124,12 +131,23 @@ def nash_ode_oracle(profile: NashProfile, t_max: float, n_samples: int = 2000,
 
     s_max = float(np.log1p(t_max))
     s_eval = np.linspace(0.0, s_max, n_samples)
-    sol = solve_ivp(rhs, (0.0, s_max), [0.0], t_eval=s_eval, rtol=rtol,
-                    atol=1e-12, max_step=max_step, method="RK45")
-    if not sol.success:
-        raise RuntimeError(f"ODE integration failed: {sol.message}")
-    t = np.expm1(sol.t)
-    return OdeSolution(profile, t, sol.y[0])
+    s0, y0, L = 0.0, [0.0], []
+    for kink in (profile.C * profile.knee, profile.C * profile.knee ** profile.d, np.inf):
+        if LOG4 + y0[0] >= kink:  # the start lies past this kink
+            continue
+
+        def reach(s, y, kink=kink):
+            return LOG4 + y[0] - kink
+        reach.terminal = True
+        sol = solve_ivp(rhs, (s0, s_max), y0, t_eval=s_eval[len(L):], events=reach,
+                        rtol=rtol, atol=1e-12, max_step=max_step, method="RK45")
+        if not sol.success:
+            raise RuntimeError(f"ODE integration failed: {sol.message}")
+        L.extend(np.ravel(sol.y))
+        if sol.status == 0:  # s_max reached before the kink
+            break
+        s0, y0 = sol.t_events[0][0], sol.y_events[0][0]
+    return OdeSolution(profile, np.expm1(s_eval), np.array(L))
 
 
 def alpha_transfer(c0: float, alpha0: float, alpha: float) -> float:
@@ -156,9 +174,10 @@ def lamplighter_matrix_oracle(wreath, alpha: float) -> sp.csr_matrix:
     b_w = 1.0 - alpha    # lamp ends up on
     deg = base.degrees.astype(np.float64)
     rows, cols, vals = [], [], []
+    adjacency = base.adjacency
     for a in range(m):
         p_move = 1.0 / deg[a]
-        for b in base.adjacency[a]:
+        for b in adjacency[a]:
             for f in range(2**m):
                 src = wreath.state_index(a, f)
                 cleared = f & ~(1 << a) & ~(1 << b)
@@ -196,16 +215,17 @@ def killed_lambda1_oracle(cluster: ClusterGraph, r: int) -> float:
     BFS over the adjacency lists and the degrees of the whole cluster.  A
     vertex without neighbours holds the walk, as if by a self-loop, so an
     isolated origin kills nothing and has lambda_1 = 0."""
-    dist = bfs_oracle(cluster.adjacency, cluster.origin)
+    adjacency = cluster.adjacency
+    dist = bfs_oracle(adjacency, cluster.origin)
     ball = sorted(v for v, k in dist.items() if k <= r)
     row = {v: i for i, v in enumerate(ball)}
     sym = np.zeros((len(ball), len(ball)))
     for v in ball:
-        if not cluster.adjacency[v]:
+        if not adjacency[v]:
             sym[row[v], row[v]] = 1.0
-        for w in cluster.adjacency[v]:
+        for w in adjacency[v]:
             if w in row:
-                deg_v, deg_w = len(cluster.adjacency[v]), len(cluster.adjacency[w])
+                deg_v, deg_w = len(adjacency[v]), len(adjacency[w])
                 sym[row[v], row[w]] = 1.0 / np.sqrt(deg_v * deg_w)
     return 1.0 - float(np.linalg.eigvalsh(sym)[-1])
 
@@ -560,6 +580,27 @@ def connected_subsets_dfs(adjacency, size_cap: int, boundary=None):
                               new_banned, new_b, size + 1))
 
 
+def csr_of(adjacency) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of neighbour lists, rows in list order."""
+    indptr = np.cumsum([0] + [len(a) for a in adjacency], dtype=np.int64)
+    return indptr, np.array([w for a in adjacency for w in a], dtype=np.int64)
+
+
+def lists_of(indptr, indices) -> list:
+    """The rows of a CSR graph as neighbour lists."""
+    return [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+
+
+def level_pairs(levels) -> list:
+    """(bitmask, boundary) of every subset in the levels of
+    ``isoperimetry._connected_levels``, sorted by the list of its vertices in
+    joining order, as Python compares lists: a prefix before its extensions,
+    the order of ``connected_subsets_dfs``."""
+    rows = sorted((order, b) for boundaries, orders in levels
+                  for order, b in zip(orders.tolist(), boundaries.tolist()))
+    return [(sum(1 << v for v in order), b) for order, b in rows]
+
+
 def beta_oracle(cluster: ClusterGraph, supergraph, c: float, gamma: float,
                 size_cap: int, n: int) -> tuple:
     """min |boundary(A)| / f(|A|) over connected A of at most size_cap
@@ -570,10 +611,11 @@ def beta_oracle(cluster: ClusterGraph, supergraph, c: float, gamma: float,
     if supergraph is not None:
         super_adj = supergraph.adjacency
         embed = [supergraph.index_of(x) for x in cluster.coords]
+    adjacency = cluster.adjacency
     scored = []
-    for mask in connected_subsets_oracle(cluster.adjacency, size_cap):
+    for mask in connected_subsets_oracle(adjacency, size_cap):
         members = frozenset(v for v in range(cluster.n_vertices) if mask >> v & 1)
-        b = boundary_size(SubsetSelection(cluster.adjacency, members, super_adj, embed))
+        b = boundary_size(SubsetSelection(adjacency, members, super_adj, embed))
         if b or supergraph is not None:
             f = profile_f(len(members), c, n, gamma, cluster.coords.shape[1])
             scored.append((b / f, sorted(members)))
@@ -593,6 +635,7 @@ def mc_counts_oracle(cluster: ClusterGraph, n_list, samples: int, seed: int,
     and the uniform u moves the walk from v to adjacency[v][int(u * deg v)].
     The counts N_n are the sizes of the sets."""
     n_max = max(n_list)
+    adjacency = cluster.adjacency
     uniforms = {}
     out = {n: [] for n in n_list}
     for c in chains:
@@ -604,7 +647,7 @@ def mc_counts_oracle(cluster: ClusterGraph, n_list, samples: int, seed: int,
         pos = cluster.origin
         history = [{pos}]
         for u in uniforms[k][:, col]:
-            nbrs = cluster.adjacency[pos]
+            nbrs = adjacency[pos]
             pos = nbrs[int(u * len(nbrs))]
             history.append(history[-1] | {pos})
         for n in out:

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from percwalk import harness, isoperimetry as iso, percolation as perc, wreath as wr
 from conftest import (SubsetSelection, beta_oracle, boundary_oracle, boundary_size,
-                      connected_subsets_dfs, connected_subsets_oracle, folner_oracle,
-                      make_graph)
+                      connected_subsets_dfs, connected_subsets_oracle, csr_of,
+                      folner_oracle, level_pairs, lists_of, make_graph)
 
 
 def grid_graph(nx: int, ny: int):
@@ -49,14 +49,14 @@ class TestBoundary:
     def test_matches_edge_scan(self):
         config = perc.sample_bond_config(perc.LatticeSpec(2, 4), 0.7, 13)
         cluster = perc.component_of_origin(config)
+        adjacency = cluster.adjacency
         rng = np.random.Generator(np.random.Philox(key=1))
         for _ in range(20):
             size = int(rng.integers(1, cluster.n_vertices))
             members = frozenset(
                 int(v) for v in rng.choice(cluster.n_vertices, size, replace=False))
-            sel = SubsetSelection(cluster.adjacency, members)
-            assert boundary_size(sel) == boundary_oracle(cluster.adjacency,
-                                                             members)
+            sel = SubsetSelection(adjacency, members)
+            assert boundary_size(sel) == boundary_oracle(adjacency, members)
 
     def test_complement_symmetry(self):
         host = grid_graph(3, 3)
@@ -98,20 +98,27 @@ class TestConnectedEnumeration:
                                                   [(0, 1), (0, 2), (0, 3)])])
     def test_matches_brute_force(self, graph):
         n = graph.n_vertices
-        got = sorted(mask for mask, _ in iso.iter_connected_subsets(graph.adjacency, n))
+        pairs = level_pairs(iso._connected_levels(*graph.csr, n))
+        assert pairs == list(connected_subsets_dfs(graph.adjacency, n))
+        got = sorted(mask for mask, _ in pairs)
         assert len(got) == len(set(got))
         assert got == sorted(connected_subsets_oracle(graph.adjacency, n))
 
     def test_size_cap(self):
         graph = grid_graph(3, 2)
-        for mask, _ in iso.iter_connected_subsets(graph.adjacency, 3):
+        levels = list(iso._connected_levels(*graph.csr, 3))
+        assert [orders.shape[1] for _, orders in levels] == [1, 2, 3]
+        pairs = level_pairs(levels)
+        assert pairs == list(connected_subsets_dfs(graph.adjacency, 3))
+        for mask, _ in pairs:
             assert mask.bit_count() <= 3
 
     def test_visiting_order(self):
         # rooted at the smallest vertex, include before exclude: the first
         # minimiser kept by isoperimetric_beta depends on this order
         square = grid_graph(2, 2)
-        got = list(iso.iter_connected_subsets(square.adjacency, 4))
+        got = level_pairs(iso._connected_levels(*square.csr, 4))
+        assert got == list(connected_subsets_dfs(square.adjacency, 4))
         assert got == [(0b0001, 2), (0b0011, 2), (0b0111, 2), (0b1111, 0),
                        (0b1011, 2), (0b0101, 2), (0b1101, 2), (0b0010, 2),
                        (0b1010, 2), (0b1110, 2), (0b0100, 2), (0b1100, 2),
@@ -121,15 +128,15 @@ class TestConnectedEnumeration:
         # 40,000 vertices: ids past 2^15, and roots in many frames
         n = 40_000
         path = [[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)]
-        count = collections.Counter()
-        last = collections.deque(maxlen=4)
-        for mask, b in iso.iter_connected_subsets(path, 2):
-            count[mask.bit_count()] += 1
-            last.append((mask, b))
-        top = 1 << (n - 1)
-        assert count == {1: n, 2: n - 1}
-        assert list(last) == [(top >> 2 | top >> 1, 2), (top >> 1, 2),
-                              (top >> 1 | top, 1), (top, 1)]
+        levels = list(iso._connected_levels(*csr_of(path), 2))
+        assert [len(b) for b, _ in levels] == [n, n - 1]
+        rows = sorted((order, b) for boundaries, orders in levels
+                      for order, b in zip(orders.tolist(), boundaries.tolist()))
+        assert [order for order, _ in rows if len(order) == 1] == [[v] for v in range(n)]
+        assert [order for order, _ in rows if len(order) == 2] == \
+            [[v, v + 1] for v in range(n - 1)]
+        assert rows[-4:] == [([n - 3, n - 2], 2), ([n - 2], 2),
+                             ([n - 2, n - 1], 1), ([n - 1], 1)]
 
 
 class TestIsoperimetricBeta:
@@ -142,6 +149,7 @@ class TestIsoperimetricBeta:
     def test_grid_matches_all_subsets_oracle(self):
         g = grid_graph(3, 3)
         report = iso.isoperimetric_beta(g, None, 1.0, 0.125, 9, 4)
+        adjacency = g.adjacency
         best = None
         for mask in range(1, (1 << 9) - 1):
             verts = [v for v in range(9) if mask >> v & 1]
@@ -149,13 +157,13 @@ class TestIsoperimetricBeta:
             frontier = [verts[0]]
             while frontier:
                 v = frontier.pop()
-                for w in g.adjacency[v]:
+                for w in adjacency[v]:
                     if mask >> w & 1 and w not in seen:
                         seen.add(w)
                         frontier.append(w)
             if len(seen) != len(verts):
                 continue
-            ratio = boundary_oracle(g.adjacency, verts) / iso.profile_f(
+            ratio = boundary_oracle(adjacency, verts) / iso.profile_f(
                 len(verts), 1.0, 4, 0.125, 2)
             best = ratio if best is None else min(best, ratio)
         assert report.beta == pytest.approx(best, abs=1e-12)
@@ -241,27 +249,27 @@ class TestIsoperimetricBeta:
 
 class TestFolner:
     def test_grid_k1(self):
-        value, exact = iso.folner_function(grid_graph(3, 3).adjacency, 1.0, 9)
+        value, exact = iso.folner_function(*grid_graph(3, 3).csr, 1.0, 9)
         assert (value, exact) == (3, True)
 
     def test_small_k_singleton(self):
         g = grid_graph(3, 3)
-        value, exact = iso.folner_function(g.adjacency, 0.25, 9)
+        value, exact = iso.folner_function(*g.csr, 0.25, 9)
         assert (value, exact) == (1, True)
 
     def test_wreath_connected_equals_unrestricted(self):
         wreath = wr.build_wreath(make_graph([(x, 0) for x in range(3)],
                                             [(0, 1), (1, 2)]))
-        adj = wreath.adjacency_lists()
+        adj = lists_of(*wreath.csr)
         ks = (0.5, 1.0, 2.0)
         brute = folner_oracle(adj, ks, 24)
         for k in ks:
-            conn, _ = iso.folner_function(adj, k, 24)
+            conn, _ = iso.folner_function(*wreath.csr, k, 24)
             assert conn == brute[k]
 
     def test_monotone_in_k(self):
-        adj = grid_graph(3, 3).adjacency
-        values = [iso.folner_function(adj, k, 9)[0] for k in (0.5, 1.0, 1.5, 2.0)]
+        csr = grid_graph(3, 3).csr
+        values = [iso.folner_function(*csr, k, 9)[0] for k in (0.5, 1.0, 1.5, 2.0)]
         clean = [v for v in values if v is not None]
         assert clean == sorted(clean)
 
@@ -273,7 +281,7 @@ class TestFolner:
             n = host.n_vertices
             brute = folner_oracle(host.adjacency, (0.5, 1.0, 2.0, 3.0), n)
             for k, want in brute.items():
-                conn, _ = iso.folner_function(host.adjacency, k, n)
+                conn, _ = iso.folner_function(*host.csr, k, n)
                 assert conn == want
 
     @staticmethod
@@ -292,19 +300,19 @@ class TestFolner:
 
     def test_cut_off_at_a_root(self, monkeypatch):
         counts = self._count_levels(monkeypatch)
-        path = grid_graph(5, 1).adjacency
+        path = grid_graph(5, 1)
         # the end vertex alone qualifies for both k: the pass stops at size 1
-        assert iso._folner_minima(path, [0.5, 1.0], 5) == {0.5: 1, 1.0: 1} \
-            == folner_oracle(path, [0.5, 1.0], 5)
+        assert iso._folner_minima(*path.csr, [0.5, 1.0], 5) == {0.5: 1, 1.0: 1} \
+            == folner_oracle(path.adjacency, [0.5, 1.0], 5)
         assert counts == [1]
 
     def test_cut_off_at_cap_one(self, monkeypatch):
         counts = self._count_levels(monkeypatch)
         cycle = make_graph([(x, 0) for x in range(6)],
-                           [(i, (i + 1) % 6) for i in range(6)]).adjacency
+                           [(i, (i + 1) % 6) for i in range(6)])
         # {0} qualifies for k = 0.5 and {0, 1} for k = 1: sizes 3..6 are never grown
-        assert iso._folner_minima(cycle, [0.5, 1.0], 6) == {0.5: 1, 1.0: 2} \
-            == folner_oracle(cycle, [0.5, 1.0], 6)
+        assert iso._folner_minima(*cycle.csr, [0.5, 1.0], 6) == {0.5: 1, 1.0: 2} \
+            == folner_oracle(cycle.adjacency, [0.5, 1.0], 6)
         assert counts == [2]
 
 
@@ -457,7 +465,8 @@ RANDOM_EDGES = st.one_of(
 def test_enumerator_carries_the_boundary(n, edges, cap_cut):
     adjacency = _random_graph(n, edges)
     cap = max(1, n - cap_cut)
-    pairs = list(iso.iter_connected_subsets(adjacency, cap))
+    pairs = level_pairs(iso._connected_levels(*csr_of(adjacency), cap))
+    assert pairs == list(connected_subsets_dfs(adjacency, cap))
     assert [b for _, b in pairs] == [
         boundary_oracle(adjacency, [v for v in range(n) if mask >> v & 1]) for mask, _ in pairs]
     masks = [mask for mask, _ in pairs]
@@ -480,8 +489,9 @@ def test_folner_one_pass_matches_oracle(n, edges, ks, cap_cut):
     adjacency = _random_graph(n, edges)
     cap = max(1, n - cap_cut)
     want = folner_oracle(adjacency, ks, cap)
-    assert iso._folner_minima(adjacency, ks, cap) == want
-    assert iso.folner_function(adjacency, ks[0], cap) == (want[ks[0]], want[ks[0]] is not None)
+    csr = csr_of(adjacency)
+    assert iso._folner_minima(*csr, ks, cap) == want
+    assert iso.folner_function(*csr, ks[0], cap) == (want[ks[0]], want[ks[0]] is not None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -497,10 +507,11 @@ def test_levels_match_the_dfs_past_one_word(n, seed, mean_degree, cap, supergrap
                 if i != j}
     inner = edges(int(n * mean_degree / 2))
     adjacency = _random_graph(n, inner)
-    boundary = None
+    boundary = csr_boundary = None
     if supergraph:  # more edges among the images, and edges to vertices outside
         lists = _random_graph(n, inner | edges(n // 2))
         boundary = (lists, [len(a) + extra for a, extra in
                             zip(lists, rng.integers(0, 3, n).tolist())])
-    assert list(iso.iter_connected_subsets(adjacency, cap, boundary)) == \
+        csr_boundary = (*csr_of(lists), np.array(boundary[1]))
+    assert level_pairs(iso._connected_levels(*csr_of(adjacency), cap, csr_boundary)) == \
         list(connected_subsets_dfs(adjacency, cap, boundary))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from percwalk import percolation as perc, walk
 from conftest import (bfs_oracle, classify_boxes_oracle, components_oracle,
-                      extraction_oracle, open_graph_oracle)
+                      extraction_oracle, lists_of, open_graph_oracle)
 
 
 def _all_closed(spec: perc.LatticeSpec) -> perc.BondConfiguration:
@@ -111,6 +111,7 @@ class TestComponentOfOrigin:
         config = perc.sample_bond_config(perc.LatticeSpec(2, 3), 0.6, 11)
         cluster = perc.component_of_origin(config)
         have = {tuple(c) for c in cluster.coords}
+        adjacency = cluster.adjacency
         spec = config.spec
         tails, heads, _ = spec.edges()
         for t, h, is_open in zip(tails, heads, config.open):
@@ -118,7 +119,7 @@ class TestComponentOfOrigin:
                       for v in (t, h))
             if is_open and ct in have and ch in have:
                 i, j = cluster.index_of(ct), cluster.index_of(ch)
-                assert j in cluster.adjacency[i]
+                assert j in adjacency[i]
 
 
 class TestExtractionReference:
@@ -185,6 +186,27 @@ class TestValidate:
         with pytest.raises(ValueError, match="not connected"):
             perc.ClusterGraph(np.array([[0, 0], [1, 0], [3, 0], [4, 0]]),
                               [[1], [0], [3], [2]], 0)
+
+    @pytest.mark.parametrize("adjacency,message", [
+        # caught before scipy's component search, which never returns on a repeated entry
+        ([[1, 1], [0, 0]], "repeated edge (0, 1)"),
+        ([[1], [0, 0]], "repeated edge (1, 0)"),
+        ([[0, 1], [0]], "self-loop at 0"),
+        ([[5], [0]], "neighbour 5 of vertex 0 is not a vertex id: the graph has 2 vertices"),
+        ([[1], [-1]], "neighbour -1 of vertex 1 is not a vertex id"),
+    ])
+    def test_rejects_bad_neighbours_by_name(self, adjacency, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            perc.ClusterGraph(np.array([[0, 0], [1, 0]]), adjacency, 0)
+
+    def test_rejects_one_coordinate_row_short(self):
+        with pytest.raises(ValueError, match="1 coordinate rows for 2 vertices"):
+            perc.ClusterGraph(np.array([[0, 0]]), [[1], [0]], 0)
+
+    def test_from_csr_checks_the_same(self):
+        with pytest.raises(ValueError, match=re.escape("repeated edge (0, 1)")):
+            perc.ClusterGraph.from_csr(np.array([[0, 0], [1, 0]]), np.array([0, 2, 4]),
+                                       np.array([1, 1, 0, 0]), 0)
 
 
 class TestLargestCluster:
@@ -372,28 +394,43 @@ class TestClassifyBoxes:
         assert blocks == classify_boxes_oracle(config, N)
 
 
-class TestLazyAdjacency:
-    """Extraction hands over CSR arrays only; the lists are made on demand."""
+class TestCsrOnly:
+    """A cluster holds its graph once, as CSR arrays; ``adjacency`` is a view."""
 
-    def test_extraction_and_walk_layer_build_no_lists(self):
+    def test_walk_layer_leaves_only_csr(self):
         cluster = perc.component_of_origin(
             perc.sample_bond_config(perc.LatticeSpec(2, 6), 0.7, 3))
         walk.exact_visited_distribution(cluster, 4)
         walk.killed_operator_report(cluster, 3, [0, 5])
         walk.mc_laplace(cluster, 0.5, [5, 10], 200, 0)
         walk.confinement_probability(cluster, 2, 6, 200, 0)
-        assert cluster._adjacency is None
+        self._assert_csr_only(cluster)
 
     @pytest.mark.parametrize("extract", [perc.component_of_origin, perc.largest_cluster,
                                          lambda config: perc.chemical_ball(config, 4)])
-    def test_lists_equal_csr_rows(self, extract):
+    def test_extracted_cluster_holds_only_csr(self, extract):
         cluster = extract(perc.sample_bond_config(perc.LatticeSpec(2, 6), 0.7, 3))
-        assert cluster._adjacency is None
+        self._assert_csr_only(cluster)
+
+    def test_hand_built_cluster_holds_only_csr(self):
+        cluster = perc.ClusterGraph(np.array([[0, 0], [1, 0], [1, 1]]),
+                                    [[2, 1], [0, 2], [1, 0]], 0)
+        self._assert_csr_only(cluster)
+        assert cluster.adjacency == [[2, 1], [0, 2], [1, 0]]  # rows keep list order
+
+    @staticmethod
+    def _assert_csr_only(cluster):
+        assert not [name for name, value in vars(cluster).items() if isinstance(value, list)]
         indptr, indices = cluster.csr
-        rows = [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+        assert indptr.dtype == indices.dtype == np.int64
+        rows = lists_of(indptr, indices)
         assert cluster.adjacency == rows
         assert all(type(w) is int for nbrs in cluster.adjacency for w in nbrs)
-        assert cluster.adjacency is cluster.adjacency  # built once
+        view = cluster.adjacency
+        view[0].append(-1)  # a fresh copy on each read: the cluster is unchanged
+        assert cluster.adjacency == rows
+        with pytest.raises(AttributeError):
+            cluster.adjacency = rows
 
 
 class TestTextFormat:
@@ -403,11 +440,21 @@ class TestTextFormat:
         buf = io.StringIO()
         perc.cluster_to_text(cluster, buf)
         back = perc.cluster_from_text(io.StringIO(buf.getvalue()))
-        assert cluster._adjacency is None  # the export reads the CSR arrays
         assert np.array_equal(back.coords, cluster.coords)
         assert back.adjacency == [sorted(a) for a in cluster.adjacency]
         assert all(np.array_equal(a, b) for a, b in zip(back.csr, cluster.csr))
         assert back.origin == cluster.origin
+
+    @pytest.mark.parametrize("lines,message", [
+        (["0 1"] * 2, "repeated edge (0, 1)"),
+        (["0 0", "0 1"], "self-loop at 0"),
+        (["0 1", "1 2"], "edge line '1 2' names an unknown vertex (2 listed)"),
+        (["0 1", "-1 0"], "edge line '-1 0' names an unknown vertex"),
+    ])
+    def test_rejects_bad_edge_lines_by_name(self, lines, message):
+        text = "\n".join(["2 1 1.0 0", "0 0 0", "1 1 0", *lines]) + "\n"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            perc.cluster_from_text(io.StringIO(text))
 
     def test_header_fields(self):
         config = perc.sample_bond_config(perc.LatticeSpec(2, 3), 0.7, 8)

@@ -50,8 +50,9 @@ class TestChains:
         cluster = sampled_cluster(4, 0.7, 5)
         traj = chains(cluster, 50, 20, 17)
         assert traj[0].tolist() == [cluster.origin] * 20
+        adjacency = cluster.adjacency
         for a, b in zip(traj[:-1].ravel().tolist(), traj[1:].ravel().tolist()):
-            assert b in cluster.adjacency[a]
+            assert b in adjacency[a]
 
     def test_interior_directions_uniform(self):
         cluster = full_lattice(60)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from percwalk import wreath as wr
 from percwalk.walk import exact_laplace
-from conftest import lamplighter_matrix_oracle, make_graph
+from conftest import lamplighter_matrix_oracle, lists_of, make_graph
 
 
 def base_path(k: int):
@@ -62,8 +62,7 @@ class TestWreathGraph:
     def test_single_vertex_base(self):
         g = wr.build_wreath(single_vertex())
         assert g.n_vertices == 2
-        adj = g.adjacency_lists()
-        assert adj == [[1], [0]]
+        assert lists_of(*g.csr) == [[1], [0]]
 
     def test_k2_size(self, k2):
         assert wr.build_wreath(k2).n_vertices == 8
@@ -71,21 +70,31 @@ class TestWreathGraph:
     def test_p3_size_and_degrees(self):
         g = wr.build_wreath(base_path(3))
         assert g.n_vertices == 24
-        for i, nbrs in enumerate(g.adjacency_lists()):
+        base = g.base.adjacency
+        for i, nbrs in enumerate(lists_of(*g.csr)):
             a, _ = g.state_of(i)
-            assert len(nbrs) == len(g.base.adjacency[a]) + 1
+            assert len(nbrs) == len(base[a]) + 1
 
     def test_edge_families_disjoint_and_symmetric(self):
         g = wr.build_wreath(base_path(3))
-        adj = g.adjacency_lists()
+        adj = lists_of(*g.csr)
+        base = g.base.adjacency
         for i, nbrs in enumerate(adj):
             ai, fi = g.state_of(i)
             for j in nbrs:
                 assert i in adj[j]
                 aj, fj = g.state_of(j)
                 flip = ai == aj and fj == fi ^ (1 << ai)
-                move = fi == fj and aj in g.base.adjacency[ai]
+                move = fi == fj and aj in base[ai]
                 assert flip != move
+
+    @settings(max_examples=25, deadline=None)
+    @given(base=connected_bases())
+    def test_csr_rows_are_the_sorted_neighbours(self, base):
+        g = wr.build_wreath(base)
+        indptr, indices = g.csr
+        assert indptr.dtype == indices.dtype == np.int64
+        assert lists_of(*g.csr) == [sorted(g.neighbors(i)) for i in range(g.n_vertices)]
 
     def test_rejects_oversized_base(self):
         big = base_path(17)
@@ -237,9 +246,10 @@ class TestReversibility:
         kernel = wr.LamplighterKernel(wr.build_wreath(base_path(3)), 0.5)
         m = wr.reversible_measure(kernel)
         g = kernel.wreath
+        base = g.base.adjacency
         for i in range(g.n_vertices):
             a, _ = g.state_of(i)
-            assert m[i] == pytest.approx(len(g.base.adjacency[a]))
+            assert m[i] == pytest.approx(len(base[a]))
 
     def test_measure_formula(self, k2):
         kernel = wr.LamplighterKernel(wr.build_wreath(k2), 0.3)
