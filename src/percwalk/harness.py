@@ -500,10 +500,12 @@ def _recipe_folner_wreath(ctx):
 
 
 def _random_graph(rng, nv: int, p_edge: float) -> list:
+    # one uniform per pair i < j in row-major order, all drawn in one call
+    edges = iter((rng.random(nv * (nv - 1) // 2) < p_edge).tolist())
     adjacency = [[] for _ in range(nv)]
     for i in range(nv):
         for j in range(i + 1, nv):
-            if rng.random() < p_edge:
+            if next(edges):
                 adjacency[i].append(j)
                 adjacency[j].append(i)
     return adjacency
@@ -523,7 +525,7 @@ def _recipe_pruning_property(ctx):
         p_edge = float(rng.uniform(0.2, 0.8))
         b = int(rng.integers(2, 7))
         adjacency = _random_graph(rng, nv, p_edge)
-        if sum(len(a) for a in adjacency) == 0:
+        if not any(adjacency):
             continue
         if iso.ns_edge_fraction(adjacency, b) >= 0.5:
             continue
@@ -533,8 +535,7 @@ def _recipe_pruning_property(ctx):
             prune_ok = False
             continue
         for v in alive:
-            deg = sum(1 for w in adjacency[v] if w in alive)
-            if 3 * deg < b:
+            if 3 * len(alive.intersection(adjacency[v])) < b:
                 prune_ok = False
     ctx.check("pruning terminates nonempty with min degree >= b/3",
               prune_ok and accepted >= n_graphs,
@@ -549,14 +550,10 @@ def _recipe_pruning_property(ctx):
             free = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)),
                                      replace=False).tolist())
             fixed_bits = int(rng.integers(0, 2**m)) & ~sum(1 << x for x in free)
-            family = []
-            for assign in range(2 ** len(free)):
-                f = fixed_bits
-                for bit, site in enumerate(free):
-                    if assign >> bit & 1:
-                        f |= 1 << site
-                family.append(f)
             Y = len(free)
+            # member k sets site free[t] when bit t of k is set
+            assign = np.arange(2**Y)[:, None] >> np.arange(Y) & 1
+            family = (fixed_bits | assign @ (1 << np.array(free))).tolist()
         else:
             size = int(rng.integers(1, 2**m))
             family = rng.choice(2**m, size=size, replace=False).tolist()

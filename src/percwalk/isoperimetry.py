@@ -399,16 +399,21 @@ def flip_closure_bound_check(family: Iterable[int], n_sites: int, Y: int) -> dic
     """Premise: every member admits >= Y single-site flips staying inside.
 
     When the premise holds the family must have at least 2^Y members.
+    Members are lamp patterns on ``n_sites`` sites, ints in [0, 2^n_sites);
+    flips are counted on a table of 2^n_sites presence flags.
     """
     fam = set(family)
     if not fam:
         raise ValueError("empty family")
-    witness = None
-    for f in fam:
-        flips = sum(1 for x in range(n_sites) if f ^ (1 << x) in fam)
-        if flips < Y:
-            witness = f
-            break
+    # in set order, so the first member with fewer than Y flips is the witness
+    members = np.fromiter(fam, np.int64, len(fam))
+    if members.min() < 0 or members.max() >> n_sites:
+        raise ValueError(f"a member is not a lamp pattern on {n_sites} sites")
+    present = np.zeros(1 << n_sites, dtype=bool)
+    present[members] = True
+    flips = present[members[:, None] ^ (1 << np.arange(n_sites))].sum(axis=1)
+    short = np.flatnonzero(flips < Y)
+    witness = int(members[short[0]]) if short.size else None
     premise = witness is None
     return {"premise_holds": premise, "witness": witness,
             "bound_holds": premise and len(fam) >= 2**Y,

@@ -132,6 +132,14 @@ def open_adjacency(config: BondConfiguration) -> tuple[np.ndarray, np.ndarray]:
     return arcs_csr(config.spec.n_vertices, np.concatenate([t, h]), np.concatenate([h, t]))
 
 
+def _slots_csr(flags: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the arcs u -> u + steps[j] for every set ``flags[u, j]``, each
+    row in slot order."""
+    indptr = np.zeros(flags.shape[0] + 1, dtype=np.int64)
+    np.cumsum(flags.sum(axis=1), out=indptr[1:])
+    return indptr, (np.arange(flags.shape[0])[:, None] + steps)[flags]
+
+
 def csr_rows(indptr: np.ndarray, indices: np.ndarray,
              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows ``rows`` of a CSR graph laid end to end: for each neighbour,
@@ -395,85 +403,85 @@ class RenormalizedField:
         return [i for i, s in self.blocks.items() if s.classifiable]
 
 
-def _box_ids(spec: LatticeSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Sorted vertex ids of the sub-box [lo, hi]."""
-    axes = [np.arange(a, b + 1) + spec.n for a, b in zip(lo, hi)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    return np.ravel_multi_index(grid, (spec.side,) * spec.d).ravel()
-
-
-def _others_short(graph: csr_matrix, labels: np.ndarray, k: int, cap: int) -> bool:
-    """Has every component other than ``k`` graph diameter at most ``cap``?"""
-    sizes = np.bincount(labels)
-    # a component of at most cap + 1 vertices cannot be wider than cap
-    for c in np.flatnonzero(sizes > cap + 1):
-        if c == k:
-            continue
-        members = np.flatnonzero(labels == c)
-        dist = dijkstra(graph, indices=members, unweighted=True, limit=cap)
-        if np.isinf(dist[:, members]).any():
-            return False
-    return True
-
-
 def classify_boxes(config: BondConfiguration, N: int) -> RenormalizedField:
     """Good/bad flags for the blocks B_i of side 2N+1 tiling the sampled box.
 
-    A block is good when (a) the enlarged box B'_i of radius floor(5N/4)
-    contains an open component K joining the opposite faces of B_i inside
-    B_i along every axis, with every open path of B'_i longer than N/10
-    attached to K, and (b) the designated edge row E_i contains an open
-    edge.  Blocks whose enlarged box leaves the sampled region are reported
-    unclassifiable rather than guessed.
+    A block is good when (a) exactly one open component K of the enlarged
+    box B'_i of radius floor(5N/4) joins the opposite faces of B_i inside
+    B_i along every axis; (b) every other component of B'_i has graph
+    diameter <= N // 10; and (c) the edge row E_i, floor(sqrt(N)) + 1 edges
+    along axis 0 from the centre, holds an open edge.  Blocks whose enlarged
+    box leaves the sampled region are reported unclassifiable rather than
+    guessed.
+
+    All classifiable blocks are labelled at once: their enlarged boxes form
+    one disjoint-union graph, labelled once whole and once cut to the inner
+    boxes.  A Dijkstra runs only on a long component other than K, on its
+    own subgraph, until its block's first failure.
     """
     if N < 4:
         raise ValueError(f"block scale must be >= 4, got {N}")
     spec = config.spec
+    d, n = spec.d, spec.n
     step = 2 * N + 1
     big = (5 * N) // 4
-    imax = int(np.ceil((spec.n + N) / step))
+    width = 2 * big + 1
+    imax = int(np.ceil((n + N) / step))
     path_cap = N // 10
     row = int(np.floor(np.sqrt(N))) + 1
-    stride = spec.side ** (spec.d - 1)  # id step along axis 0
-    blocks: dict[tuple, BlockStatus] = {}
-    indptr, indices = open_adjacency(config)
+    strides = spec.side ** np.arange(d - 1, -1, -1)
 
-    for flat in np.ndindex(*(2 * imax + 1,) * spec.d):
-        i = np.array(flat) - imax
-        center = step * i
-        lo_in, hi_in = center - N, center + N
-        if np.any(hi_in < -spec.n) or np.any(lo_in > spec.n):
-            continue  # block does not intersect the sampled box
-        lo_big, hi_big = center - big, center + big
-        if np.any(lo_big < -spec.n) or np.any(hi_big > spec.n):
-            blocks[tuple(i.tolist())] = BlockStatus(False, False, False)
-            continue
+    ids = np.indices((2 * imax + 1,) * d).reshape(d, -1).T - imax  # np.ndindex order
+    ids = ids[np.all(np.abs(step * ids) <= n + N, axis=1)]  # blocks meeting the sampled box
+    classifiable = np.all(np.abs(step * ids) + big <= n, axis=1)
+    centers = step * ids[classifiable] + n  # shifted to 0..side-1
+    up = np.zeros((spec.n_vertices, d), dtype=bool)  # up[v, a]: is v -- v + e_a open?
+    tails, _, axes = spec.edges()
+    up[tails, axes] = config.open
 
-        big_ids = _box_ids(spec, lo_big, hi_big)
-        sub_indptr, sub_indices = induced_csr(indptr, indices, big_ids)
-        graph = _as_graph(sub_indptr, sub_indices)
-        labels = _components(graph)
-        inner = np.searchsorted(big_ids, _box_ids(spec, lo_in, hi_in))
-        inner_labels = _components(_as_graph(*induced_csr(sub_indptr, sub_indices, inner)))
-        # each component of the inner box lies in one component of the enlarged box
-        owner = np.empty(inner_labels.max() + 1, dtype=np.int64)
-        owner[inner_labels] = labels[inner]
-        # K crosses an axis when one of its inner-box components touches both faces
-        faces = inner_labels.reshape((step,) * spec.d)
-        crosses = np.ones(labels.max() + 1, dtype=bool)
-        for axis in range(spec.d):
-            hit = np.zeros_like(crosses)
-            hit[owner[np.intersect1d(np.take(faces, 0, axis=axis),
-                                     np.take(faces, -1, axis=axis))]] = True
-            crosses &= hit
-        k = np.flatnonzero(crosses)
-        crossing = k.size == 1 and _others_short(graph, labels, k[0], path_cap)
+    # vertex pos of block b's enlarged box is vertex b * size + pos of the union,
+    # joined to vertex steps[a] further on when its edge along axis a is open
+    local = np.indices((width,) * d).reshape(d, -1).T
+    size = local.shape[0]
+    steps = width ** np.arange(d - 1, -1, -1)
+    rise = up[((centers - big) @ strides)[:, None] + local @ strides] & (local < width - 1)
+    inner = np.all(np.abs(local - big) <= N, axis=1)
+    stay = inner[:, None] & inner[np.minimum(np.arange(size)[:, None] + steps, size - 1)]
+    graph, inner_graph = (_as_graph(*_slots_csr(arcs.reshape(-1, d), steps))
+                          for arcs in (rise, rise & stay))
+    # each edge is held once, as a one-way arc, so the labelling is undirected
+    labels = connected_components(graph, directed=False)[1]
+    inner_labels = connected_components(inner_graph, directed=False)[1]
 
-        # the edge row E_i runs along axis 0 from the centre, inside B_i
-        tails = spec.vertex_index(center) + stride * np.arange(row)
-        edge_event = any(v + stride in indices[indptr[v]:indptr[v + 1]] for v in tails)
+    # K crosses an axis when one of its inner-box components touches both faces
+    offsets = np.arange(centers.shape[0])[:, None] * size
+    crosses = np.ones(labels.size, dtype=bool)  # by label; labels lie below the vertex count
+    for a in range(d):
+        faces = [(offsets + np.flatnonzero(inner & (local[:, a] == big + s))).ravel()
+                 for s in (-N, N)]
+        low, high = (np.bincount(inner_labels[f], minlength=labels.size) > 0 for f in faces)
+        hit = np.zeros_like(crosses)
+        hit[labels[faces[0][(low & high)[inner_labels[faces[0]]]]]] = True
+        crosses &= hit
+    block_of = np.zeros(labels.size, dtype=np.int64)
+    block_of[labels] = np.arange(labels.size) // size
+    crossing = np.bincount(block_of[crosses], minlength=centers.shape[0]) == 1
+    sizes = np.bincount(labels, minlength=labels.size)
+    # a component of at most path_cap + 1 vertices cannot be wider than path_cap
+    long = np.flatnonzero((sizes > path_cap + 1) & ~crosses & crossing[block_of])
+    for c in long:
+        b = block_of[c]
+        if crossing[b]:
+            members = b * size + np.flatnonzero(labels[b * size:(b + 1) * size] == c)
+            dist = dijkstra(graph[members][:, members], directed=False, unweighted=True,
+                            limit=path_cap)
+            crossing[b] = not np.isinf(dist).any()
 
-        blocks[tuple(i.tolist())] = BlockStatus(True, crossing, edge_event)
+    # the edge row E_i runs along axis 0 from the centre, inside B_i
+    edge_event = up[(centers @ strides)[:, None] + strides[0] * np.arange(row), 0].any(axis=1)
+    status = iter(zip(crossing.tolist(), edge_event.tolist()))
+    blocks = {tuple(i): BlockStatus(ok, *(next(status) if ok else (False, False)))
+              for i, ok in zip(ids.tolist(), classifiable.tolist())}
     return RenormalizedField(N, blocks)
 
 

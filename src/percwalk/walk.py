@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
-from percwalk.percolation import ClusterGraph, induced_csr
+from percwalk.percolation import ClusterGraph, csr_rows, induced_csr
 
 __all__ = [
     "WalkSeries",
@@ -142,17 +142,12 @@ def _merged_state_laws(cluster: ClusterGraph, n: int) -> list:
         laws.append(law)
         if step == n:
             return laws
-        lengths = (indptr[verts + 1] - indptr[verts]).astype(np.int64)
-        total = int(lengths.sum())
-        expansions += total
+        expansions += int((indptr[verts + 1] - indptr[verts]).sum())
         if expansions > DEFAULT_BUDGET:
             raise BudgetExceededError(expansions * (n / (step + 1)), DEFAULT_BUDGET)
-        starts = np.repeat(indptr[verts], lengths)
-        cum = np.cumsum(lengths) - lengths
-        offs = np.arange(total, dtype=np.int64) - np.repeat(cum, lengths)
-        new_verts = indices[starts + offs]
-        new_probs = np.repeat(probs / deg[verts], lengths)
-        new_masks = np.repeat(masks, lengths) | (np.uint64(1) << new_verts.astype(np.uint64))
+        src, new_verts = csr_rows(indptr, indices, verts)
+        new_probs = (probs / deg[verts])[src]
+        new_masks = masks[src] | (np.uint64(1) << new_verts.astype(np.uint64))
         order = np.lexsort((new_verts, new_masks))
         new_verts, new_masks, new_probs = new_verts[order], new_masks[order], new_probs[order]
         cut = np.nonzero((np.diff(new_masks) != 0) | (np.diff(new_verts) != 0))[0] + 1

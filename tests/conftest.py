@@ -445,6 +445,30 @@ def classify_boxes_oracle(config, N: int) -> dict:
     return blocks
 
 
+def flip_closure_oracle(family, n_sites: int, Y: int) -> dict:
+    """``flip_closure_bound_check`` by set lookups, one per member and site;
+    the witness is the first member, in the order of ``set(family)``, with
+    fewer than Y flips inside."""
+    fam = set(family)
+    witness = next((f for f in fam if sum(f ^ (1 << x) in fam for x in range(n_sites)) < Y),
+                   None)
+    return {"premise_holds": witness is None, "witness": witness,
+            "bound_holds": witness is None and len(fam) >= 2**Y,
+            "family_size": len(fam), "required": 2**Y}
+
+
+def random_graph_scalar(rng, nv: int, p_edge: float) -> list:
+    """Neighbour lists of the pruning recipe's random graph drawn as it is
+    defined: one ``rng.random()`` call per pair i < j, in row-major order."""
+    adjacency = [[] for _ in range(nv)]
+    for i in range(nv):
+        for j in range(i + 1, nv):
+            if rng.random() < p_edge:
+                adjacency[i].append(j)
+                adjacency[j].append(i)
+    return adjacency
+
+
 @dataclass
 class SubsetSelection:
     """A vertex subset of a host graph with a declared boundary mode.

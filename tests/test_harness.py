@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from percwalk import bounds, cli, walk, wreath
-from percwalk.harness import (ExperimentSpec, RECIPES, _hand_built_graphs, _Run,
+from percwalk.harness import (ExperimentSpec, RECIPES, _hand_built_graphs, _random_graph, _Run,
                               parse_config, run, seed_manifest, small_cluster_collection)
 from percwalk import percolation as perc
+from conftest import random_graph_scalar
 
 
 class TestSeedManifest:
@@ -79,6 +80,17 @@ class TestGraphCollections:
         for name, g in collection:
             assert 2 <= g.n_vertices <= 6
             g.validate()
+
+
+class TestPruningGraphs:
+    @pytest.mark.parametrize("nv", range(6, 20))
+    def test_random_graph_draws_as_scalar_calls(self, nv):
+        # the same lists and the same next draw: the recipe's stream is unchanged
+        for seed in range(5):
+            fast, slow = (np.random.Generator(np.random.Philox(key=seed)) for _ in range(2))
+            p_edge = 0.2 + 0.15 * seed
+            assert _random_graph(fast, nv, p_edge) == random_graph_scalar(slow, nv, p_edge)
+            assert fast.random() == slow.random()
 
 
 class TestRun:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from percwalk import harness, isoperimetry as iso, percolation as perc, wreath as wr
 from conftest import (SubsetSelection, beta_oracle, boundary_oracle, boundary_size,
                       connected_subsets_dfs, connected_subsets_oracle, csr_of,
-                      folner_oracle, level_pairs, lists_of, make_graph)
+                      flip_closure_oracle, folner_oracle, level_pairs, lists_of, make_graph)
 
 
 def grid_graph(nx: int, ny: int):
@@ -415,6 +415,27 @@ class TestFlipClosure:
         result = iso.flip_closure_bound_check({0b00, 0b11}, 2, 1)
         assert not result["premise_holds"]
         assert result["witness"] in {0b00, 0b11}
+
+    def test_matches_set_oracle(self):
+        rng = np.random.default_rng(404)
+        for _ in range(400):
+            m = int(rng.integers(0, 10))
+            if rng.random() < 0.5:  # a subcube, with a few members toggled
+                free = rng.permutation(m)[:rng.integers(0, m + 1)].tolist()
+                fixed = int(rng.integers(0, 2**m)) & ~sum(1 << x for x in free)
+                family = {fixed | sum(bits) for bits in itertools.product(
+                    *[(0, 1 << x) for x in free])}
+                family ^= set(rng.integers(0, 2**m, size=rng.integers(0, 3)).tolist())
+                family = family or {0}
+            else:
+                family = rng.choice(2**m, size=rng.integers(1, 2**m + 1), replace=False).tolist()
+            Y = int(rng.integers(0, m + 2))
+            assert iso.flip_closure_bound_check(family, m, Y) == flip_closure_oracle(family, m, Y)
+
+    @pytest.mark.parametrize("family", [[0, 8], [-1, 0]])
+    def test_rejects_members_off_the_sites(self, family):
+        with pytest.raises(ValueError, match="lamp pattern on 3 sites"):
+            iso.flip_closure_bound_check(family, 3, 1)
 
 
 class TestSmallBoundaryLemma:

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from percwalk import percolation as perc, walk
 from conftest import (bfs_oracle, classify_boxes_oracle, components_oracle,
@@ -376,6 +377,26 @@ class TestClassifyBoxes:
             config = perc.sample_bond_config(spec, p, 71)
             field = perc.classify_boxes(config, 4)
             assert field.blocks == classify_boxes_oracle(config, 4)
+
+    @pytest.mark.parametrize("p,good", [(0.6, 8), (0.9, 27)])
+    def test_matches_oracle_d3_overlapping(self, p, good):
+        # 27 classifiable blocks, each enlarged box overlapping its neighbours'
+        config = perc.sample_bond_config(perc.LatticeSpec(3, 14), p, 71)
+        field = perc.classify_boxes(config, 4)
+        ids = field.classifiable_blocks()
+        assert (len(ids), sum(field.blocks[i].good for i in ids)) == (27, good)
+        assert field.blocks == classify_boxes_oracle(config, 4)
+
+    @pytest.mark.parametrize("box", [9, 33])
+    def test_two_labellings_whatever_the_block_count(self, box, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return connected_components(*args, **kwargs)
+        monkeypatch.setattr(perc, "connected_components", counted)
+        perc.classify_boxes(perc.sample_bond_config(perc.LatticeSpec(2, box), 0.9, 0), 4)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("N", [4, 10, 20])
     @pytest.mark.parametrize("extra", [0, 1])
