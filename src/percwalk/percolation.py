@@ -14,6 +14,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from typing import Iterable, Sequence, TextIO
 
@@ -80,15 +81,22 @@ class LatticeSpec:
         """Canonical edge arrays ``(tails, heads, axes)`` of the box graph, sorted
         by tail and then axis: one edge per vertex and axis whose coordinate
         on that axis is below n."""
-        strides = self.side ** np.arange(self.d - 1, -1, -1)
-        ids = np.arange(self.n_vertices)
-        # row-major nonzero lists (tail, axis) pairs in canonical order
-        tails, axes = np.nonzero(ids[:, None] // strides % self.side < self.side - 1)
-        return tails, tails + strides[axes], axes
+        tails, axes = np.nonzero(_has_up(self))
+        return tails, tails + self.side ** (self.d - 1 - axes), axes
 
     @property
     def n_edges(self) -> int:
         return self.d * self.side ** (self.d - 1) * (self.side - 1)
+
+
+@cache
+def _has_up(spec: LatticeSpec) -> np.ndarray:
+    """Read-only (vertex, axis) table: is v -- v + e_axis an edge of the box?
+    Its set cells in row-major order are the canonical edges."""
+    strides = spec.side ** np.arange(spec.d - 1, -1, -1)
+    table = np.arange(spec.n_vertices)[:, None] // strides % spec.side < spec.side - 1
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -123,13 +131,23 @@ def arcs_csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.n
     return indptr, dst[order]
 
 
+def _open_up(config: BondConfiguration) -> np.ndarray:
+    """(vertex, axis) table: is the edge v -- v + e_axis open?"""
+    up = np.zeros((config.spec.n_vertices, config.spec.d), dtype=bool)
+    up[_has_up(config.spec)] = config.open
+    return up
+
+
 def open_adjacency(config: BondConfiguration) -> tuple[np.ndarray, np.ndarray]:
     """CSR adjacency ``(indptr, indices)`` of the open subgraph on all box
-    vertices, each row's neighbours in ascending order."""
-    tails, heads, _ = config.spec.edges()
-    t = tails[config.open]
-    h = heads[config.open]
-    return arcs_csr(config.spec.n_vertices, np.concatenate([t, h]), np.concatenate([h, t]))
+    vertices, each row's neighbours in ascending order: v - e_0, ..., v -
+    e_{d-1}, v + e_{d-1}, ..., v + e_0."""
+    up = _open_up(config)
+    strides = config.spec.side ** np.arange(config.spec.d - 1, -1, -1)
+    down = np.zeros_like(up)  # up at v - e_a; at coordinate 0 that cell holds no edge
+    for a, s in enumerate(strides):
+        down[s:, a] = up[:-s, a]
+    return _slots_csr(np.hstack([down, up[:, ::-1]]), np.concatenate([-strides, strides[::-1]]))
 
 
 def _slots_csr(flags: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +155,8 @@ def _slots_csr(flags: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.nda
     row in slot order."""
     indptr = np.zeros(flags.shape[0] + 1, dtype=np.int64)
     np.cumsum(flags.sum(axis=1), out=indptr[1:])
-    return indptr, (np.arange(flags.shape[0])[:, None] + steps)[flags]
+    rows, slots = np.divmod(np.flatnonzero(flags), flags.shape[1])  # set cells only
+    return indptr, rows + steps[slots]
 
 
 def csr_rows(indptr: np.ndarray, indices: np.ndarray,
@@ -435,9 +454,7 @@ def classify_boxes(config: BondConfiguration, N: int) -> RenormalizedField:
     ids = ids[np.all(np.abs(step * ids) <= n + N, axis=1)]  # blocks meeting the sampled box
     classifiable = np.all(np.abs(step * ids) + big <= n, axis=1)
     centers = step * ids[classifiable] + n  # shifted to 0..side-1
-    up = np.zeros((spec.n_vertices, d), dtype=bool)  # up[v, a]: is v -- v + e_a open?
-    tails, _, axes = spec.edges()
-    up[tails, axes] = config.open
+    up = _open_up(config)
 
     # vertex pos of block b's enlarged box is vertex b * size + pos of the union,
     # joined to vertex steps[a] further on when its edge along axis a is open

@@ -11,12 +11,13 @@ The Monte Carlo estimator runs chunks of 65,536 chains as column-vectorized
 trajectories, chunk k keyed (master seed, k), and spreads them over the cores
 this process may use: whole chunks, or column tiles cut from each chunk, one
 per core when there are fewer chunks than cores, and enough that no tile's
-int32 trajectory buffer passes 8 MiB (_TILE_BYTES) unless it is at most
-4,096 columns wide.  A tile seeks each row's draws in the chunk's Philox
-stream by setting the counter.  The output does not depend on how many cores
-there are.  N_n is counted by a uint64 visited mask per chain when the
-radius-n_max chemical ball has at most 64 vertices, and otherwise by sorting
-the trajectory prefixes in place, shortest first.
+trajectory buffer passes 8 MiB (_TILE_BYTES) unless it is at most 4,096
+columns wide.  A tile seeks each row's draws in the chunk's Philox stream by
+setting the counter.  The output does not depend on how many cores there are.
+Chains walk the radius-n_max chemical ball in its own ids, and N_n is counted
+by a uint64 visited mask per chain when it has at most 64 vertices, otherwise
+by sorting the trajectory prefixes in place, shortest first.  Ids and counts
+are stored in the smallest unsigned type that holds them (often one byte).
 The killed walk's top eigenvalue comes from one Lanczos (``eigsh``) solve from a
 fixed start, so it does not depend on the core count; a ball holding the whole
 cluster kills nothing and has lambda1 = 0.  A walk from an isolated origin stays
@@ -101,12 +102,11 @@ class WalkSeries:
 # Exact enumeration backends
 # ---------------------------------------------------------------------------
 
-def _neighbor_table(cluster: ClusterGraph) -> np.ndarray:
-    """Row v lists the neighbours of v in adjacency order, zero-padded to the
+def _neighbor_table(indptr: np.ndarray, indices: np.ndarray, dtype=np.int32) -> np.ndarray:
+    """Row v lists the neighbours of v in CSR order, zero-padded to the
     largest degree."""
-    indptr, indices = cluster.csr
     deg = np.diff(indptr)
-    table = np.zeros((deg.size, max(int(deg.max()), 1)), dtype=np.int32)
+    table = np.zeros((deg.size, max(int(deg.max()), 1)), dtype=dtype)
     table[np.arange(table.shape[1]) < deg[:, None]] = indices
     return table
 
@@ -179,7 +179,7 @@ def _uniform_path_laws(cluster: ClusterGraph, n: int) -> list:
             f" mask width of the merged sweep, and degrees {g} to {degs.max()} within radius"
             f" {n - 1}, so its paths are not equally likely")
 
-    nbr = _neighbor_table(cluster)[:, :g]
+    nbr = _neighbor_table(*cluster.csr)[:, :g]
     cols = [np.array([cluster.origin], dtype=np.int32)]
     distinct = np.ones(1, dtype=np.int16)
     laws = []
@@ -258,23 +258,24 @@ _CHUNK = 65536
 # Columns.  On 2 cores, mc_laplace calls of 1,000-8,190 chains ran 1.4-5x
 # faster as one tile than cut in two: a thread and per-row seeks cost more there.
 _MIN_TILE = 4096
-_TILE_BYTES = 2**23  # no tile wider than _MIN_TILE has a larger int32 trajectory buffer
+_TILE_BYTES = 2**23  # no tile wider than _MIN_TILE has a larger trajectory buffer
 
 
 def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, reduce):
     """Call reduce(first_chain, traj) once per column tile of the ``samples``
-    chains, traj (n_max + 1, tile width) holding one chain per column.  Chunk k
-    of 65,536 chains draws u = Philox(key=(seed << 64) + k).random((n_max,
-    chunk)) one row per step, and u moves a chain at v to neighbour
-    floor(u * deg(v)) of v in CSR order.
+    chains, traj (n_max + 1, tile width) holding one chain per column in the
+    radius-n_max chemical ball's ids (ranks of its cluster ids) of type ids =
+    the smallest unsigned type that holds them.  Chunk k of 65,536 chains
+    draws u = Philox(key=(seed << 64) + k).random((n_max, chunk)) one row per
+    step, and u moves a chain at v to neighbour floor(u * deg(v)) of v in CSR order.
 
     Each chunk is cut into tiles of one width, rounded up to a multiple of 4
     (the last may be narrower): one per core when the call has fewer chunks than this process may use
     cores, but no more than the chunk holds _MIN_TILE columns; and at least
     enough that no tile is wider than cap = max(_MIN_TILE, _TILE_BYTES //
-    (4 * (n_max + 1))) columns, rounded down to a multiple of 4.  So each
-    trajectory buffer holds at most max(_TILE_BYTES, 4 * (n_max + 1) *
-    _MIN_TILE) bytes, whatever n_max.  Row ``step`` of a tile narrower than
+    (ids.itemsize * (n_max + 1))) columns, rounded down to a multiple of 4.  So
+    each trajectory buffer holds at most max(_TILE_BYTES, ids.itemsize *
+    (n_max + 1) * _MIN_TILE) bytes, whatever n_max.  Row ``step`` of a tile narrower than
     its chunk, starting at column a, reads the chunk's stream from position
     at = step * chunk + a: the tile's one Philox seeks there by setting its
     counter to at // 4 with the buffer spent, as Philox(key, counter=at // 4)
@@ -285,14 +286,20 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
     tile, allocated here (what a helper frees stays in its own malloc arena).
     One core, or one tile (at most _MIN_TILE chains, or fewer than 2 * _MIN_TILE
     under a wider cap), builds no pool."""
-    nbr = _neighbor_table(cluster)  # take() reads it flattened
+    keep, _ = _reachable_ball(cluster, n_max)
+    ids = np.min_scalar_type(keep.size - 1)
+    # local ids rise with the cluster's, so rows keep their CSR order; a cut ball
+    # loses only neighbours of its sphere D = n_max, from which no step leaves
+    csr = cluster.csr if keep.size == cluster.n_vertices else induced_csr(*cluster.csr, keep)
+    nbr = _neighbor_table(*csr, ids)  # take() reads it flattened
     width = nbr.shape[1]
-    deg = cluster.degrees.astype(np.float64)
+    deg = cluster.degrees[keep].astype(np.float64)  # ambient degrees drive the walk
     if nbr.max() >= deg.size:  # take() skips this check in mode="clip"; floor(u*deg) < deg
-        raise ValueError("neighbour table names a vertex outside the cluster")
+        raise ValueError("neighbour table names a vertex outside the ball")
+    origin = np.searchsorted(keep, cluster.origin)
     firsts = range(0, samples, _CHUNK)
     cores = len(os.sched_getaffinity(0))
-    cap = max(_MIN_TILE, _TILE_BYTES // (4 * (n_max + 1))) // 4 * 4
+    cap = max(_MIN_TILE, _TILE_BYTES // (ids.itemsize * (n_max + 1))) // 4 * 4
     tiles = []  # (chunk k, its width, first column a, tile width)
     for k, first in enumerate(firsts):
         chunk = min(_CHUNK, samples - first)
@@ -305,7 +312,7 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
     def walk_share(j, traj, u, dg, off, pick):
         for k, chunk, a, w in tiles[j::shares]:
             block, u_k, dg_k, off_k, pick_k = (x[..., :w] for x in (traj, u, dg, off, pick))
-            block[0] = cluster.origin
+            block[0] = origin
             bits = np.random.Philox(key=(seed << 64) + k)
             rng = np.random.Generator(bits)
             for step in range(n_max):
@@ -320,12 +327,12 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
                 rng.random(out=u_k)
                 u_k *= deg.take(cur, out=dg_k, mode="clip")
                 pick_k[:] = u_k  # truncates, as astype(np.int32) did
-                pick_k += np.multiply(cur, width, out=off_k)
+                pick_k += np.multiply(cur, width, out=off_k, dtype=np.int32)  # ids would wrap
                 nbr.take(pick_k, out=block[step + 1], mode="clip")
             reduce(firsts[k] + a, block)
 
     widest = [max(w for *_, w in tiles[j::shares]) for j in range(shares)]
-    buffers = [(np.empty((n_max + 1, cols), np.int32), np.empty(cols), np.empty(cols),
+    buffers = [(np.empty((n_max + 1, cols), ids), np.empty(cols), np.empty(cols),
                 np.empty(cols, np.int32), np.empty(cols, np.int32)) for cols in widest]
     if shares == 1:
         return walk_share(0, *buffers[0])
@@ -338,7 +345,8 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
 
 def mc_visited_samples(cluster: ClusterGraph, n_list: Sequence[int],
                        samples: int, seed: int) -> dict:
-    """Sampled N_n arrays per n, one entry per chain; chunk k keyed (seed, k).
+    """Sampled N_n arrays per n, one entry per chain, of the smallest unsigned
+    type that holds max(n_list) + 1 (uint8 to max(n_list) = 254); chunk k keyed (seed, k).
     N_n is the popcount of a uint64 visited mask, one bit per ball vertex, when
     the chemical ball of radius max(n_list) has at most 64 vertices.  Otherwise
     each tile sorts its rows 0..n in place for n ascending and counts the
@@ -349,9 +357,9 @@ def mc_visited_samples(cluster: ClusterGraph, n_list: Sequence[int],
     if len(n_list) == 0 or min(n_list) < 0:
         raise ValueError(f"n_list must hold at least one n, each >= 0, got {list(n_list)}")
     n_max = max(n_list)
-    out = {n: np.empty(samples, dtype=np.int64) for n in n_list}
-    keep, _ = _reachable_ball(cluster, n_max)
-    if keep.size > 64:
+    out = {n: np.empty(samples, dtype=np.min_scalar_type(n_max + 1)) for n in n_list}
+    size = _reachable_ball(cluster, n_max)[0].size
+    if size > 64:
         def count(first, traj):
             cols = slice(first, first + traj.shape[1])
             for n in sorted(out):
@@ -360,8 +368,7 @@ def mc_visited_samples(cluster: ClusterGraph, n_list: Sequence[int],
                 block.sort(axis=0)
                 out[n][cols] = 1 + np.count_nonzero(block[1:] != block[:-1], axis=0)
     else:
-        bit = np.zeros(cluster.n_vertices, dtype=np.uint64)
-        bit[keep] = np.uint64(1) << np.arange(keep.size, dtype=np.uint64)
+        bit = np.uint64(1) << np.arange(size, dtype=np.uint64)  # by ball id
 
         def count(first, traj):
             mask = np.zeros(traj.shape[1], dtype=np.uint64)
@@ -379,7 +386,10 @@ def _mc_moments(counts: np.ndarray, alpha: float) -> tuple[float, float]:
     if counts.min() == counts.max():
         # constant sample (n = 0, alpha = 1, forced paths): exact value
         return float(alpha) ** int(counts[0]), 0.0
-    x = (alpha ** np.arange(counts.max() + 1.0)).take(counts)
+    powers = alpha ** np.arange(counts.max() + 1.0)
+    x = np.empty(counts.size)
+    for lo in range(0, counts.size, _CHUNK):  # take() copies its indices to intp
+        powers.take(counts[lo: lo + _CHUNK], out=x[lo: lo + _CHUNK], mode="clip")
     mean = float(np.mean(x))
     var = float(np.mean(np.multiply(x, x, out=x)) - mean * mean)
     return mean, float(np.sqrt(max(var, 0.0) / counts.size))
@@ -413,10 +423,11 @@ def confinement_probability(cluster: ClusterGraph, r: int, n: int,
         return 1.0, 0.0
     if r == 0:
         return 0.0, 0.0  # the first of the n >= 1 steps leaves {0}
-    inside = cluster.distances_from_origin() <= r
+    dist = cluster.distances_from_origin()
+    inside = dist[dist <= n] <= r  # by ball id
     hits = []  # list.append is atomic, so helper threads may share it
     _map_chunks(cluster, n, samples, seed, lambda first, traj: hits.append(
-        np.count_nonzero(inside.take(traj, mode="clip").all(axis=0))))
+        np.count_nonzero(inside[traj].all(axis=0))))  # take() would copy traj to intp
     phat = int(sum(hits)) / samples
     return phat, float(np.sqrt(phat * (1 - phat) / samples))
 

@@ -329,15 +329,16 @@ def _crosses_inner_box(spec, comp: set[int], adj: dict,
                        lo: np.ndarray, hi: np.ndarray) -> bool:
     """Does the component contain, inside [lo, hi], a face-to-face open path
     for every axis?"""
-    members = [v for v in comp
-               if np.all((coords_all[v] >= lo) & (coords_all[v] <= hi))]
-    if not members:
+    ids = np.fromiter(comp, dtype=np.int64, count=len(comp))
+    coords = coords_all[ids]
+    inside = np.all((coords >= lo) & (coords <= hi), axis=1)
+    members, coords = ids[inside], coords[inside]
+    if not members.size:
         return False
-    member_set = set(members)
-    coords = {v: coords_all[v] for v in members}
+    member_set = set(members.tolist())
     for axis in range(spec.d):
-        sources = [v for v in members if coords[v][axis] == lo[axis]]
-        targets = {v for v in members if coords[v][axis] == hi[axis]}
+        sources = members[coords[:, axis] == lo[axis]].tolist()
+        targets = set(members[coords[:, axis] == hi[axis]].tolist())
         if not sources or not targets:
             return False
         seen = set(sources)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from percwalk import percolation as perc, walk
-from conftest import (bfs_oracle, classify_boxes_oracle, components_oracle,
+from conftest import (all_coords, bfs_oracle, classify_boxes_oracle, components_oracle,
                       extraction_oracle, lists_of, open_graph_oracle)
 
 
@@ -86,6 +86,23 @@ class TestSampling:
         order = np.lexsort((axes, tails))
         assert np.array_equal(order, np.arange(tails.size))
         assert np.all(heads > tails)
+
+    @pytest.mark.parametrize("d, n", [(2, 0), (2, 3), (3, 2), (4, 1)])
+    def test_edges_from_coordinates(self, d, n):
+        spec = perc.LatticeSpec(d, n)
+        unit = np.eye(d, dtype=int)
+        want = [(v, spec.vertex_index(c + unit[a]), a)
+                for v, c in enumerate(all_coords(spec)) for a in range(d) if c[a] < n]
+        assert list(zip(*(x.tolist() for x in spec.edges()))) == want
+        assert len(want) == spec.n_edges
+
+    @pytest.mark.parametrize("d, n", [(2, 0), (2, 3), (3, 2), (4, 1)])
+    def test_open_adjacency_matches_the_edge_list(self, d, n):
+        config = perc.sample_bond_config(perc.LatticeSpec(d, n), 0.6, 5)
+        adj = open_graph_oracle(config)
+        indptr, indices = perc.open_adjacency(config)
+        assert indptr.dtype == indices.dtype == np.int64
+        assert lists_of(indptr, indices) == [sorted(adj[v]) for v in range(len(adj))]
 
 
 class TestComponentOfOrigin:

@@ -34,11 +34,12 @@ def sampled_cluster(n: int, p: float, seed: int) -> perc.ClusterGraph:
 
 def chains(cluster: perc.ClusterGraph, n: int, samples: int, seed: int) -> np.ndarray:
     """X_0..X_n of ``samples`` Monte Carlo chains, one per column, copied out of
-    the one chunked loop."""
+    the one chunked loop and mapped from ball ids back to cluster ids."""
     out = np.empty((n + 1, samples), dtype=np.int64)
+    ball = walk._reachable_ball(cluster, n)[0]
 
     def keep(first, traj):
-        out[:, first: first + traj.shape[1]] = traj
+        out[:, first: first + traj.shape[1]] = ball[traj]
     walk._map_chunks(cluster, n, samples, seed, keep)
     return out
 
@@ -298,10 +299,24 @@ class TestMonteCarloStream:
         n_list = [n, 0, n, n // 2]
         counts = walk.mc_visited_samples(cluster, n_list, 300, 14)
         assert list(counts) == [n, 0, n // 2]
-        assert all(c.shape == (300,) and c.dtype == np.int64 for c in counts.values())
+        assert all(c.shape == (300,) and c.dtype == np.min_scalar_type(n + 1)
+                   for c in counts.values())
         assert counts[0].tolist() == [1] * 300
         assert {k: c.tolist() for k, c in counts.items()} == \
             oracle_counts(cluster, n_list, 300, 14, range(300))
+
+    @pytest.mark.parametrize("path", ["mask", "sort"])
+    def test_counts_of_two_bytes(self, path):
+        # n_max = 400 stores N_n in uint16: the mask path widens its uint8 popcounts,
+        # and on Z^3 the sort path counts past 255
+        cluster = reversed_path(64) if path == "mask" else full_lattice(8, d=3)
+        assert (walk._reachable_ball(cluster, 400)[0].size <= 64) == (path == "mask")
+        n_list = [3, 254, 255, 400]
+        counts = walk.mc_visited_samples(cluster, n_list, 40, 18)
+        assert all(c.dtype == np.uint16 for c in counts.values())
+        assert (counts[400].max() > 255) == (path == "sort")
+        assert {n: c.tolist() for n, c in counts.items()} == \
+            oracle_counts(cluster, n_list, 40, 18, range(40))
 
     def test_chains_of_the_second_chunk(self):
         cluster = sampled_cluster(3, 0.7, 2)
@@ -426,34 +441,52 @@ class TestCoreCount:
                          lambda first, traj: tiles.append((first, traj.shape[1])))
         assert [w for _, w in sorted(tiles)] == widths
 
+    # (samples, n_max) -> the full lattice (box, d) walked, and its ball's id type
+    BYTE_CAP_BALLS = {(60_000, 200): ((20, 3), np.uint32), (131_072, 200): ((30, 2), np.uint16),
+                      (30_000, 120): ((70, 2), np.uint16), (8200, 600): ((20, 3), np.uint32),
+                      (65_536, 12): ((2, 2), np.uint8), (65_536, 300): ((2, 2), np.uint8)}
+
     @pytest.mark.parametrize("cores, samples, n_max, widths", [
-        (2, 60_000, 200, [10_000] * 6),  # the benchmark's mc-d3 call
-        (2, 131_072, 200, ([9364] * 6 + [9352]) * 2),  # two chunks, each over the cap
-        (2, 30_000, 120, [15_000] * 2),  # exponent-fit's calls: the core rule
+        (2, 60_000, 200, [10_000] * 6),  # the benchmark's mc-d3 call, on 68,921 vertices
+        (2, 131_072, 200, [16_384] * 8),  # two chunks, each over the cap
+        (2, 30_000, 120, [15_000] * 2),  # exponent-fit's calls, on a cut ball: the core rule
         (2, 8200, 600, [2736] * 2 + [2728]),  # the cap is floored at _MIN_TILE columns
-        (3, 65_536, 12, [21_848] * 2 + [21_840])])  # n = 12: whole chunks, cut per core
+        (3, 65_536, 12, [21_848] * 2 + [21_840]),  # n = 12: whole chunks, cut per core
+        (2, 65_536, 300, [21_848] * 2 + [21_840])])  # a 25-vertex ball under the cap
     def test_tiles_no_wider_than_the_byte_cap(self, monkeypatch, cores, samples, n_max,
                                               widths):
+        # cap = _TILE_BYTES // (itemsize * (n_max + 1)) columns, floored at _MIN_TILE
         assert walk._TILE_BYTES == 2**23
         pretend_cores(monkeypatch, cores)
+        lattice, ids = self.BYTE_CAP_BALLS[samples, n_max]
+        cluster = full_lattice(*lattice)
+        ball = walk._reachable_ball(cluster, n_max)[0].size
+        assert (ball == cluster.n_vertices) == (lattice != (70, 2))
         tiles, buffers = [], []
 
         def record(first, traj):
             tiles.append((first, traj.shape[1]))
-            buffers.append(traj.base.nbytes)
-        walk._map_chunks(full_lattice(2), n_max, samples, 0, record)
+            buffers.append((traj.dtype, traj.base.nbytes))
+        walk._map_chunks(cluster, n_max, samples, 0, record)
         assert [w for _, w in sorted(tiles)] == widths
-        assert max(buffers) <= max(walk._TILE_BYTES, 4 * (n_max + 1) * walk._MIN_TILE)
+        assert {dtype for dtype, _ in buffers} == {np.dtype(ids)} == {np.min_scalar_type(ball - 1)}
+        itemsize = np.dtype(ids).itemsize
+        assert max(b for _, b in buffers) <= max(walk._TILE_BYTES,
+                                                  itemsize * (n_max + 1) * walk._MIN_TILE)
 
-    @pytest.mark.parametrize("path", ["mask", "sort"])
+    @pytest.mark.parametrize("path", ["mask", "sort", "uint16"])
     def test_counts_under_a_small_byte_cap(self, monkeypatch, path):
         # a 1,000-column cap at n_max = 8 cuts both chunks on any core count (into
         # 66 and 2 tiles; 3 on 3 cores); the second's 1,003 columns are not a multiple of 4
+        cluster = (sampled_cluster(3, 0.7, 2) if path == "mask" else
+                   full_lattice(6) if path == "sort" else full_lattice(4, d=3))
+        ball = walk._reachable_ball(cluster, 8)[0].size
+        assert (ball <= 64) == (path == "mask")
+        itemsize = np.min_scalar_type(ball - 1).itemsize
+        assert itemsize == (2 if path == "uint16" else 1)
         monkeypatch.setattr(walk, "_MIN_TILE", 100)
-        monkeypatch.setattr(walk, "_TILE_BYTES", 4 * 9 * 1000)
+        monkeypatch.setattr(walk, "_TILE_BYTES", itemsize * 9 * 1000)
         samples = walk._CHUNK + 1003
-        cluster = sampled_cluster(3, 0.7, 2) if path == "mask" else full_lattice(6)
-        assert (walk._reachable_ball(cluster, 8)[0].size <= 64) == (path == "mask")
         runs, hits = [], []
         for cores in (1, 2, 3):
             pretend_cores(monkeypatch, cores)
@@ -485,6 +518,53 @@ class TestCoreCount:
         pretend_cores(monkeypatch, 1)
         walk.mc_visited_samples(cluster, [4], walk._CHUNK + 1, 0)
         walk.confinement_probability(cluster, 2, 6, walk._CHUNK, 0)
+
+
+class TestMonteCarloMemory:
+    """What the Monte Carlo layer holds at once, traced by tracemalloc."""
+
+    def test_confinement_sized_call(self, monkeypatch):
+        # one cluster of the confinement recipe: 10^6 chains on a ball of <= 25 vertices
+        pretend_cores(monkeypatch, 2)
+        cluster = sampled_cluster(2, 0.7, 0)
+        assert walk._reachable_ball(cluster, 12)[0].size <= 25
+        tracemalloc.start()
+        try:
+            counts = walk.mc_visited_samples(cluster, [6, 10, 12], 10**6, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c.dtype == np.uint8 for c in counts.values())
+        # 3 MB of counts and two shares of tiles (~11 MB in all); int64 counts and
+        # int32 trajectories of cluster ids took 37 MB
+        assert peak < 16 * 2**20
+
+    def test_confinement_copies_no_tile(self, monkeypatch):
+        # two shares of 61 x 65,536 one-byte tiles (4 MB each) and their bool reads;
+        # int32 tiles read through take(), which copies its indices to intp, took 51 MB
+        pretend_cores(monkeypatch, 2)
+        cluster = sampled_cluster(2, 0.7, 0)
+        tracemalloc.start()
+        try:
+            walk.confinement_probability(cluster, 2, 60, 10**5, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20  # ~12.6 MB
+
+    def test_moments_hold_one_chunk_of_indices(self):
+        counts = np.random.default_rng(0).integers(1, 14, 10**6).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            moments = walk._mc_moments(counts, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 per count and one chunk of intp indices, a few bytes more
+        assert peak <= 8 * counts.size + 8 * walk._CHUNK + 4096
+        x = (0.5 ** np.arange(14.0))[counts]
+        assert moments == (float(np.mean(x)), float(np.sqrt((np.mean(x * x) - np.mean(x) ** 2)
+                                                            / counts.size)))
 
 
 class TestConfinement:
