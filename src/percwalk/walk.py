@@ -5,7 +5,10 @@ in one pass: a merged-state sweep over (current vertex, visited bitmask) pairs,
 deduped by sorting at every step, while the radius-t chemical ball has at most
 60 vertices; past that, on equal-degree balls (the full lattice seen from the
 origin), an enumerator of the equally likely paths that keeps one column of
-positions per step instead of the paths.
+positions per step instead of the paths, in the ball's own ids of the smallest
+unsigned type, with one-byte visit counts and keys, counted by bincount over
+blocks of at most 65,536 paths.  The sweep is capped at DEFAULT_BUDGET path
+extensions, the enumerator at ENUMERATOR_BYTES (1 GiB) of columns and counts.
 
 The Monte Carlo estimator runs chunks of 65,536 chains as column-vectorized
 trajectories, chunk k keyed (master seed, k), and spreads them over the cores
@@ -53,18 +56,20 @@ __all__ = [
     "killed_operator_report",
 ]
 
-DEFAULT_BUDGET = 2**28
+DEFAULT_BUDGET = 2**28  # path extensions of the merged sweep
+ENUMERATOR_BYTES = 2**30  # columns and counts of the path enumerator
 MASK_WIDTH = 60  # vertices a merged-sweep state's uint64 visited mask holds
 
 
 class BudgetExceededError(RuntimeError):
-    """Exact enumeration would need more path extensions than allowed."""
+    """Exact enumeration would need more than allowed: more path extensions
+    (the merged sweep) or more bytes (the path enumerator)."""
 
-    def __init__(self, needed: float, budget: int):
+    def __init__(self, needed: float, budget: int, unit: str = "path extensions"):
         self.needed = needed
         self.budget = budget
         super().__init__(
-            f"enumeration needs about {needed:.3g} path extensions, budget is {budget}")
+            f"enumeration needs about {needed:.3g} {unit}, budget is {budget} {unit}")
 
 
 class BallTooWideError(RuntimeError):
@@ -102,7 +107,7 @@ class WalkSeries:
 # Exact enumeration backends
 # ---------------------------------------------------------------------------
 
-def _neighbor_table(indptr: np.ndarray, indices: np.ndarray, dtype=np.int32) -> np.ndarray:
+def _neighbor_table(indptr: np.ndarray, indices: np.ndarray, dtype) -> np.ndarray:
     """Row v lists the neighbours of v in CSR order, zero-padded to the
     largest degree."""
     deg = np.diff(indptr)
@@ -111,11 +116,15 @@ def _neighbor_table(indptr: np.ndarray, indices: np.ndarray, dtype=np.int32) -> 
     return table
 
 
-def _reachable_ball(cluster: ClusterGraph, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices within chemical distance n of the origin, and their distances."""
-    dist = cluster.distances_from_origin()
-    keep = np.nonzero(dist <= n)[0]
-    return keep, dist[keep]
+def _reachable_ball(cluster: ClusterGraph, n: int):
+    """The chemical ball of radius n in its own ids, the ranks of its cluster
+    ids: (its cluster ids, its CSR, the smallest unsigned type that holds its
+    ids, the origin's id).  Local ids rise with the cluster's, so rows keep
+    their CSR order; a cut ball loses only neighbours of its sphere D = n, from
+    which no walk of n steps leaves."""
+    keep = np.nonzero(cluster.distances_from_origin() <= n)[0]
+    csr = cluster.csr if keep.size == cluster.n_vertices else induced_csr(*cluster.csr, keep)
+    return keep, csr, np.min_scalar_type(keep.size - 1), int(np.searchsorted(keep, cluster.origin))
 
 
 def _merged_state_laws(cluster: ClusterGraph, n: int) -> list:
@@ -123,11 +132,8 @@ def _merged_state_laws(cluster: ClusterGraph, n: int) -> list:
     bitmask states, one sweep to n cut to the chemical ball of radius n (the
     cut keeps the degree of every vertex the walk can leave from).  Local ids
     rise with the cluster's ids, so states sort as in the ball of any t <= n."""
-    keep, _ = _reachable_ball(cluster, n)
-    # the walk only leaves from distance <= n - 1, where no neighbour is cut
-    indptr, indices = induced_csr(*cluster.csr, keep)
+    keep, (indptr, indices), _, origin = _reachable_ball(cluster, n)
     deg = cluster.degrees[keep].astype(np.float64)  # ambient degrees drive the kernel
-    origin = int(np.searchsorted(keep, cluster.origin))
 
     verts = np.array([origin], dtype=np.int64)
     masks = np.array([np.uint64(1) << np.uint64(origin)], dtype=np.uint64)
@@ -163,49 +169,61 @@ def _uniform_path_laws(cluster: ClusterGraph, n: int) -> list:
     Valid only when every vertex at distance <= n-1 from the origin has the
     same degree g, so each t-step path has weight g^-t.  No path is stored:
     column t holds X_t of all g^t paths, path i extending path i // g, so its
-    step j is row i // g^(t-j) of column j.  Keys are counted by bincount and
-    appear in the order of their first path, found by scanning 65,536-key
-    blocks, so no index array spans a column.  Values are (number of paths) *
-    g^-t, which for g = 6 (Z^3) may differ from the path-by-path sum in the
-    last bits."""
-    keep, dist = _reachable_ball(cluster, n)
-    degs = cluster.degrees[keep[dist <= n - 1]]
+    step j is row i // g^(t-j) of column j.  Columns hold ball-local ids of
+    the smallest unsigned type (one byte up to 256 vertices), and the counts
+    N_t and keys 2 N_t + pinned one byte each up to n = 126.  Each column is
+    gathered, compared, counted by bincount and scanned for its keys' first
+    paths in blocks of g^k <= 65,536 paths, since take() and bincount() copy
+    their indices to intp.  The columns and the last step's counts may take at
+    most ENUMERATOR_BYTES.  Values are (number of paths) * g^-t, which for
+    g = 6 (Z^3) may differ from the path-by-path sum in the last bits."""
+    keep, csr, ids, origin = _reachable_ball(cluster, n)
+    degs = cluster.degrees[cluster.distances_from_origin() <= n - 1]
     g = int(degs.min())
-    if g**n > DEFAULT_BUDGET:  # every step offers at least g moves
-        raise BudgetExceededError(float(g) ** n, DEFAULT_BUDGET)
+    # every step offers at least g moves; the counts of steps n - 1 and n live together
+    needed = ids.itemsize * sum(g**t for t in range(n + 1)) + 2 * g**n
+    if needed > ENUMERATOR_BYTES:
+        raise BudgetExceededError(needed, ENUMERATOR_BYTES, "bytes")
     if degs.max() != g:
         raise BallTooWideError(
             f"the radius-{n} chemical ball has {keep.size} vertices, over the {MASK_WIDTH}-vertex"
             f" mask width of the merged sweep, and degrees {g} to {degs.max()} within radius"
             f" {n - 1}, so its paths are not equally likely")
 
-    nbr = _neighbor_table(*cluster.csr)[:, :g]
-    cols = [np.array([cluster.origin], dtype=np.int32)]
-    distinct = np.ones(1, dtype=np.int16)
-    laws = []
+    nbr = np.ascontiguousarray(_neighbor_table(*csr, ids)[:, :g])
+    span = max(g, 1)  # paths per block, a power of g: whole rows of each column, or part of one
+    while 1 < span * g <= 2**16:
+        span *= g
+    x = np.array([origin], dtype=ids)
+    distinct = np.zeros(1, dtype=np.min_scalar_type(2 * n + 3))  # N_t per path; holds keys too
+    cols, laws = [], []
     for t in range(n + 1):
         if t:
-            x = nbr[cols[-1]].ravel()
-            seen = np.zeros(x.size, dtype=bool)
-            for col in cols:
-                rows = seen.reshape(col.size, -1)
-                rows |= x.reshape(col.size, -1) == col[:, None]
-            distinct = np.repeat(distinct, g) + ~seen
-            del seen
-            cols.append(x)
-        keys = 2 * distinct + (cols[-1] == cluster.origin)  # (count, pinned) in int16
-        counts = np.bincount(keys)
-        # keys by first path: scan blocks until every key counted has appeared
-        order = np.empty(0, dtype=keys.dtype)
-        for lo in range(0, keys.size, 2**16):
-            block, first = np.unique(keys[lo: lo + 2**16], return_index=True)
-            new = block[np.argsort(first)]
-            order = np.concatenate([order, new[~np.isin(new, order)]])
-            if order.size == np.count_nonzero(counts):
-                break
+            parents, x = x, np.empty((x.size, g), dtype=ids)
+            for lo in range(0, parents.size, span):
+                nbr.take(parents[lo: lo + span], axis=0, out=x[lo: lo + span], mode="clip")
+            x = x.ravel()
+            distinct = np.repeat(distinct, g)
+        counts = np.zeros(2 * n + 4, dtype=np.int64)
+        order = []  # keys by first path
+        for lo in range(0, x.size, span):
+            block, visits = x[lo: lo + span], distinct[lo: lo + span]
+            fresh = np.ones(block.size, dtype=bool)
+            for j, col in enumerate(cols):
+                s = g ** (t - j)
+                r = min(s, block.size)
+                rows = fresh.reshape(-1, r)
+                rows &= block.reshape(-1, r) != col[lo // s: lo // s + block.size // r, None]
+            visits += fresh
+            keys = visits << 1
+            keys += block == origin
+            part = np.bincount(keys, minlength=counts.size)
+            new = np.flatnonzero(part * (counts == 0)).tolist()
+            order += sorted(new, key=lambda k: int(np.argmax(keys == k)))
+            counts += part
+        cols.append(x)
         w = float(g) ** (-t)
-        laws.append({(k >> 1, bool(k & 1)): c * w
-                     for k, c in zip(order.tolist(), counts[order].tolist())})
+        laws.append({(k >> 1, bool(k & 1)): c * w for k, c in zip(order, counts[order].tolist())})
     return laws
 
 
@@ -286,17 +304,12 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
     tile, allocated here (what a helper frees stays in its own malloc arena).
     One core, or one tile (at most _MIN_TILE chains, or fewer than 2 * _MIN_TILE
     under a wider cap), builds no pool."""
-    keep, _ = _reachable_ball(cluster, n_max)
-    ids = np.min_scalar_type(keep.size - 1)
-    # local ids rise with the cluster's, so rows keep their CSR order; a cut ball
-    # loses only neighbours of its sphere D = n_max, from which no step leaves
-    csr = cluster.csr if keep.size == cluster.n_vertices else induced_csr(*cluster.csr, keep)
+    keep, csr, ids, origin = _reachable_ball(cluster, n_max)
     nbr = _neighbor_table(*csr, ids)  # take() reads it flattened
     width = nbr.shape[1]
     deg = cluster.degrees[keep].astype(np.float64)  # ambient degrees drive the walk
     if nbr.max() >= deg.size:  # take() skips this check in mode="clip"; floor(u*deg) < deg
         raise ValueError("neighbour table names a vertex outside the ball")
-    origin = np.searchsorted(keep, cluster.origin)
     firsts = range(0, samples, _CHUNK)
     cores = len(os.sched_getaffinity(0))
     cap = max(_MIN_TILE, _TILE_BYTES // (ids.itemsize * (n_max + 1))) // 4 * 4

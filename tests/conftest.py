@@ -294,13 +294,9 @@ def extraction_oracle(config, kind: str, r: int = 0):
     return coords, adjacency, local.get(origin_id), meta
 
 
-def _subgraph_components(t_all: np.ndarray, h_all: np.ndarray,
-                         coords_t: np.ndarray, coords_h: np.ndarray,
-                         lo: np.ndarray, hi: np.ndarray) -> tuple[dict, list[list[int]]]:
-    """Open components of the subgraph induced on the sub-box [lo, hi]."""
-    inside = np.all((coords_t >= lo) & (coords_t <= hi), axis=1) & \
-        np.all((coords_h >= lo) & (coords_h <= hi), axis=1)
-    t, h = t_all[inside], h_all[inside]
+def _subgraph_components(t: np.ndarray, h: np.ndarray) -> tuple[dict, list[list[int]]]:
+    """Adjacency and components of the graph on the edges (t, h), each
+    component listed in breadth-first order from its smallest vertex."""
     adj: dict[int, list[int]] = {}
     for a, b in zip(t.tolist(), h.tolist()):
         adj.setdefault(a, []).append(b)
@@ -403,6 +399,13 @@ def classify_boxes_oracle(config, N: int) -> dict:
     coords_all = all_coords(spec)
     coords_t = coords_all[t_open]
     coords_h = coords_all[h_open]
+    # (axis, block coordinate) -> open edges with both ends in the enlarged box's slab
+    slabs = {}
+    for axis in range(spec.d):
+        for k in range(-imax, imax + 1):
+            lo, hi = step * k - big, step * k + big
+            slabs[axis, k] = (coords_t[:, axis] >= lo) & (coords_t[:, axis] <= hi) & \
+                (coords_h[:, axis] >= lo) & (coords_h[:, axis] <= hi)
 
     for flat in np.ndindex(*(2 * imax + 1,) * spec.d):
         i = np.array(flat) - imax
@@ -415,8 +418,8 @@ def classify_boxes_oracle(config, N: int) -> dict:
             blocks[tuple(i)] = BlockStatus(False, False, False)
             continue
 
-        adj, comps = _subgraph_components(t_open, h_open, coords_t, coords_h,
-                                          lo_big, hi_big)
+        inside = np.logical_and.reduce([slabs[axis, k] for axis, k in enumerate(i.tolist())])
+        adj, comps = _subgraph_components(t_open[inside], h_open[inside])
         crossing_comps = [c for c in comps
                           if _crosses_inner_box(spec, set(c), adj, coords_all,
                                                 lo_in, hi_in)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -134,9 +135,10 @@ class TestExactLaplace:
             for key, value in want.items():
                 assert abs(Fraction(got[key]) - value) <= value * Fraction(1, 2**52)
 
-    @pytest.mark.parametrize("d, n", [(2, 8), (2, 10), (3, 5)])
+    @pytest.mark.parametrize("d, n", [(2, 8), (2, 10), (3, 5), (3, 6)])
     def test_key_order_of_the_path_enumerator(self, d, n):
-        # key order fixes the float summation order of _laplace_of
+        # key order fixes the float summation order of _laplace_of; the Z^3 ball
+        # of radius 6 has 377 vertices, so its columns hold uint16 ids
         cluster = full_lattice(n, d)
         for got, want in zip(walk._uniform_path_laws(cluster, n),
                              uniform_path_laws_by_unique(cluster, n), strict=True):
@@ -159,7 +161,9 @@ class TestExactLaplace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2**20  # the path matrix took ~80 MB
+        # one-byte columns and counts peak near 3 MiB; int32 columns, int16 keys
+        # and whole-column bincount took 18.4 MiB, the path matrix ~80 MB
+        assert peak < 8 * 2**20
 
     def test_wide_unequal_ball_names_the_mask_width(self):
         cluster = full_lattice(4)  # the box's sides, of degree 3, lie at distance 4
@@ -170,8 +174,28 @@ class TestExactLaplace:
         with pytest.raises(walk.BallTooWideError, match=f"^{message}$"):
             walk.exact_visited_distribution(cluster, 6)
 
+    def test_byte_budget_names_the_bytes(self):
+        # 4^14 paths of 2-byte ids (421-vertex ball): 2 (4^15 - 1) / 3 + 2 4^14 bytes
+        cluster = full_lattice(14)
+        message = "enumeration needs about 1.25e+09 bytes, budget is 1073741824 bytes"
+        tracemalloc.start()
+        try:
+            with pytest.raises(walk.BudgetExceededError, match=f"^{re.escape(message)}$") as err:
+                walk.exact_visited_distribution(cluster, 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.needed, err.value.budget) == (1252698794, walk.ENUMERATOR_BYTES)
+        assert peak < 2**20  # raised before the columns are allocated
+
+    def test_sweep_budget_names_path_extensions(self, monkeypatch):
+        monkeypatch.setattr(walk, "DEFAULT_BUDGET", 100)
+        message = "enumeration needs about 444 path extensions, budget is 100 path extensions"
+        with pytest.raises(walk.BudgetExceededError, match=f"^{message}$"):
+            walk.exact_visited_laws(full_lattice(2), 6)  # 25 vertices: merged sweep
+
     def test_budget_guard(self):
-        cluster = full_lattice(30)  # n = 40 needs at least 3^40 path extensions, over 2^28
+        cluster = full_lattice(30)  # n = 40 needs at least 3^40 bytes, over 2^30
         with pytest.raises(walk.BudgetExceededError) as err:
             walk.exact_laplace(cluster, 0.5, 40)
         assert err.value.needed > err.value.budget
