@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import combinations, compress
 from pathlib import Path
 from typing import Callable
 
@@ -501,13 +502,11 @@ def _recipe_folner_wreath(ctx):
 
 def _random_graph(rng, nv: int, p_edge: float) -> list:
     # one uniform per pair i < j in row-major order, all drawn in one call
-    edges = iter((rng.random(nv * (nv - 1) // 2) < p_edge).tolist())
+    flags = (rng.random(nv * (nv - 1) // 2) < p_edge).tolist()
     adjacency = [[] for _ in range(nv)]
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            if next(edges):
-                adjacency[i].append(j)
-                adjacency[j].append(i)
+    for i, j in compress(combinations(range(nv), 2), flags):
+        adjacency[i].append(j)
+        adjacency[j].append(i)
     return adjacency
 
 

@@ -202,10 +202,13 @@ class ClusterGraph:
 
     The graph is held once, as CSR arrays ``csr = (indptr, indices)``: the
     constructor converts per-vertex neighbour lists, ``from_csr`` takes the
-    arrays as they are.  ``adjacency`` is a read-only list view of the rows,
-    rebuilt on each read.  The empty sentinel (``is_empty``) stands for "no
-    cluster at all"; the single-vertex cluster (isolated origin) is a valid
-    non-empty instance.
+    arrays as they are, and both ``validate`` what they are given.  Clusters
+    extracted from a bond configuration are induced subgraphs of its simple,
+    symmetric open graph, valid by construction, and are not re-checked.  No
+    ``scipy.sparse`` matrix is cached: the csgraph calls wrap ``csr`` for the
+    call.  ``adjacency`` is a read-only list view of the rows, rebuilt on each
+    read.  The empty sentinel (``is_empty``) stands for "no cluster at all";
+    the single-vertex cluster (isolated origin) is a valid non-empty instance.
     """
 
     def __init__(self, coords: np.ndarray, adjacency: Sequence[Sequence[int]],
@@ -213,13 +216,15 @@ class ClusterGraph:
         indptr = np.cumsum([0] + [len(nbrs) for nbrs in adjacency], dtype=np.int64)
         indices = np.fromiter(chain.from_iterable(adjacency), np.int64, int(indptr[-1]))
         self._hold(coords, indptr, indices, origin, meta)
+        self.validate()
 
     @classmethod
     def from_csr(cls, coords: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
                  origin: int | None, meta: dict | None = None) -> "ClusterGraph":
-        """The cluster over CSR arrays, taken as they are."""
+        """The cluster over CSR arrays, taken as they are and validated."""
         cluster = cls.__new__(cls)
         cluster._hold(coords, indptr, indices, origin, meta)
+        cluster.validate()
         return cluster
 
     def _hold(self, coords, indptr, indices, origin, meta):
@@ -227,8 +232,7 @@ class ClusterGraph:
         self.csr = (indptr, indices)
         self.origin = origin
         self.meta = {} if meta is None else meta
-        self._graph = self._dist = self._index = None
-        self.validate()
+        self._dist = self._index = None
 
     @classmethod
     def empty(cls, meta: dict | None = None) -> "ClusterGraph":
@@ -239,13 +243,6 @@ class ClusterGraph:
         """Per-vertex neighbour lists in CSR row order, rebuilt on each read."""
         bounds, flat = (a.tolist() for a in self.csr)
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    @property
-    def graph(self) -> csr_matrix:
-        """Unit-weight ``csr_matrix`` over ``csr``, built once, for ``scipy.sparse.csgraph``."""
-        if self._graph is None:
-            self._graph = _as_graph(*self.csr)
-        return self._graph
 
     @property
     def is_empty(self) -> bool:
@@ -300,7 +297,7 @@ class ClusterGraph:
             a, b = int(keys[bad[0]]), int(transposed[bad[0]])
             i, j = divmod(a, n) if a < b else divmod(b, n)[::-1]
             raise ValueError(f"adjacency not symmetric at ({i}, {j})")
-        if n and _components(self.graph).max() > 0:
+        if n and _components(_as_graph(*self.csr)).max() > 0:
             raise ValueError("cluster graph is not connected")
         if self.origin is not None and not 0 <= self.origin < n:
             raise ValueError("origin index out of range")
@@ -311,7 +308,7 @@ class ClusterGraph:
             raise ValueError("cluster has no distinguished origin")
         if self._dist is None:
             # the cluster is connected, so every distance is finite
-            dist = dijkstra(self.graph, indices=self.origin, unweighted=True)
+            dist = dijkstra(_as_graph(*self.csr), indices=self.origin, unweighted=True)
             self._dist = dist.astype(np.int64)
         return self._dist
 
@@ -322,13 +319,17 @@ def _origin_id(spec: LatticeSpec) -> int:
 
 def _induced_cluster(config: BondConfiguration, graph: csr_matrix, ids: np.ndarray,
                      origin_id: int | None) -> ClusterGraph:
-    """The cluster induced on the sorted box vertex ids; local index = rank."""
+    """The cluster induced on the sorted box vertex ids; local index = rank.
+    An induced subgraph of the simple, symmetric open graph is valid as built,
+    so it is not validated."""
     spec = config.spec
     indptr, indices = induced_csr(graph.indptr, graph.indices, ids)
     coords = np.stack(np.unravel_index(ids, (spec.side,) * spec.d), axis=1) - spec.n
     origin = int(np.searchsorted(ids, origin_id)) if origin_id is not None else None
-    meta = {"d": spec.d, "n": spec.n, "p": config.p, "seed": config.seed}
-    return ClusterGraph.from_csr(coords, indptr, indices, origin, meta)
+    cluster = ClusterGraph.__new__(ClusterGraph)
+    cluster._hold(coords, indptr, indices, origin,
+                  {"d": spec.d, "n": spec.n, "p": config.p, "seed": config.seed})
+    return cluster
 
 
 def component_of_origin(config: BondConfiguration) -> ClusterGraph:

@@ -17,10 +17,12 @@ per core when there are fewer chunks than cores, and enough that no tile's
 trajectory buffer passes 8 MiB (_TILE_BYTES) unless it is at most 4,096
 columns wide.  A tile seeks each row's draws in the chunk's Philox stream by
 setting the counter.  The output does not depend on how many cores there are.
-Chains walk the radius-n_max chemical ball in its own ids, and N_n is counted
-by a uint64 visited mask per chain when it has at most 64 vertices, otherwise
-by sorting the trajectory prefixes in place, shortest first.  Ids and counts
-are stored in the smallest unsigned type that holds them (often one byte).
+Chains walk the radius-n_max chemical ball in its own ids, on its neighbour
+table and degrees alone, and N_n is counted by a uint64 visited mask per chain
+when it has at most 64 vertices, otherwise by sorting the trajectory prefixes
+in place, shortest first, and counting the changes between sorted rows in
+row blocks of 16.  Ids and counts are stored in the smallest unsigned type
+that holds them (often one byte).
 The killed walk's top eigenvalue comes from one Lanczos (``eigsh``) solve from a
 fixed start, so it does not depend on the core count; a ball holding the whole
 cluster kills nothing and has lambda1 = 0.  A walk from an isolated origin stays
@@ -308,6 +310,7 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
     nbr = _neighbor_table(*csr, ids)  # take() reads it flattened
     width = nbr.shape[1]
     deg = cluster.degrees[keep].astype(np.float64)  # ambient degrees drive the walk
+    del keep, csr  # the chains read only nbr and deg
     if nbr.max() >= deg.size:  # take() skips this check in mode="clip"; floor(u*deg) < deg
         raise ValueError("neighbour table names a vertex outside the ball")
     firsts = range(0, samples, _CHUNK)
@@ -364,22 +367,28 @@ def mc_visited_samples(cluster: ClusterGraph, n_list: Sequence[int],
     the chemical ball of radius max(n_list) has at most 64 vertices.  Otherwise
     each tile sorts its rows 0..n in place for n ascending and counts the
     distinct sites per column: a sort permutes rows within the prefix only, so
-    every longer prefix keeps its sites, and no copy is made."""
+    every longer prefix keeps its sites, and no copy is made.  The changes
+    between adjacent sorted rows are counted over blocks of 16 rows, straight
+    into the tile's slice of the counts."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if len(n_list) == 0 or min(n_list) < 0:
         raise ValueError(f"n_list must hold at least one n, each >= 0, got {list(n_list)}")
     n_max = max(n_list)
     out = {n: np.empty(samples, dtype=np.min_scalar_type(n_max + 1)) for n in n_list}
-    size = _reachable_ball(cluster, n_max)[0].size
+    size = int((cluster.distances_from_origin() <= n_max).sum())  # the ball _map_chunks builds
     if size > 64:
         def count(first, traj):
-            cols = slice(first, first + traj.shape[1])
             for n in sorted(out):
                 # sorting a prefix in place keeps each longer prefix's sites
                 block = traj[: n + 1]
                 block.sort(axis=0)
-                out[n][cols] = 1 + np.count_nonzero(block[1:] != block[:-1], axis=0)
+                distinct = out[n][first: first + traj.shape[1]]
+                distinct[:] = 1
+                for lo in range(0, n, 16):  # a (16, width) bool block per compare
+                    hi = min(lo + 16, n)
+                    np.add(distinct, np.count_nonzero(block[lo + 1: hi + 1] != block[lo: hi],
+                                                      axis=0), out=distinct, casting="unsafe")
     else:
         bit = np.uint64(1) << np.arange(size, dtype=np.uint64)  # by ball id
 

@@ -7,6 +7,7 @@ the implementations they check.
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -612,6 +613,16 @@ def csr_of(adjacency) -> tuple[np.ndarray, np.ndarray]:
     """``(indptr, indices)`` of neighbour lists, rows in list order."""
     indptr = np.cumsum([0] + [len(a) for a in adjacency], dtype=np.int64)
     return indptr, np.array([w for a in adjacency for w in a], dtype=np.int64)
+
+
+def traced_peak(fn):
+    """(fn(), the tracemalloc peak in bytes of the call)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def lists_of(indptr, indices) -> list:

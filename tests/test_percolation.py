@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import issparse
 from scipy.sparse.csgraph import connected_components
 
 from percwalk import percolation as perc, walk
 from conftest import (all_coords, bfs_oracle, classify_boxes_oracle, components_oracle,
-                      extraction_oracle, lists_of, open_graph_oracle)
+                      extraction_oracle, lists_of, open_graph_oracle, traced_peak)
 
 
 def _all_closed(spec: perc.LatticeSpec) -> perc.BondConfiguration:
@@ -152,12 +154,21 @@ class TestExtractionReference:
     def test_matches_reference(self, d, n, p, seed, r):
         n = min(n, 2) if d == 3 else n
         config = perc.sample_bond_config(perc.LatticeSpec(d, n), p, seed)
-        _assert_matches(perc.component_of_origin(config),
-                        extraction_oracle(config, "origin"))
-        _assert_matches(perc.largest_cluster(config),
-                        extraction_oracle(config, "largest"))
-        _assert_matches(perc.chemical_ball(config, min(r, n)),
-                        extraction_oracle(config, "ball", min(r, n)))
+        for cluster, want in ((perc.component_of_origin(config),
+                               extraction_oracle(config, "origin")),
+                              (perc.largest_cluster(config),
+                               extraction_oracle(config, "largest")),
+                              (perc.chemical_ball(config, min(r, n)),
+                               extraction_oracle(config, "ball", min(r, n)))):
+            cluster.validate()  # extraction does not check its own output
+            _assert_matches(cluster, want)
+
+    def test_valid_at_benchmark_size(self):
+        # d = 3, box 20, p = 0.5: the size of the benchmark's origin-d3 job
+        config = perc.sample_bond_config(perc.LatticeSpec(3, 20), 0.5, 0)
+        for cluster in (perc.component_of_origin(config), perc.largest_cluster(config),
+                        perc.chemical_ball(config, 20)):
+            cluster.validate()
 
     def test_isolated_origin(self):
         config = _config_with_open(perc.LatticeSpec(2, 3), [((1, 1), 0), ((2, 1), 1)])
@@ -456,9 +467,26 @@ class TestCsrOnly:
         self._assert_csr_only(cluster)
         assert cluster.adjacency == [[2, 1], [0, 2], [1, 0]]  # rows keep list order
 
+    def test_extraction_memory(self):
+        # the full box-120 lattice: 58,081 vertices.  Validating the extracted
+        # cluster (int64 keys over every arc) and caching a float64 csr_matrix
+        # copy took a 15.0 MiB peak and left 6.5 MiB held
+        config = perc.sample_bond_config(perc.LatticeSpec(2, 120), 1.0, 0)
+
+        def extract():
+            cluster = perc.component_of_origin(config)
+            cluster.distances_from_origin()
+            return cluster, tracemalloc.get_traced_memory()[0]
+        (cluster, held), peak = traced_peak(extract)
+        assert cluster.n_vertices == 241**2
+        assert peak < 11 * 2**20
+        assert held < 4 * 2**20  # coords, CSR and distances
+
     @staticmethod
     def _assert_csr_only(cluster):
         assert not [name for name, value in vars(cluster).items() if isinstance(value, list)]
+        assert not hasattr(cluster, "graph")  # no csgraph matrix is cached
+        assert not [name for name, value in vars(cluster).items() if issparse(value)]
         indptr, indices = cluster.csr
         assert indptr.dtype == indices.dtype == np.int64
         rows = lists_of(indptr, indices)

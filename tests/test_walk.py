@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import threading
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -19,8 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from percwalk import percolation as perc, walk
 from conftest import (bfs_oracle, killed_lambda1_oracle, laplace_oracle, make_graph,
-                      mc_counts_oracle, uniform_path_laws_by_unique, uniform_paths_oracle,
-                      visited_dist_oracle)
+                      mc_counts_oracle, traced_peak, uniform_path_laws_by_unique,
+                      uniform_paths_oracle, visited_dist_oracle)
 
 
 def full_lattice(n: int, d: int = 2) -> perc.ClusterGraph:
@@ -155,12 +154,7 @@ class TestExactLaplace:
 
     def test_path_enumerator_memory(self):
         cluster = full_lattice(10)
-        tracemalloc.start()
-        try:
-            walk.exact_visited_laws(cluster, 10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: walk.exact_visited_laws(cluster, 10))
         # one-byte columns and counts peak near 3 MiB; int32 columns, int16 keys
         # and whole-column bincount took 18.4 MiB, the path matrix ~80 MB
         assert peak < 8 * 2**20
@@ -178,13 +172,12 @@ class TestExactLaplace:
         # 4^14 paths of 2-byte ids (421-vertex ball): 2 (4^15 - 1) / 3 + 2 4^14 bytes
         cluster = full_lattice(14)
         message = "enumeration needs about 1.25e+09 bytes, budget is 1073741824 bytes"
-        tracemalloc.start()
-        try:
+
+        def raises():
             with pytest.raises(walk.BudgetExceededError, match=f"^{re.escape(message)}$") as err:
                 walk.exact_visited_distribution(cluster, 14)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return err
+        err, peak = traced_peak(raises)
         assert (err.value.needed, err.value.budget) == (1252698794, walk.ENUMERATOR_BYTES)
         assert peak < 2**20  # raised before the columns are allocated
 
@@ -552,12 +545,7 @@ class TestMonteCarloMemory:
         pretend_cores(monkeypatch, 2)
         cluster = sampled_cluster(2, 0.7, 0)
         assert walk._reachable_ball(cluster, 12)[0].size <= 25
-        tracemalloc.start()
-        try:
-            counts = walk.mc_visited_samples(cluster, [6, 10, 12], 10**6, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        counts, peak = traced_peak(lambda: walk.mc_visited_samples(cluster, [6, 10, 12], 10**6, 5))
         assert all(c.dtype == np.uint8 for c in counts.values())
         # 3 MB of counts and two shares of tiles (~11 MB in all); int64 counts and
         # int32 trajectories of cluster ids took 37 MB
@@ -568,22 +556,25 @@ class TestMonteCarloMemory:
         # int32 tiles read through take(), which copies its indices to intp, took 51 MB
         pretend_cores(monkeypatch, 2)
         cluster = sampled_cluster(2, 0.7, 0)
-        tracemalloc.start()
-        try:
-            walk.confinement_probability(cluster, 2, 60, 10**5, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: walk.confinement_probability(cluster, 2, 60, 10**5, 3))
         assert peak < 20 * 2**20  # ~12.6 MB
+
+    def test_exponent_fit_sized_sort_path(self, monkeypatch):
+        # 30,000 chains to n = 120 on the 29,041-vertex ball of the full box-120
+        # lattice: two 121 x 15,000 two-byte tiles (3.6 MB each).  Comparing
+        # whole sorted prefixes, one (n, tile width) bool array per n and share,
+        # and a second ball cut took 11.5-13.4 MiB; row blocks take 8.7-9.1 MiB
+        pretend_cores(monkeypatch, 2)
+        cluster = full_lattice(120)
+        n_list = [20, 30, 45, 65, 90, 120]
+        assert walk._reachable_ball(cluster, 120)[0].size > 64  # the sort path
+        counts, peak = traced_peak(lambda: walk.mc_visited_samples(cluster, n_list, 30000, 5))
+        assert all(c.dtype == np.uint8 and c.shape == (30000,) for c in counts.values())
+        assert peak < 11.5 * 2**20
 
     def test_moments_hold_one_chunk_of_indices(self):
         counts = np.random.default_rng(0).integers(1, 14, 10**6).astype(np.uint8)
-        tracemalloc.start()
-        try:
-            moments = walk._mc_moments(counts, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        moments, peak = traced_peak(lambda: walk._mc_moments(counts, 0.5))
         # one float64 per count and one chunk of intp indices, a few bytes more
         assert peak <= 8 * counts.size + 8 * walk._CHUNK + 4096
         x = (0.5 ** np.arange(14.0))[counts]
