@@ -31,7 +31,10 @@ __all__ = [
     "small_cluster_collection",
 ]
 
-IDENTITY_TOL = 1e-12
+# Assertion thresholds: fixed here, never config keys, so no config can loosen a check
+IDENTITY_TOL = 1e-12  # identity-sweep: largest |lhs - rhs| of the pinned-return identity
+SLOPE_BAND = (0.35, 0.65)  # exponent-fit: the fitted slope's band
+ORACLE_LIMIT = 14  # isoperimetry-small: largest cluster checked against the all-subsets oracle
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +221,6 @@ def small_cluster_collection() -> list:
 def _recipe_identity_sweep(ctx):
     alphas = ctx.get("alphas", [0.3, 0.5, 0.7])
     n_max = ctx.get("n_max", 5)
-    tol = ctx.get("tol", IDENTITY_TOL)
     rows = []
     worst = 0.0
     for base_id, cluster in small_cluster_collection():
@@ -235,8 +237,8 @@ def _recipe_identity_sweep(ctx):
                 gap = abs(lhs - rhs)
                 worst = max(worst, gap)
                 rows.append((base_id, cluster.n_vertices, alpha, n, lhs, rhs, gap))
-    ctx.check("identity gap", worst <= tol,
-              f"max |lhs-rhs| = {worst:.3e} over {len(rows)} cases, tol {tol:g}")
+    ctx.check("identity gap", worst <= IDENTITY_TOL,
+              f"max |lhs-rhs| = {worst:.3e} over {len(rows)} cases, tol {IDENTITY_TOL:g}")
     ctx.write_rows("identity.csv", "base_id,base_size,alpha,n,lhs,rhs,gap", rows)
 
 
@@ -316,7 +318,7 @@ def _recipe_exponent_fit(ctx):
     n_list = ctx.get("n_list", [20, 30, 45, 65, 90, 120])
     samples = ctx.get("samples", 30000)
     master = ctx.params["seed"]
-    lo, hi = ctx.get("slope_band", [0.35, 0.65])
+    lo, hi = SLOPE_BAND
     seeds = seed_manifest(master, 2 * len(p_list))
     for j, p in enumerate(p_list):
         config = perc.sample_bond_config(perc.LatticeSpec(2, box_n), p, seeds[2 * j])
@@ -429,7 +431,6 @@ def _recipe_isoperimetry_small(ctx):
     box_n = ctx.get("box_n", 4)
     n_seeds = ctx.get("seeds", 20)
     cap = ctx.get("size_cap", 8)
-    oracle_limit = ctx.get("oracle_limit", 14)
     c, gamma = ctx.get("c", 1.0), ctx.get("gamma", 0.125)
     master = ctx.params["seed"]
     # Box radius 1 keeps clusters at 9 vertices or fewer, so the brute-force
@@ -447,7 +448,7 @@ def _recipe_isoperimetry_small(ctx):
         betas.append(report.beta)
         if not report.beta > 0:
             all_positive = False
-        if cluster.n_vertices <= oracle_limit:
+        if cluster.n_vertices <= ORACLE_LIMIT:
             oracle_count += 1
             full = iso.isoperimetric_beta(cluster, None, c, gamma,
                                           cluster.n_vertices, radius)

@@ -521,19 +521,27 @@ def cluster_to_text(cluster: ClusterGraph, out: TextIO):
 def cluster_from_text(inp: TextIO) -> ClusterGraph:
     """Read the plain adjacency format written by :func:`cluster_to_text`.
 
-    The origin is the vertex at the coordinate origin when present.
+    The origin is the vertex at the coordinate origin when present.  Vertex
+    lines list ids 0, 1, ... in order, at distinct coordinates.
     """
-    header = inp.readline().split()
-    d, n = int(header[0]), int(header[1])
-    p, seed = float(header[2]), int(header[3])
-    coords = []
+    fields = inp.readline().split()
+    if len(fields) != 4:
+        raise ValueError(f"header '{' '.join(fields)}' is not 'd n p seed'")
+    d, n, p, seed = int(fields[0]), int(fields[1]), float(fields[2]), int(fields[3])
+    coords = {}  # coordinates -> vertex id
     edges = []
     for line in inp:
         parts = line.split()
         if not parts:
             continue
         if len(parts) == d + 1:
-            coords.append([int(x) for x in parts[1:]])
+            if int(parts[0]) != len(coords):
+                raise ValueError(f"vertex line '{line.strip()}' is not vertex {len(coords)}")
+            c = tuple(int(x) for x in parts[1:])
+            if c in coords:
+                raise ValueError(f"vertex line '{line.strip()}' repeats vertex {coords[c]}'s "
+                                 f"coordinates")
+            coords[c] = len(coords)
         elif len(parts) == 2:
             edges.append((int(parts[0]), int(parts[1])))
         else:
@@ -543,6 +551,5 @@ def cluster_from_text(inp: TextIO) -> ClusterGraph:
             raise ValueError(f"edge line '{i} {j}' names an unknown vertex ({len(coords)} listed)")
     t, h = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     indptr, indices = arcs_csr(len(coords), np.concatenate([t, h]), np.concatenate([h, t]))
-    origin = next((i for i, c in enumerate(coords) if not any(c)), None)
-    return ClusterGraph.from_csr(np.array(coords), indptr, indices, origin,
+    return ClusterGraph.from_csr(np.array(list(coords)), indptr, indices, coords.get((0,) * d),
                                  {"d": d, "n": n, "p": p, "seed": seed})

@@ -23,10 +23,12 @@ when it has at most 64 vertices, otherwise by sorting the trajectory prefixes
 in place, shortest first, and counting the changes between sorted rows in
 row blocks of 16.  Ids and counts are stored in the smallest unsigned type
 that holds them (often one byte).
-The killed walk's top eigenvalue comes from one Lanczos (``eigsh``) solve from a
-fixed start, so it does not depend on the core count; a ball holding the whole
-cluster kills nothing and has lambda1 = 0.  A walk from an isolated origin stays
-there: it visits one site, returns at every t and is never killed.
+One builder, ``_ball_kernel``, makes the killed walk's kernel on the same ball
+cut (``_reachable_ball``); its top eigenvalue comes from one Lanczos (``eigsh``)
+solve from a fixed start, so it does not depend on the core count.  Only that
+solve is capped (at _EIGEN_CAP vertices): a ball holding the whole cluster
+kills nothing and has lambda1 = 0 with no solve.  A walk from an isolated
+origin stays there: it visits one site, returns at every t and is never killed.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ __all__ = [
 DEFAULT_BUDGET = 2**28  # path extensions of the merged sweep
 ENUMERATOR_BYTES = 2**30  # columns and counts of the path enumerator
 MASK_WIDTH = 60  # vertices a merged-sweep state's uint64 visited mask holds
+_EIGEN_CAP = 20000  # vertices of a killed ball the eigensolve takes
 
 
 class BudgetExceededError(RuntimeError):
@@ -120,13 +123,15 @@ def _neighbor_table(indptr: np.ndarray, indices: np.ndarray, dtype) -> np.ndarra
 
 def _reachable_ball(cluster: ClusterGraph, n: int):
     """The chemical ball of radius n in its own ids, the ranks of its cluster
-    ids: (its cluster ids, its CSR, the smallest unsigned type that holds its
-    ids, the origin's id).  Local ids rise with the cluster's, so rows keep
-    their CSR order; a cut ball loses only neighbours of its sphere D = n, from
-    which no walk of n steps leaves."""
+    ids: (its cluster ids, its CSR, its ambient degrees as float64, which drive
+    every walk on it, the smallest unsigned type that holds its ids, the
+    origin's id).  Local ids rise with the cluster's, so rows keep their CSR
+    order; a cut ball loses only neighbours of its sphere D = n, from which no
+    walk of n steps leaves.  No other code here cuts a ball."""
     keep = np.nonzero(cluster.distances_from_origin() <= n)[0]
     csr = cluster.csr if keep.size == cluster.n_vertices else induced_csr(*cluster.csr, keep)
-    return keep, csr, np.min_scalar_type(keep.size - 1), int(np.searchsorted(keep, cluster.origin))
+    return (keep, csr, cluster.degrees[keep].astype(np.float64),
+            np.min_scalar_type(keep.size - 1), int(np.searchsorted(keep, cluster.origin)))
 
 
 def _merged_state_laws(cluster: ClusterGraph, n: int) -> list:
@@ -134,8 +139,7 @@ def _merged_state_laws(cluster: ClusterGraph, n: int) -> list:
     bitmask states, one sweep to n cut to the chemical ball of radius n (the
     cut keeps the degree of every vertex the walk can leave from).  Local ids
     rise with the cluster's ids, so states sort as in the ball of any t <= n."""
-    keep, (indptr, indices), _, origin = _reachable_ball(cluster, n)
-    deg = cluster.degrees[keep].astype(np.float64)  # ambient degrees drive the kernel
+    _, (indptr, indices), deg, _, origin = _reachable_ball(cluster, n)
 
     verts = np.array([origin], dtype=np.int64)
     masks = np.array([np.uint64(1) << np.uint64(origin)], dtype=np.uint64)
@@ -179,7 +183,7 @@ def _uniform_path_laws(cluster: ClusterGraph, n: int) -> list:
     their indices to intp.  The columns and the last step's counts may take at
     most ENUMERATOR_BYTES.  Values are (number of paths) * g^-t, which for
     g = 6 (Z^3) may differ from the path-by-path sum in the last bits."""
-    keep, csr, ids, origin = _reachable_ball(cluster, n)
+    keep, csr, _, ids, origin = _reachable_ball(cluster, n)
     degs = cluster.degrees[cluster.distances_from_origin() <= n - 1]
     g = int(degs.min())
     # every step offers at least g moves; the counts of steps n - 1 and n live together
@@ -306,10 +310,9 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
     tile, allocated here (what a helper frees stays in its own malloc arena).
     One core, or one tile (at most _MIN_TILE chains, or fewer than 2 * _MIN_TILE
     under a wider cap), builds no pool."""
-    keep, csr, ids, origin = _reachable_ball(cluster, n_max)
+    keep, csr, deg, ids, origin = _reachable_ball(cluster, n_max)
     nbr = _neighbor_table(*csr, ids)  # take() reads it flattened
     width = nbr.shape[1]
-    deg = cluster.degrees[keep].astype(np.float64)  # ambient degrees drive the walk
     del keep, csr  # the chains read only nbr and deg
     if nbr.max() >= deg.size:  # take() skips this check in mode="clip"; floor(u*deg) < deg
         raise ValueError("neighbour table names a vertex outside the ball")
@@ -489,22 +492,18 @@ class KilledOperatorReport:
         out.write("\n")
 
 
-_EIGEN_CAP = 20000
-
-
 def _ball_kernel(cluster: ClusterGraph, r: int):
-    """Kernel P of the walk killed on leaving the ball D <= r (ambient degrees),
-    returned as (ball vertices, the origin's row, degrees, P)."""
-    ball = np.nonzero(cluster.distances_from_origin() <= r)[0]
-    if ball.size == 0:
-        raise ValueError("empty ball")
-    deg = cluster.degrees.astype(np.float64)
+    """The walk killed on leaving the ball D <= r, on ambient degrees: (ball
+    vertices, the origin's row, s = sqrt(deg), P with entries 1 / deg_u, and
+    A = diag(s) P diag(1/s) with entries 1 / (s_u s_v), symmetric as built)."""
+    ball, (indptr, indices), deg, _, start = _reachable_ball(cluster, r)
+    s = np.sqrt(deg)
     if cluster.n_vertices == 1:  # an isolated origin holds the walk, as everywhere here
-        return ball, 0, deg, sp.identity(1, format="csr")
-    indptr, indices = induced_csr(*cluster.csr, ball)
-    vals = 1.0 / np.repeat(deg[ball], np.diff(indptr))
-    P = sp.csr_matrix((vals, indices, indptr), shape=(ball.size, ball.size))
-    return ball, int(np.searchsorted(ball, cluster.origin)), deg, P
+        return ball, start, s, sp.identity(1, format="csr"), sp.identity(1, format="csr")
+    lengths = np.diff(indptr)
+    P = sp.csr_matrix((1.0 / np.repeat(deg, lengths), indices, indptr), shape=(ball.size,) * 2)
+    A = sp.csr_matrix((1.0 / (np.repeat(s, lengths) * s[indices]), indices, indptr), shape=P.shape)
+    return ball, start, s, P, A
 
 
 def _survival(P, start: int, n_list: Sequence[int]) -> list:
@@ -525,7 +524,7 @@ def _survival(P, start: int, n_list: Sequence[int]) -> list:
 def survival_probabilities(cluster: ClusterGraph, r: int,
                            n_list: Sequence[int]) -> list:
     """Exact P(sigma_r > n) for each n via repeated kernel application."""
-    _, start, _, P = _ball_kernel(cluster, r)
+    _, start, _, P, _ = _ball_kernel(cluster, r)
     return _survival(P, start, n_list)
 
 
@@ -535,19 +534,15 @@ def killed_operator_report(cluster: ClusterGraph, r: int,
     if r < 1:
         raise ValueError("ball radius must be >= 1")
     dist = cluster.distances_from_origin()
-    ball, start, deg, P = _ball_kernel(cluster, r)
-    if ball.size > _EIGEN_CAP:
-        raise ValueError(f"ball has {ball.size} vertices, over the eigensolve "
-                         f"cap of {_EIGEN_CAP}")
+    ball, start, s, P, A = _ball_kernel(cluster, r)
     half = int(np.count_nonzero(dist <= r // 2))
 
     if ball.size == cluster.n_vertices:
         top = 1.0  # no edge leaves the ball, so P is stochastic and nothing is killed
+    elif ball.size > _EIGEN_CAP:
+        raise ValueError(f"ball has {ball.size} vertices, over the eigensolve "
+                         f"cap of {_EIGEN_CAP}")
     else:
-        # A = diag(s) P diag(1/s) with s = sqrt(deg): entry 1 / (s_u s_v), symmetric as built
-        s = np.sqrt(deg[ball])
-        sym = 1.0 / (np.repeat(s, np.diff(P.indptr)) * s[P.indices])
-        A = sp.csr_matrix((sym, P.indices, P.indptr), shape=P.shape)
         # sqrt(deg), the unkilled Perron vector, as a fixed start makes ARPACK repeatable
         top = float(eigsh(A, k=1, which="LA", v0=s, return_eigenvectors=False)[0])
     lambda1 = 1.0 - top
@@ -559,7 +554,7 @@ def killed_operator_report(cluster: ClusterGraph, r: int,
     rows = np.repeat(np.arange(cluster.n_vertices), cluster.degrees)
     # h is integer-valued, so the sum over both directions is exact in any order
     energy = float(np.sum((h[rows] - h[cluster.csr[1]]) ** 2)) / 2
-    norm = float(np.sum(deg * h * h))
+    norm = float(np.sum(cluster.degrees * h * h))  # integers: exact
     rayleigh = energy / norm if norm > 0 else float("inf")
 
     survival = _survival(P, start, n_list)

@@ -64,14 +64,6 @@ class WreathGraph:
             raise ValueError("base has no distinguished origin")
         return self.state_index(self.base.origin, 0)
 
-    def neighbors(self, index: int) -> list:
-        """Wreath edges: flip the lamp at the current position, or move."""
-        a, f = self.state_of(index)
-        indptr, indices = self.base.csr
-        out = [self.state_index(a, f ^ (1 << a))]
-        out.extend(self.state_index(b, f) for b in indices[indptr[a]:indptr[a + 1]].tolist())
-        return out
-
     @property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, indices)`` of the wreath graph, each row ascending: the

@@ -194,6 +194,15 @@ def lamplighter_matrix_oracle(wreath, alpha: float) -> sp.csr_matrix:
     return mat
 
 
+def wreath_neighbours_oracle(base: ClusterGraph) -> list:
+    """Sorted neighbour lists of the wreath over ``base``, state (a, f) at
+    a * 2^m + f, from its definition: flip the lamp at a, or move along a base
+    edge a -> b with the lamps as they are."""
+    m, adjacency = base.n_vertices, base.adjacency
+    return [sorted([a * 2**m + (f ^ 1 << a)] + [b * 2**m + f for b in adjacency[a]])
+            for a in range(m) for f in range(2**m)]
+
+
 def bfs_oracle(adjacency, start: int) -> dict:
     """Plain dict-and-list breadth-first distances."""
     dist = {start: 0}

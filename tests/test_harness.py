@@ -140,6 +140,18 @@ class TestRun:
             run(spec)
         assert not (tmp_path / "report.txt").exists()
 
+    @pytest.mark.parametrize("recipe, params, key, loose", [
+        ("identity-sweep", {"n_max": 1, "alphas": [0.5]}, "tol", 1.0),
+        ("exponent-fit", {"p_list": [1.0], "box_n": 5, "n_list": [2, 3, 4], "samples": 100},
+         "slope_band", [0, 1]),
+        ("isoperimetry-small", {"box_n": 1, "seeds": 1}, "oracle_limit", 0),
+    ], ids=["identity-sweep-tol", "exponent-fit-slope_band", "isoperimetry-small-oracle_limit"])
+    def test_no_config_key_loosens_an_assertion(self, tmp_path, recipe, params, key, loose):
+        # the thresholds are constants: a config that sets one names it as unread
+        with pytest.raises(ValueError, match=rf"does not read param \['{key}'\]"):
+            run(ExperimentSpec(recipe, {**params, key: loose}, tmp_path))
+        assert not (tmp_path / "report.txt").exists()
+
     @pytest.mark.parametrize("recipe", ["identity-sweep", "folner-wreath",
                                         "lemma45", "nash-curve"])
     def test_seedless_recipe_accepts_seed(self, recipe):

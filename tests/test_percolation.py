@@ -522,6 +522,16 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=re.escape(message)):
             perc.cluster_from_text(io.StringIO(text))
 
+    @pytest.mark.parametrize("text,message", [
+        ("", "header '' is not 'd n p seed'"),
+        ("2 1 1.0\n0 0 0\n", "header '2 1 1.0' is not 'd n p seed'"),
+        ("2 1 1.0 0\n1 1 0\n0 0 0\n0 1\n", "vertex line '1 1 0' is not vertex 0"),
+        ("2 1 1.0 0\n0 0 0\n1 0 0\n", "vertex line '1 0 0' repeats vertex 0's coordinates"),
+    ], ids=["empty-file", "short-header", "vertex-ids-out-of-order", "repeated-coordinates"])
+    def test_rejects_malformed_input_by_name(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            perc.cluster_from_text(io.StringIO(text))
+
     def test_header_fields(self):
         config = perc.sample_bond_config(perc.LatticeSpec(2, 3), 0.7, 8)
         cluster = perc.component_of_origin(config)

@@ -618,10 +618,14 @@ class TestKilledOperator:
 
     def test_kernel_reversible(self):
         cluster = sampled_cluster(5, 0.7, 7)
-        ball, local, deg, P = walk._ball_kernel(cluster, 3)
-        D = np.diag(deg[ball])
-        flow = D @ P.toarray()
+        ball, local, s, P, A = walk._ball_kernel(cluster, 3)
+        deg = cluster.degrees[ball].astype(np.float64)
+        assert ball[local] == cluster.origin and np.array_equal(s, np.sqrt(deg))
+        P, A = P.toarray(), A.toarray()
+        flow = np.diag(deg) @ P
         assert np.abs(flow - flow.T).max() <= 1e-12
+        assert np.array_equal(A, A.T)
+        assert np.abs(A - np.diag(s) @ P @ np.diag(1 / s)).max() <= 1e-14
 
     def test_survival_matches_mc(self):
         cluster = sampled_cluster(5, 0.7, 7)
@@ -671,6 +675,12 @@ class TestKilledOperator:
         with pytest.raises(ValueError, match=r"^ball has 20201 vertices, over the "
                                              r"eigensolve cap of 20000$"):
             walk.killed_operator_report(full_lattice(101), 100, [0])
+
+    def test_cap_skips_a_ball_holding_the_whole_cluster(self):
+        # 161^2 = 25921 vertices, over the cap, but no eigensolve runs
+        cluster = full_lattice(80)
+        report = walk.killed_operator_report(cluster, 160, [0])
+        assert (report.ball_size, report.lambda1) == (cluster.n_vertices, 0.0) == (25921, 0.0)
 
     def test_ball_holding_the_whole_cluster(self):
         # no edge leaves the ball, so nothing is killed: lambda1 is 0 with no round-off
