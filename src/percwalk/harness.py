@@ -125,7 +125,8 @@ def parse_config(path) -> dict:
 @dataclass
 class _Run:
     """One recipe call: its params, where it writes, and what it found.
-    ``get`` records each key it reads, so ``run`` can reject the others."""
+    ``get`` records each key it reads, so ``run`` can reject the others, and
+    reads a scalar as a one-element list where the default is a list."""
 
     params: dict
     out_dir: Path | None
@@ -135,7 +136,8 @@ class _Run:
 
     def get(self, key: str, default):
         self.read.add(key)
-        return self.params.get(key, default)
+        value = self.params.get(key, default)
+        return [value] if isinstance(default, list) and not isinstance(value, list) else value
 
     def check(self, name: str, passed: bool, detail: str = ""):
         self.assertions.append({"name": name, "passed": bool(passed), "detail": detail})
@@ -570,7 +572,10 @@ def _recipe_pruning_property(ctx):
 def _recipe_nash_curve(ctx):
     t_max = ctx.get("t_max", 1e7)
     settings = {2: dict(n=2**24, gamma=0.125), 3: dict(n=4**10, gamma=0.1)}
-    for d in ctx.get("d_list", [2, 3]):
+    d_list = ctx.get("d_list", [2, 3])
+    if not set(d_list) <= set(settings):
+        raise ValueError(f"nash-curve supports d_list within {sorted(settings)}, got {d_list}")
+    for d in d_list:
         prof = bounds.NashProfile(d=d, n=settings[d]["n"],
                                   gamma=settings[d]["gamma"])
         sol = bounds.nash_ode_solve(prof, t_max)

@@ -522,7 +522,8 @@ def cluster_from_text(inp: TextIO) -> ClusterGraph:
     """Read the plain adjacency format written by :func:`cluster_to_text`.
 
     The origin is the vertex at the coordinate origin when present.  Vertex
-    lines list ids 0, 1, ... in order, at distinct coordinates.
+    lines list ids 0, 1, ... in order, at distinct coordinates; when d = 1 they
+    come before the edge lines, since both have two fields.
     """
     fields = inp.readline().split()
     if len(fields) != 4:
@@ -534,7 +535,7 @@ def cluster_from_text(inp: TextIO) -> ClusterGraph:
         parts = line.split()
         if not parts:
             continue
-        if len(parts) == d + 1:
+        if len(parts) == d + 1 and (d != 1 or not edges and int(parts[0]) == len(coords)):
             if int(parts[0]) != len(coords):
                 raise ValueError(f"vertex line '{line.strip()}' is not vertex {len(coords)}")
             c = tuple(int(x) for x in parts[1:])

@@ -3,12 +3,12 @@
 Two exact backends give the law of (N_t, X_t == origin) for every t <= n, each
 in one pass: a merged-state sweep over (current vertex, visited bitmask) pairs,
 deduped by sorting at every step, while the radius-t chemical ball has at most
-60 vertices; past that, on equal-degree balls (the full lattice seen from the
-origin), an enumerator of the equally likely paths that keeps one column of
-positions per step instead of the paths, in the ball's own ids of the smallest
-unsigned type, with one-byte visit counts and keys, counted by bincount over
-blocks of at most 65,536 paths.  The sweep is capped at DEFAULT_BUDGET path
-extensions, the enumerator at ENUMERATOR_BYTES (1 GiB) of columns and counts.
+MASK_WIDTH = 64 vertices; past that, on equal-degree balls (the full lattice
+seen from the origin), an enumerator of the equally likely paths that keeps one
+column of positions per step instead of the paths, in the ball's own ids of the
+smallest unsigned type, with one-byte visit counts and keys, counted by bincount
+over blocks of at most 65,536 paths.  Both are capped at EXACT_BYTES (1 GiB):
+each sweep step's arrays, or the enumerator's columns and counts.
 
 The Monte Carlo estimator runs chunks of 65,536 chains as column-vectorized
 trajectories, chunk k keyed (master seed, k), and spreads them over the cores
@@ -19,16 +19,17 @@ columns wide.  A tile seeks each row's draws in the chunk's Philox stream by
 setting the counter.  The output does not depend on how many cores there are.
 Chains walk the radius-n_max chemical ball in its own ids, on its neighbour
 table and degrees alone, and N_n is counted by a uint64 visited mask per chain
-when it has at most 64 vertices, otherwise by sorting the trajectory prefixes
-in place, shortest first, and counting the changes between sorted rows in
-row blocks of 16.  Ids and counts are stored in the smallest unsigned type
+when it has at most MASK_WIDTH vertices, otherwise by sorting the trajectory
+prefixes in place, shortest first, and counting the changes between sorted rows
+in row blocks of 16.  Ids and counts are stored in the smallest unsigned type
 that holds them (often one byte).
-One builder, ``_ball_kernel``, makes the killed walk's kernel on the same ball
-cut (``_reachable_ball``); its top eigenvalue comes from one Lanczos (``eigsh``)
-solve from a fixed start, so it does not depend on the core count.  Only that
-solve is capped (at _EIGEN_CAP vertices): a ball holding the whole cluster
-kills nothing and has lambda1 = 0 with no solve.  A walk from an isolated
-origin stays there: it visits one site, returns at every t and is never killed.
+One builder, ``_ball_kernel``, makes the killed walk's kernel P on the same
+ball cut (``_reachable_ball``); lambda1 comes from one Lanczos (``eigsh``) solve
+of its symmetrised form, built only there, from a fixed start, so it does not
+depend on the core count.  Only that solve is capped (at _EIGEN_CAP vertices):
+a ball holding the whole cluster kills nothing and has lambda1 = 0 with no
+solve.  The ball cut gives an isolated origin a self-loop of degree 1, so a
+walk from it visits one site, returns at every t and is never killed.
 """
 
 from __future__ import annotations
@@ -60,21 +61,20 @@ __all__ = [
     "killed_operator_report",
 ]
 
-DEFAULT_BUDGET = 2**28  # path extensions of the merged sweep
-ENUMERATOR_BYTES = 2**30  # columns and counts of the path enumerator
-MASK_WIDTH = 60  # vertices a merged-sweep state's uint64 visited mask holds
+EXACT_BYTES = 2**30  # a merged-sweep step's arrays, or the path enumerator's columns and counts
+MASK_WIDTH = 64  # vertices a uint64 visited mask holds
+# a merged-sweep step's bytes per path extension: 8-byte source, vertex, probability, mask and
+# order, their 3 sorted copies and 1 gathered mask (tracemalloc: 68-70 B on d = 2 clusters)
+_SWEEP_BYTES = 9 * 8
 _EIGEN_CAP = 20000  # vertices of a killed ball the eigensolve takes
 
 
 class BudgetExceededError(RuntimeError):
-    """Exact enumeration would need more than allowed: more path extensions
-    (the merged sweep) or more bytes (the path enumerator)."""
+    """An exact backend would need more than EXACT_BYTES."""
 
-    def __init__(self, needed: float, budget: int, unit: str = "path extensions"):
-        self.needed = needed
-        self.budget = budget
-        super().__init__(
-            f"enumeration needs about {needed:.3g} {unit}, budget is {budget} {unit}")
+    def __init__(self, needed: float, budget: int):
+        self.needed, self.budget = needed, budget
+        super().__init__(f"enumeration needs about {needed:.3g} bytes, budget is {budget} bytes")
 
 
 class BallTooWideError(RuntimeError):
@@ -127,10 +127,14 @@ def _reachable_ball(cluster: ClusterGraph, n: int):
     every walk on it, the smallest unsigned type that holds its ids, the
     origin's id).  Local ids rise with the cluster's, so rows keep their CSR
     order; a cut ball loses only neighbours of its sphere D = n, from which no
-    walk of n steps leaves.  No other code here cuts a ball."""
+    walk of n steps leaves.  An isolated origin, the only vertex of degree 0,
+    gets a self-loop of degree 1 that holds every walk.  No other code here
+    cuts a ball."""
     keep = np.nonzero(cluster.distances_from_origin() <= n)[0]
     csr = cluster.csr if keep.size == cluster.n_vertices else induced_csr(*cluster.csr, keep)
-    return (keep, csr, cluster.degrees[keep].astype(np.float64),
+    if cluster.n_vertices == 1:
+        csr = (np.array([0, 1]), keep)
+    return (keep, csr, np.maximum(cluster.degrees[keep], 1).astype(np.float64),
             np.min_scalar_type(keep.size - 1), int(np.searchsorted(keep, cluster.origin)))
 
 
@@ -145,7 +149,6 @@ def _merged_state_laws(cluster: ClusterGraph, n: int) -> list:
     masks = np.array([np.uint64(1) << np.uint64(origin)], dtype=np.uint64)
     probs = np.array([1.0])
     laws = []
-    expansions = 0
     for step in range(n + 1):
         law = {}
         for key, pr in zip(zip(np.bitwise_count(masks).tolist(), (verts == origin).tolist()),
@@ -154,19 +157,16 @@ def _merged_state_laws(cluster: ClusterGraph, n: int) -> list:
         laws.append(law)
         if step == n:
             return laws
-        expansions += int((indptr[verts + 1] - indptr[verts]).sum())
-        if expansions > DEFAULT_BUDGET:
-            raise BudgetExceededError(expansions * (n / (step + 1)), DEFAULT_BUDGET)
+        needed = _SWEEP_BYTES * int((indptr[verts + 1] - indptr[verts]).sum())
+        if needed > EXACT_BYTES:
+            raise BudgetExceededError(needed, EXACT_BYTES)
         src, new_verts = csr_rows(indptr, indices, verts)
         new_probs = (probs / deg[verts])[src]
         new_masks = masks[src] | (np.uint64(1) << new_verts.astype(np.uint64))
         order = np.lexsort((new_verts, new_masks))
         new_verts, new_masks, new_probs = new_verts[order], new_masks[order], new_probs[order]
-        cut = np.nonzero((np.diff(new_masks) != 0) | (np.diff(new_verts) != 0))[0] + 1
-        heads = np.concatenate([[0], cut])
-        verts = new_verts[heads]
-        masks = new_masks[heads]
-        probs = np.add.reduceat(new_probs, heads)
+        heads = np.flatnonzero(np.r_[True, (np.diff(new_masks) != 0) | (np.diff(new_verts) != 0)])
+        verts, masks, probs = new_verts[heads], new_masks[heads], np.add.reduceat(new_probs, heads)
 
 
 def _uniform_path_laws(cluster: ClusterGraph, n: int) -> list:
@@ -181,15 +181,15 @@ def _uniform_path_laws(cluster: ClusterGraph, n: int) -> list:
     gathered, compared, counted by bincount and scanned for its keys' first
     paths in blocks of g^k <= 65,536 paths, since take() and bincount() copy
     their indices to intp.  The columns and the last step's counts may take at
-    most ENUMERATOR_BYTES.  Values are (number of paths) * g^-t, which for
+    most EXACT_BYTES.  Values are (number of paths) * g^-t, which for
     g = 6 (Z^3) may differ from the path-by-path sum in the last bits."""
     keep, csr, _, ids, origin = _reachable_ball(cluster, n)
     degs = cluster.degrees[cluster.distances_from_origin() <= n - 1]
     g = int(degs.min())
     # every step offers at least g moves; the counts of steps n - 1 and n live together
     needed = ids.itemsize * sum(g**t for t in range(n + 1)) + 2 * g**n
-    if needed > ENUMERATOR_BYTES:
-        raise BudgetExceededError(needed, ENUMERATOR_BYTES, "bytes")
+    if needed > EXACT_BYTES:
+        raise BudgetExceededError(needed, EXACT_BYTES)
     if degs.max() != g:
         raise BallTooWideError(
             f"the radius-{n} chemical ball has {keep.size} vertices, over the {MASK_WIDTH}-vertex"
@@ -237,12 +237,10 @@ def exact_visited_laws(cluster: ClusterGraph, n_max: int) -> list:
     """Exact joint laws [{(N_t value, X_t == origin): probability}, t = 0..n_max].
 
     The law at t comes from the merged sweep while the radius-t chemical ball
-    has at most 60 vertices, and from the path enumerator past that; each
-    backend makes one pass, to the last t it serves."""
+    has at most MASK_WIDTH vertices, and from the path enumerator past that;
+    each backend makes one pass, to the last t it serves."""
     if cluster.is_empty or cluster.origin is None or n_max < 0:
         raise ValueError("need a nonempty cluster with an origin, and n >= 0")
-    if cluster.n_vertices == 1:
-        return [{(1, True): 1.0} for _ in range(n_max + 1)]
     dist = cluster.distances_from_origin()
     sizes = np.cumsum(np.bincount(dist, minlength=n_max + 1))[: n_max + 1]
     merged = int(np.count_nonzero(sizes <= MASK_WIDTH))  # balls only grow with t
@@ -367,10 +365,10 @@ def mc_visited_samples(cluster: ClusterGraph, n_list: Sequence[int],
     """Sampled N_n arrays per n, one entry per chain, of the smallest unsigned
     type that holds max(n_list) + 1 (uint8 to max(n_list) = 254); chunk k keyed (seed, k).
     N_n is the popcount of a uint64 visited mask, one bit per ball vertex, when
-    the chemical ball of radius max(n_list) has at most 64 vertices.  Otherwise
-    each tile sorts its rows 0..n in place for n ascending and counts the
-    distinct sites per column: a sort permutes rows within the prefix only, so
-    every longer prefix keeps its sites, and no copy is made.  The changes
+    the chemical ball of radius max(n_list) has at most MASK_WIDTH vertices.
+    Otherwise each tile sorts its rows 0..n in place for n ascending and counts
+    the distinct sites per column: a sort permutes rows within the prefix only,
+    so every longer prefix keeps its sites, and no copy is made.  The changes
     between adjacent sorted rows are counted over blocks of 16 rows, straight
     into the tile's slice of the counts."""
     if samples < 1:
@@ -380,7 +378,7 @@ def mc_visited_samples(cluster: ClusterGraph, n_list: Sequence[int],
     n_max = max(n_list)
     out = {n: np.empty(samples, dtype=np.min_scalar_type(n_max + 1)) for n in n_list}
     size = int((cluster.distances_from_origin() <= n_max).sum())  # the ball _map_chunks builds
-    if size > 64:
+    if size > MASK_WIDTH:
         def count(first, traj):
             for n in sorted(out):
                 # sorting a prefix in place keeps each longer prefix's sites
@@ -494,25 +492,18 @@ class KilledOperatorReport:
 
 def _ball_kernel(cluster: ClusterGraph, r: int):
     """The walk killed on leaving the ball D <= r, on ambient degrees: (ball
-    vertices, the origin's row, s = sqrt(deg), P with entries 1 / deg_u, and
-    A = diag(s) P diag(1/s) with entries 1 / (s_u s_v), symmetric as built)."""
+    vertices, the origin's row, s = sqrt(deg), P with entries 1 / deg_u)."""
     ball, (indptr, indices), deg, _, start = _reachable_ball(cluster, r)
-    s = np.sqrt(deg)
-    if cluster.n_vertices == 1:  # an isolated origin holds the walk, as everywhere here
-        return ball, start, s, sp.identity(1, format="csr"), sp.identity(1, format="csr")
-    lengths = np.diff(indptr)
-    P = sp.csr_matrix((1.0 / np.repeat(deg, lengths), indices, indptr), shape=(ball.size,) * 2)
-    A = sp.csr_matrix((1.0 / (np.repeat(s, lengths) * s[indices]), indices, indptr), shape=P.shape)
-    return ball, start, s, P, A
+    P = sp.csr_matrix((1.0 / np.repeat(deg, np.diff(indptr)), indices, indptr),
+                      shape=(ball.size,) * 2)
+    return ball, start, np.sqrt(deg), P
 
 
 def _survival(P, start: int, n_list: Sequence[int]) -> list:
     """[(n, mass left after n steps of P from row ``start``)] for n ascending."""
     v = np.zeros(P.shape[0])
     v[start] = 1.0
-    out = []
-    step = 0
-    PT = P.T
+    out, step, PT = [], 0, P.T
     for n in sorted(set(int(n) for n in n_list)):
         while step < n:
             v = PT @ v
@@ -524,7 +515,7 @@ def _survival(P, start: int, n_list: Sequence[int]) -> list:
 def survival_probabilities(cluster: ClusterGraph, r: int,
                            n_list: Sequence[int]) -> list:
     """Exact P(sigma_r > n) for each n via repeated kernel application."""
-    _, start, _, P, _ = _ball_kernel(cluster, r)
+    _, start, _, P = _ball_kernel(cluster, r)
     return _survival(P, start, n_list)
 
 
@@ -534,16 +525,18 @@ def killed_operator_report(cluster: ClusterGraph, r: int,
     if r < 1:
         raise ValueError("ball radius must be >= 1")
     dist = cluster.distances_from_origin()
-    ball, start, s, P, A = _ball_kernel(cluster, r)
+    ball, start, s, P = _ball_kernel(cluster, r)
     half = int(np.count_nonzero(dist <= r // 2))
 
     if ball.size == cluster.n_vertices:
         top = 1.0  # no edge leaves the ball, so P is stochastic and nothing is killed
     elif ball.size > _EIGEN_CAP:
-        raise ValueError(f"ball has {ball.size} vertices, over the eigensolve "
-                         f"cap of {_EIGEN_CAP}")
+        raise ValueError(f"ball has {ball.size} vertices, over the eigensolve cap of {_EIGEN_CAP}")
     else:
-        # sqrt(deg), the unkilled Perron vector, as a fixed start makes ARPACK repeatable
+        # A = diag(s) P diag(1/s), entries 1 / (s_u s_v), symmetric as built; sqrt(deg),
+        # the unkilled Perron vector, as a fixed start makes ARPACK repeatable
+        A = sp.csr_matrix((1.0 / (np.repeat(s, np.diff(P.indptr)) * s[P.indices]), P.indices,
+                           P.indptr), shape=P.shape)
         top = float(eigsh(A, k=1, which="LA", v0=s, return_eigenvectors=False)[0])
     lambda1 = 1.0 - top
 
@@ -557,6 +550,5 @@ def killed_operator_report(cluster: ClusterGraph, r: int,
     norm = float(np.sum(cluster.degrees * h * h))  # integers: exact
     rayleigh = energy / norm if norm > 0 else float("inf")
 
-    survival = _survival(P, start, n_list)
-    return KilledOperatorReport(r, int(ball.size), half, lambda1,
-                                paper_bound, rayleigh, survival)
+    return KilledOperatorReport(r, int(ball.size), half, lambda1, paper_bound, rayleigh,
+                                _survival(P, start, n_list))

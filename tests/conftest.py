@@ -118,24 +118,27 @@ def nash_ode_oracle(profile: NashProfile, t_max: float, n_samples: int = 2000,
     """Integrate a' = -a / (8 F_inv(4/a)^2) from a(0) = 1 up to t_max by RK45,
     in L = -log a and s = log(1 + t), on the grid of ``nash_ode_solve``.
 
-    F_inv has kinks where log(4/a) reaches C k0 and C k0^d, and an RK45 step
-    across one loses its order, so the integration stops at each kink, found
-    as an event, and restarts from there."""
+    F_inv(e^u) has kinks where u = log(4/a) reaches C k0 and C k0^d.  An RK45
+    step that crosses one, even a step the kink event then cuts short, loses
+    its order on the clipped F_inv, so each branch is integrated with its own
+    smooth F_inv (u/C, k0, (u/C)^(1/d)) up to its kink, found as an event, and
+    the next branch restarts from there."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-
-    def rhs(s, y):
-        L = y[0]
-        t = np.expm1(s)
-        f = profile.F_inv_log(LOG4 + L)
-        return [(1.0 + t) / (8.0 * f * f)]
+    C, d, k0 = profile.C, profile.d, profile.knee
+    branches = ((C * k0, lambda u: u / C), (C * k0**d, lambda u: k0),
+                (np.inf, lambda u: (u / C) ** (1.0 / d)))
 
     s_max = float(np.log1p(t_max))
     s_eval = np.linspace(0.0, s_max, n_samples)
     s0, y0, L = 0.0, [0.0], []
-    for kink in (profile.C * profile.knee, profile.C * profile.knee ** profile.d, np.inf):
+    for kink, F_inv in branches:
         if LOG4 + y0[0] >= kink:  # the start lies past this kink
             continue
+
+        def rhs(s, y, F_inv=F_inv):
+            f = F_inv(LOG4 + y[0])
+            return [(1.0 + np.expm1(s)) / (8.0 * f * f)]
 
         def reach(s, y, kink=kink):
             return LOG4 + y[0] - kink

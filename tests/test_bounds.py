@@ -79,6 +79,8 @@ class TestOde:
            log_t_max=st.floats(min_value=-2.0, max_value=8.0))
     @example(d=2, C=1.0, knee=1.2, gamma_frac=0.5, n=2**20, log_t_max=6.0)
     @example(d=3, C=0.5, knee=1.0, gamma_frac=0.5, n=2**20, log_t_max=6.0)
+    # the first kink, u = C k0 = 1.387, lies just past the start u = log 4
+    @example(d=2, C=1.177734375, knee=1.177734375, gamma_frac=0.5, n=1, log_t_max=0.0)
     def test_matches_rk45_oracle(self, d, C, knee, gamma_frac, n, log_t_max):
         gamma = gamma_frac / (d + 2)
         c = knee / n**gamma * (1 + 1e-12)  # keep the knee >= 1 through rounding

@@ -193,6 +193,23 @@ class TestCli:
         assert exit_info.value.code != 0
         assert "n_mx" in capsys.readouterr().err
 
+    def test_scalar_reads_as_a_one_element_list(self, tmp_path, capsys):
+        checks = []
+        for value in ("0.5", "0.5,"):  # with and without the trailing comma
+            cfg = tmp_path / "alphas.cfg"
+            cfg.write_text(f"n_max = 1\nalphas = {value}\n")
+            assert cli.main(["identity-sweep", "--config", str(cfg)]) == 0
+            checks.append([ln for ln in capsys.readouterr().out.splitlines() if "[PASS]" in ln])
+        assert checks[0] == checks[1] and "over 40 cases" in checks[0][0]
+
+    def test_unsupported_dimension_exits_with_the_supported_ones(self, tmp_path, capsys):
+        cfg = tmp_path / "d4.cfg"
+        cfg.write_text("d_list = 4\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["nash-curve", "--config", str(cfg)])
+        assert exit_info.value.code == 2
+        assert "nash-curve supports d_list within [2, 3], got [4]" in capsys.readouterr().err
+
     def test_unknown_recipe_exits_nonzero(self):
         with pytest.raises(SystemExit):
             cli.main(["no-such-recipe"])

@@ -511,6 +511,20 @@ class TestTextFormat:
         assert all(np.array_equal(a, b) for a, b in zip(back.csr, cluster.csr))
         assert back.origin == cluster.origin
 
+    @pytest.mark.parametrize("m", [3, 81])
+    def test_round_trip_of_a_path_in_d_1(self, m):
+        # vertex and edge lines both have two fields when d = 1
+        coords = np.arange(m)[:, None] - m // 2
+        indptr, indices = perc.arcs_csr(m, np.r_[0:m - 1, 1:m], np.r_[1:m, 0:m - 1])
+        path = perc.ClusterGraph.from_csr(coords, indptr, indices, m // 2,
+                                          {"d": 1, "n": m // 2, "p": 1.0, "seed": 0})
+        buf = io.StringIO()
+        perc.cluster_to_text(path, buf)
+        back = perc.cluster_from_text(io.StringIO(buf.getvalue()))
+        assert np.array_equal(back.coords, coords) and back.origin == m // 2
+        assert all(np.array_equal(a, b) for a, b in zip(back.csr, path.csr))
+        assert back.meta == path.meta
+
     @pytest.mark.parametrize("lines,message", [
         (["0 1"] * 2, "repeated edge (0, 1)"),
         (["0 0", "0 1"], "self-loop at 0"),

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -145,7 +146,7 @@ class TestExactLaplace:
 
     @pytest.mark.parametrize("d, n_max", [(2, 10), (3, 6)])
     def test_one_sweep_equals_per_step_laws(self, d, n_max):
-        # both backends: balls of <= 60 vertices merge states, wider ones enumerate
+        # both backends: balls of <= 64 vertices merge states, wider ones enumerate
         cluster = full_lattice(n_max, d)
         laws = walk.exact_visited_laws(cluster, n_max)
         assert len(laws) == n_max + 1
@@ -162,11 +163,22 @@ class TestExactLaplace:
     def test_wide_unequal_ball_names_the_mask_width(self):
         cluster = full_lattice(4)  # the box's sides, of degree 3, lie at distance 4
         assert len(walk.exact_visited_laws(cluster, 5)) == 6  # 57 vertices: merged
-        message = ("the radius-6 chemical ball has 69 vertices, over the 60-vertex mask "
-                   "width of the merged sweep, and degrees 3 to 4 within radius 5, so its "
-                   "paths are not equally likely")
+        message = (f"the radius-6 chemical ball has 69 vertices, over the {walk.MASK_WIDTH}-vertex"
+                   " mask width of the merged sweep, and degrees 3 to 4 within radius 5, so its"
+                   " paths are not equally likely")
         with pytest.raises(walk.BallTooWideError, match=f"^{message}$"):
             walk.exact_visited_distribution(cluster, 6)
+
+    @pytest.mark.parametrize("p, seed, n, size", [(0.9, 6, 5, 61), (0.9, 51, 6, 64)])
+    def test_unequal_ball_of_61_to_64_vertices_is_merged(self, p, seed, n, size):
+        cluster = perc.component_of_origin(perc.sample_bond_config(perc.LatticeSpec(2, 8), p, seed))
+        dist = cluster.distances_from_origin()
+        degs = cluster.degrees[dist <= n - 1]
+        assert (int((dist <= n).sum()), degs.min() < degs.max()) == (size, True)
+        got, want = walk.exact_visited_distribution(cluster, n), visited_dist_oracle(cluster, n)
+        assert set(got) == set(want)
+        for key in want:
+            assert got[key] == pytest.approx(want[key], abs=1e-12)
 
     def test_byte_budget_names_the_bytes(self):
         # 4^14 paths of 2-byte ids (421-vertex ball): 2 (4^15 - 1) / 3 + 2 4^14 bytes
@@ -178,14 +190,40 @@ class TestExactLaplace:
                 walk.exact_visited_distribution(cluster, 14)
             return err
         err, peak = traced_peak(raises)
-        assert (err.value.needed, err.value.budget) == (1252698794, walk.ENUMERATOR_BYTES)
+        assert (err.value.needed, err.value.budget) == (1252698794, walk.EXACT_BYTES)
         assert peak < 2**20  # raised before the columns are allocated
 
-    def test_sweep_budget_names_path_extensions(self, monkeypatch):
-        monkeypatch.setattr(walk, "DEFAULT_BUDGET", 100)
-        message = "enumeration needs about 444 path extensions, budget is 100 path extensions"
-        with pytest.raises(walk.BudgetExceededError, match=f"^{message}$"):
+    def test_sweep_budget_names_the_bytes(self, monkeypatch):
+        # the 5 x 5 box from its centre: 1, 4, 16 states extended by 4, 16, 60
+        # moves (the four sites at distance 2 on the box's sides have degree 3)
+        monkeypatch.setattr(walk, "EXACT_BYTES", 2000)
+        message = (f"enumeration needs about {60 * walk._SWEEP_BYTES:.3g} bytes, "
+                   "budget is 2000 bytes")
+        with pytest.raises(walk.BudgetExceededError, match=f"^{re.escape(message)}$") as err:
             walk.exact_visited_laws(full_lattice(2), 6)  # 25 vertices: merged sweep
+        assert err.value.needed == 60 * walk._SWEEP_BYTES
+        assert len(walk.exact_visited_laws(full_lattice(2), 2)) == 3  # 16 moves fit
+
+    def test_sweep_step_stays_within_its_bytes(self, monkeypatch):
+        # a step runs from its csr_rows call, which returns one row per path
+        # extension, to the next step's; its tracemalloc peak above the memory
+        # it starts with stays within _SWEEP_BYTES per extension
+        cluster = sampled_cluster(30, 0.55, 4)
+        real, moves, peaks, start = walk.csr_rows, [], [], [0]
+
+        def step(*args):
+            if moves:
+                peaks.append(tracemalloc.get_traced_memory()[1] - start[0])
+            start[0] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            src, ids = real(*args)
+            moves.append(src.size)
+            return src, ids
+        monkeypatch.setattr(walk, "csr_rows", step)
+        traced_peak(lambda: walk._merged_state_laws(cluster, 14))
+        # the last step, which also builds the last law, is left out
+        assert moves[-5:-1] == [1229, 2481, 4776, 9672]
+        assert all(peak <= walk._SWEEP_BYTES * m for m, peak in zip(moves[-5:-1], peaks[-4:]))
 
     def test_budget_guard(self):
         cluster = full_lattice(30)  # n = 40 needs at least 3^40 bytes, over 2^30
@@ -618,14 +656,16 @@ class TestKilledOperator:
 
     def test_kernel_reversible(self):
         cluster = sampled_cluster(5, 0.7, 7)
-        ball, local, s, P, A = walk._ball_kernel(cluster, 3)
+        ball, local, s, P = walk._ball_kernel(cluster, 3)
         deg = cluster.degrees[ball].astype(np.float64)
         assert ball[local] == cluster.origin and np.array_equal(s, np.sqrt(deg))
-        P, A = P.toarray(), A.toarray()
+        P = P.toarray()
         flow = np.diag(deg) @ P
         assert np.abs(flow - flow.T).max() <= 1e-12
-        assert np.array_equal(A, A.T)
-        assert np.abs(A - np.diag(s) @ P @ np.diag(1 / s)).max() <= 1e-14
+        top = np.linalg.eigvalsh(np.diag(s) @ P @ np.diag(1 / s))[-1]
+        report = walk.killed_operator_report(cluster, 3, [0])
+        assert report.ball_size < cluster.n_vertices  # the eigsh branch
+        assert abs(report.lambda1 - (1 - top)) <= 1e-12
 
     def test_survival_matches_mc(self):
         cluster = sampled_cluster(5, 0.7, 7)
@@ -705,6 +745,26 @@ class TestKilledOperator:
         assert walk.confinement_probability(cluster, 1, 3, 10, 0) == (1.0, 0.0)
         assert walk.exact_visited_laws(cluster, 3) == [{(1, True): 1.0}] * 4
         assert killed_lambda1_oracle(cluster, 1) == 0.0
+
+    @pytest.mark.parametrize("entry", ["exact", "mc", "survival", "report", "confinement"])
+    def test_isolated_origin_stays_put(self, entry):
+        # a hand-built one-vertex graph: the ball cut's self-loop holds every walk
+        g = make_graph([(0, 0)], [])
+        if entry == "exact":
+            assert walk.exact_visited_laws(g, 3) == [{(1, True): 1.0}] * 4
+            assert walk.exact_laplace(g, 0.5, 3, pinned=True) == 0.5
+        elif entry == "mc":
+            counts = walk.mc_visited_samples(g, [0, 2, 5], 300, 9)
+            assert {n: c.tolist() for n, c in counts.items()} == {n: [1] * 300 for n in (0, 2, 5)}
+            assert chains(g, 5, 7, 3).tolist() == [[0] * 7] * 6
+        elif entry == "survival":
+            assert walk.survival_probabilities(g, 1, [5, 0]) == [(0, 1.0), (5, 1.0)]
+        elif entry == "report":
+            report = walk.killed_operator_report(g, 2, [0, 4])
+            assert (report.ball_size, report.half_ball_size, report.lambda1) == (1, 1, 0.0)
+            assert (report.rayleigh_h, report.survival) == (float("inf"), [(0, 1.0), (4, 1.0)])
+        else:
+            assert walk.confinement_probability(g, 0, 4, 50, 1) == (1.0, 0.0)
 
     def test_json_schema(self):
         report = walk.killed_operator_report(full_lattice(3), 1, [0, 2])
