@@ -8,15 +8,17 @@ seen from the origin), an enumerator of the equally likely paths that keeps one
 column of positions per step instead of the paths, in the ball's own ids of the
 smallest unsigned type, with one-byte visit counts and keys, counted by bincount
 over blocks of at most 65,536 paths.  Both are capped at EXACT_BYTES (1 GiB):
-each sweep step's arrays, or the enumerator's columns and counts.
+each sweep step's arrays and held states, or the enumerator's columns and
+counts.
 
 The Monte Carlo estimator runs chunks of 65,536 chains as column-vectorized
 trajectories, chunk k keyed (master seed, k), and spreads them over the cores
 this process may use: whole chunks, or column tiles cut from each chunk, one
-per core when there are fewer chunks than cores, and enough that no tile's
-trajectory buffer passes 8 MiB (_TILE_BYTES) unless it is at most 4,096
-columns wide.  A tile seeks each row's draws in the chunk's Philox stream by
-setting the counter.  The output does not depend on how many cores there are.
+per core when there are fewer chunks than cores.  Their trajectory buffers
+share MC_BYTES (8 MiB) over all cores, or fewer cores walk: only a lone tile
+of at most 4,096 columns may pass it.  A tile seeks each row's draws in the
+chunk's Philox stream by advancing the counter.  No output depends on the
+core count.
 Chains walk the radius-n_max chemical ball in its own ids, on its neighbour
 table and degrees alone, and N_n is counted by a uint64 visited mask per chain
 when it has at most MASK_WIDTH vertices, otherwise by sorting the trajectory
@@ -62,10 +64,12 @@ __all__ = [
 ]
 
 EXACT_BYTES = 2**30  # a merged-sweep step's arrays, or the path enumerator's columns and counts
+MC_BYTES = 2**23  # the trajectory buffers of every Monte Carlo tile walked at once
 MASK_WIDTH = 64  # vertices a uint64 visited mask holds
 # a merged-sweep step's bytes per path extension: 8-byte source, vertex, probability, mask and
 # order, their 3 sorted copies and 1 gathered mask (tracemalloc: 68-70 B on d = 2 clusters)
 _SWEEP_BYTES = 9 * 8
+_STATE_BYTES = 3 * 8  # per state the step holds meanwhile: its vertex, mask and probability
 _EIGEN_CAP = 20000  # vertices of a killed ball the eigensolve takes
 
 
@@ -157,16 +161,22 @@ def _merged_state_laws(cluster: ClusterGraph, n: int) -> list:
         laws.append(law)
         if step == n:
             return laws
-        needed = _SWEEP_BYTES * int((indptr[verts + 1] - indptr[verts]).sum())
+        needed = (_SWEEP_BYTES * int((indptr[verts + 1] - indptr[verts]).sum())
+                  + _STATE_BYTES * verts.size)
         if needed > EXACT_BYTES:
             raise BudgetExceededError(needed, EXACT_BYTES)
-        src, new_verts = csr_rows(indptr, indices, verts)
-        new_probs = (probs / deg[verts])[src]
-        new_masks = masks[src] | (np.uint64(1) << new_verts.astype(np.uint64))
-        order = np.lexsort((new_verts, new_masks))
-        new_verts, new_masks, new_probs = new_verts[order], new_masks[order], new_probs[order]
-        heads = np.flatnonzero(np.r_[True, (np.diff(new_masks) != 0) | (np.diff(new_verts) != 0)])
-        verts, masks, probs = new_verts[heads], new_masks[heads], np.add.reduceat(new_probs, heads)
+        verts, masks, probs = _sweep_step(indptr, indices, deg, verts, masks, probs)
+
+
+def _sweep_step(indptr, indices, deg, verts, masks, probs):
+    """The merged sweep's states one move on, sorted by (mask, vertex); its temporaries die here."""
+    src, new_verts = csr_rows(indptr, indices, verts)
+    new_probs = (probs / deg[verts])[src]
+    new_masks = masks[src] | (np.uint64(1) << new_verts.astype(np.uint64))
+    order = np.lexsort((new_verts, new_masks))
+    new_verts, new_masks, new_probs = new_verts[order], new_masks[order], new_probs[order]
+    heads = np.flatnonzero(np.r_[True, (np.diff(new_masks) != 0) | (np.diff(new_verts) != 0)])
+    return new_verts[heads], new_masks[heads], np.add.reduceat(new_probs, heads)
 
 
 def _uniform_path_laws(cluster: ClusterGraph, n: int) -> list:
@@ -280,7 +290,6 @@ _CHUNK = 65536
 # Columns.  On 2 cores, mc_laplace calls of 1,000-8,190 chains ran 1.4-5x
 # faster as one tile than cut in two: a thread and per-row seeks cost more there.
 _MIN_TILE = 4096
-_TILE_BYTES = 2**23  # no tile wider than _MIN_TILE has a larger trajectory buffer
 
 
 def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, reduce):
@@ -292,22 +301,22 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
     step, and u moves a chain at v to neighbour floor(u * deg(v)) of v in CSR order.
 
     Each chunk is cut into tiles of one width, rounded up to a multiple of 4
-    (the last may be narrower): one per core when the call has fewer chunks than this process may use
-    cores, but no more than the chunk holds _MIN_TILE columns; and at least
-    enough that no tile is wider than cap = max(_MIN_TILE, _TILE_BYTES //
-    (ids.itemsize * (n_max + 1))) columns, rounded down to a multiple of 4.  So
-    each trajectory buffer holds at most max(_TILE_BYTES, ids.itemsize *
-    (n_max + 1) * _MIN_TILE) bytes, whatever n_max.  Row ``step`` of a tile narrower than
-    its chunk, starting at column a, reads the chunk's stream from position
-    at = step * chunk + a: the tile's one Philox seeks there by setting its
-    counter to at // 4 with the buffer spent, as Philox(key, counter=at // 4)
-    starts, and drops at % 4 draws; a whole-chunk tile reads straight through.
+    (the last may be narrower): one per core when the call has fewer chunks than this process may
+    use cores, but no more than the chunk holds _MIN_TILE columns; and at least enough that no tile
+    is wider than cap = max(_MIN_TILE, MC_BYTES // (cores * column)) columns, rounded down to a
+    multiple of 4, where a column takes ids.itemsize * (n_max + 1) bytes.  Row ``step`` of a tile
+    narrower than its chunk, starting at column a, reads the chunk's stream from position
+    at = step * chunk + a: the tile's one Philox advances its counter to at // 4, spending the
+    buffer as Philox(key, counter=at // 4) starts (the row before, at least 4 columns back, left
+    it at no more), and drops at % 4 draws; a whole-chunk tile reads straight through.
 
-    Tiles are dealt round-robin to one share per core: the calling thread walks
-    share 0, helper threads the rest, each in buffers as wide as its widest
-    tile, allocated here (what a helper frees stays in its own malloc arena).
-    One core, or one tile (at most _MIN_TILE chains, or fewer than 2 * _MIN_TILE
-    under a wider cap), builds no pool."""
+    Tiles are dealt round-robin to shares: one per core, but no more than there are tiles or
+    than MC_BYTES holds _MIN_TILE-wide buffers, and at least one.  So all buffers together hold
+    at most max(MC_BYTES, column * _MIN_TILE) bytes, whatever n_max and the core count.  The
+    calling thread walks share 0, helper threads the rest, each in buffers as wide as its widest
+    tile, allocated here (what a helper frees stays in its own malloc arena).  One share (one
+    core; one tile, at most _MIN_TILE chains or fewer than 2 * _MIN_TILE under a wider cap; or
+    columns too long for two _MIN_TILE-wide buffers in MC_BYTES) builds no pool."""
     keep, csr, deg, ids, origin = _reachable_ball(cluster, n_max)
     nbr = _neighbor_table(*csr, ids)  # take() reads it flattened
     width = nbr.shape[1]
@@ -315,8 +324,8 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
     if nbr.max() >= deg.size:  # take() skips this check in mode="clip"; floor(u*deg) < deg
         raise ValueError("neighbour table names a vertex outside the ball")
     firsts = range(0, samples, _CHUNK)
-    cores = len(os.sched_getaffinity(0))
-    cap = max(_MIN_TILE, _TILE_BYTES // (ids.itemsize * (n_max + 1))) // 4 * 4
+    cores, column = len(os.sched_getaffinity(0)), ids.itemsize * (n_max + 1)
+    cap = max(_MIN_TILE, MC_BYTES // (cores * column)) // 4 * 4
     tiles = []  # (chunk k, its width, first column a, tile width)
     for k, first in enumerate(firsts):
         chunk = min(_CHUNK, samples - first)
@@ -324,22 +333,20 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
         parts = max(parts, -(-chunk // cap))
         w = -(-chunk // (4 * parts)) * 4
         tiles += [(k, chunk, a, min(w, chunk - a)) for a in range(0, chunk, w)]
-    shares = min(cores, len(tiles))
+    shares = min(cores, len(tiles), max(1, MC_BYTES // (column * _MIN_TILE)))
 
     def walk_share(j, traj, u, dg, off, pick):
         for k, chunk, a, w in tiles[j::shares]:
             block, u_k, dg_k, off_k, pick_k = (x[..., :w] for x in (traj, u, dg, off, pick))
             block[0] = origin
             bits = np.random.Philox(key=(seed << 64) + k)
-            rng = np.random.Generator(bits)
+            rng, counter = np.random.Generator(bits), 0
             for step in range(n_max):
                 if w < chunk:  # seek to row step, column a of the stream
                     at = step * chunk + a
-                    state = bits.state
-                    state["state"]["counter"][0] = at // 4
-                    state["buffer_pos"] = 4
-                    bits.state = state
+                    bits.advance(at // 4 - counter)
                     bits.random_raw(at % 4)
+                    counter = -(-(at + w) // 4)  # once this row is drawn
                 cur = block[step]
                 rng.random(out=u_k)
                 u_k *= deg.take(cur, out=dg_k, mode="clip")

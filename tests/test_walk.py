@@ -197,11 +197,11 @@ class TestExactLaplace:
         # the 5 x 5 box from its centre: 1, 4, 16 states extended by 4, 16, 60
         # moves (the four sites at distance 2 on the box's sides have degree 3)
         monkeypatch.setattr(walk, "EXACT_BYTES", 2000)
-        message = (f"enumeration needs about {60 * walk._SWEEP_BYTES:.3g} bytes, "
-                   "budget is 2000 bytes")
+        needed = 60 * walk._SWEEP_BYTES + 16 * walk._STATE_BYTES
+        message = f"enumeration needs about {needed:.3g} bytes, budget is 2000 bytes"
         with pytest.raises(walk.BudgetExceededError, match=f"^{re.escape(message)}$") as err:
             walk.exact_visited_laws(full_lattice(2), 6)  # 25 vertices: merged sweep
-        assert err.value.needed == 60 * walk._SWEEP_BYTES
+        assert err.value.needed == needed == 4704
         assert len(walk.exact_visited_laws(full_lattice(2), 2)) == 3  # 16 moves fit
 
     def test_sweep_step_stays_within_its_bytes(self, monkeypatch):
@@ -224,6 +224,23 @@ class TestExactLaplace:
         # the last step, which also builds the last law, is left out
         assert moves[-5:-1] == [1229, 2481, 4776, 9672]
         assert all(peak <= walk._SWEEP_BYTES * m for m, peak in zip(moves[-5:-1], peaks[-4:]))
+
+    def test_whole_sweep_stays_within_its_largest_check(self, monkeypatch):
+        # the states a step holds are counted, and what it builds is freed before
+        # the next, so no step's leftovers add to the next one's peak (a sweep
+        # that kept them peaked at ~97 B per extension of its largest step)
+        cluster = sampled_cluster(30, 0.55, 4)
+        cluster.distances_from_origin()  # the cluster's cache, not the sweep's
+        real, checked = walk.csr_rows, []
+
+        def step(indptr, indices, verts):
+            moves = int((indptr[verts + 1] - indptr[verts]).sum())
+            checked.append(walk._SWEEP_BYTES * moves + walk._STATE_BYTES * verts.size)
+            return real(indptr, indices, verts)
+        monkeypatch.setattr(walk, "csr_rows", step)
+        laws, peak = traced_peak(lambda: walk._merged_state_laws(cluster, 14))
+        assert len(laws) == 15 and max(checked) == 72 * 18641 + 24 * 6915
+        assert peak <= max(checked)  # ~0.91 of it
 
     def test_budget_guard(self):
         cluster = full_lattice(30)  # n = 40 needs at least 3^40 bytes, over 2^30
@@ -502,37 +519,44 @@ class TestCoreCount:
                       (65_536, 12): ((2, 2), np.uint8), (65_536, 300): ((2, 2), np.uint8)}
 
     @pytest.mark.parametrize("cores, samples, n_max, widths", [
-        (2, 60_000, 200, [10_000] * 6),  # the benchmark's mc-d3 call, on 68,921 vertices
-        (2, 131_072, 200, [16_384] * 8),  # two chunks, each over the cap
+        (2, 60_000, 200, [5000] * 12),  # the benchmark's mc-d3 call, on 68,921 vertices
+        (2, 131_072, 200, ([9364] * 6 + [9352]) * 2),  # two chunks, each over the cap
         (2, 30_000, 120, [15_000] * 2),  # exponent-fit's calls, on a cut ball: the core rule
         (2, 8200, 600, [2736] * 2 + [2728]),  # the cap is floored at _MIN_TILE columns
         (3, 65_536, 12, [21_848] * 2 + [21_840]),  # n = 12: whole chunks, cut per core
-        (2, 65_536, 300, [21_848] * 2 + [21_840])])  # a 25-vertex ball under the cap
+        (2, 65_536, 300, [13_108] * 4 + [13_104]),  # a 25-vertex ball over the cap
+        (4, 60_000, 200, [4000] * 15)])  # mc-d3 on 4 cores: the cap is floored, 2 shares fit
     def test_tiles_no_wider_than_the_byte_cap(self, monkeypatch, cores, samples, n_max,
                                               widths):
-        # cap = _TILE_BYTES // (itemsize * (n_max + 1)) columns, floored at _MIN_TILE
-        assert walk._TILE_BYTES == 2**23
+        # cap = MC_BYTES // (cores * itemsize * (n_max + 1)) columns, floored at
+        # _MIN_TILE; no more shares than MC_BYTES holds _MIN_TILE-wide buffers
+        # (one 4,096 x 601 x 4-byte buffer is 9.4 MiB, so n_max = 600 walks one share)
+        shares = 1 if n_max == 600 else 2 if samples == 60_000 else min(cores, len(widths))
+        assert walk.MC_BYTES == 2**23
         pretend_cores(monkeypatch, cores)
         lattice, ids = self.BYTE_CAP_BALLS[samples, n_max]
         cluster = full_lattice(*lattice)
         ball = walk._reachable_ball(cluster, n_max)[0].size
         assert (ball == cluster.n_vertices) == (lattice != (70, 2))
-        tiles, buffers = [], []
+        tiles, buffers = [], {}
 
         def record(first, traj):
             tiles.append((first, traj.shape[1]))
-            buffers.append((traj.dtype, traj.base.nbytes))
+            buffers[id(traj.base)] = (traj.dtype, traj.base.nbytes)  # all live until the end
         walk._map_chunks(cluster, n_max, samples, 0, record)
         assert [w for _, w in sorted(tiles)] == widths
-        assert {dtype for dtype, _ in buffers} == {np.dtype(ids)} == {np.min_scalar_type(ball - 1)}
+        assert len(buffers) == shares
+        assert {dtype for dtype, _ in buffers.values()} == {np.dtype(ids)} == \
+            {np.min_scalar_type(ball - 1)}
         itemsize = np.dtype(ids).itemsize
-        assert max(b for _, b in buffers) <= max(walk._TILE_BYTES,
-                                                  itemsize * (n_max + 1) * walk._MIN_TILE)
+        assert sum(b for _, b in buffers.values()) <= max(walk.MC_BYTES,
+                                                          itemsize * (n_max + 1) * walk._MIN_TILE)
 
     @pytest.mark.parametrize("path", ["mask", "sort", "uint16"])
     def test_counts_under_a_small_byte_cap(self, monkeypatch, path):
         # a 1,000-column cap at n_max = 8 cuts both chunks on any core count (into
-        # 66 and 2 tiles; 3 on 3 cores); the second's 1,003 columns are not a multiple of 4
+        # 66 and 2 tiles; 3 on 3 cores); the second's 1,003 columns are not a multiple of 4.
+        # The cap is MC_BYTES shared over the cores, so MC_BYTES grows with them
         cluster = (sampled_cluster(3, 0.7, 2) if path == "mask" else
                    full_lattice(6) if path == "sort" else full_lattice(4, d=3))
         ball = walk._reachable_ball(cluster, 8)[0].size
@@ -540,11 +564,11 @@ class TestCoreCount:
         itemsize = np.min_scalar_type(ball - 1).itemsize
         assert itemsize == (2 if path == "uint16" else 1)
         monkeypatch.setattr(walk, "_MIN_TILE", 100)
-        monkeypatch.setattr(walk, "_TILE_BYTES", itemsize * 9 * 1000)
         samples = walk._CHUNK + 1003
         runs, hits = [], []
         for cores in (1, 2, 3):
             pretend_cores(monkeypatch, cores)
+            monkeypatch.setattr(walk, "MC_BYTES", cores * itemsize * 9 * 1000)
             tiles = []
             walk._map_chunks(cluster, 8, samples, 16,
                              lambda first, traj: tiles.append((first, traj.shape[1])))
@@ -609,6 +633,22 @@ class TestMonteCarloMemory:
         counts, peak = traced_peak(lambda: walk.mc_visited_samples(cluster, n_list, 30000, 5))
         assert all(c.dtype == np.uint8 and c.shape == (30000,) for c in counts.values())
         assert peak < 11.5 * 2**20
+
+    def test_mc_d3_sized_sort_path(self, monkeypatch):
+        # the benchmark's mc-d3 call: 60,000 chains to n = 200 on a 68,921-vertex
+        # ball of uint32 ids.  Two 201 x 5,000 tiles (4.0 MB each) on 2 cores; on 4
+        # the cap is floored at _MIN_TILE and two 4,000-column shares fit MC_BYTES.
+        # An 8 MiB cap per tile held two 201 x 10,000 tiles (18.6 MiB peak)
+        cluster = full_lattice(20, d=3)
+        runs, peaks = [], []
+        for cores in (2, 4):
+            pretend_cores(monkeypatch, cores)
+            counts, peak = traced_peak(
+                lambda: walk.mc_visited_samples(cluster, [50, 100, 200], 60_000, 4000))
+            runs.append(counts)
+            peaks.append(peak)
+        assert all(np.array_equal(runs[0][n], runs[1][n]) for n in (50, 100, 200))
+        assert peaks[1] <= peaks[0] < 12 * 2**20
 
     def test_moments_hold_one_chunk_of_indices(self):
         counts = np.random.default_rng(0).integers(1, 14, 10**6).astype(np.uint8)
