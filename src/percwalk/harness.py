@@ -206,7 +206,8 @@ def small_cluster_collection() -> list:
     levels = iso._connected_levels(*block.csr, len(coords))
     next(levels)  # the single vertices
     out = []
-    for order in sorted(order for _, orders in levels for order in orders.tolist()):
+    for order in sorted(order for boundaries, orders in levels
+                        for order in orders(np.arange(boundaries.size)).tolist()):
         verts = np.sort(order)
         sub = perc.ClusterGraph.from_csr(np.array(coords)[verts],
                                          *perc.induced_csr(*block.csr, verts), 0,

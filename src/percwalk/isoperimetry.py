@@ -6,8 +6,8 @@ and ``WreathGraph.csr`` hold them, so the same code serves percolation
 clusters, lamplighter graphs and ad-hoc test graphs.  Connected subsets are
 enumerated one size at a time in numpy: each level holds every connected
 subset of one size as rows of uint64 words (members, frontier, banned
-vertices), with its boundary and the order in which its vertices joined,
-and grows into the next level by one candidate per row and frontier vertex.
+vertices), with its boundary, one parent row and one joined vertex, and
+grows into the next level by one candidate per row and frontier vertex.
 The configuration graphs and the pruning step work on plain neighbour
 lists: they never reach the subset engine.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -90,9 +91,9 @@ def _grow(frame: tuple, level: tuple, final: bool) -> tuple | None:
     members S, frontier C and banned set B gets one child per c in C: B
     gains the candidates up to c, C loses them and gains the neighbours of
     c not banned, and the boundary changes by bdeg(c) - 2 |bnbr(c) & S|.
-    The last level carries no frontier or banned set."""
-    ids, bit, low, nbr, bnbr, bdeg = frame
-    S, C, B, b, order = level
+    Links gain (parent row, c) per child; the last level has no C or B."""
+    _, bit, low, nbr, bnbr, bdeg = frame
+    S, C, B, b, links = level
     parents, joins = [], []
     for j in range(C.shape[1]):  # peel each frontier word by its lowest set bit
         rows = np.flatnonzero(C[:, j])
@@ -115,26 +116,26 @@ def _grow(frame: tuple, level: tuple, final: bool) -> tuple | None:
     for j in range(1, hits.shape[1]):
         count += hits[:, j]
     b = b.take(p) + bdeg.take(c) - 2 * count
-    order = np.column_stack([order.take(p, axis=0), ids.take(c)])
     if final:
-        return None, None, None, b, order
+        return None, None, None, b, links + ((p, c),)
     lows, C = low.take(c, axis=0), C.take(p, axis=0)
     B = B.take(p, axis=0) | (C & lows)
     C = (C & ~lows) | (nbr.take(c, axis=0) & ~B)
-    return S | bit.take(c, axis=0), C, B, b, order
+    return S | bit.take(c, axis=0), C, B, b, links + ((p, c),)
 
 
 def _connected_levels(indptr: np.ndarray, indices: np.ndarray, size_cap: int,
                       boundary: tuple | None = None) -> Iterator[tuple]:
     """Every connected induced vertex subset of 1..size_cap vertices, once,
-    one size at a time: yields (boundaries, orders) per size k, int64
-    boundaries and the (m, k) vertex ids of each subset in the order they
-    joined it, until a size has no subset.
+    one size at a time: yields (boundaries, orders) per size k until a size
+    has no subset, int64 boundaries and orders(rows) -> the (len(rows), k)
+    vertex ids of those rows in joining order: one parent row and one joined
+    vertex per row, orders rebuilt on demand.
 
     A subset is rooted at its smallest vertex and grown through the
     include/exclude frontier split, with each chain of excludes collapsed
     into one child per candidate; the include-first depth-first order of
-    that split is the lexicographic order of ``orders``, a prefix first.
+    that split is the lexicographic order of the orders, a prefix first.
     The boundary is the internal one unless ``boundary`` = (indptr,
     indices, degrees) counts it in a supergraph: CSR row c holds the
     vertices whose images neighbour the image of c there, of degree
@@ -151,17 +152,30 @@ def _connected_levels(indptr: np.ndarray, indices: np.ndarray, size_cap: int,
         frame = _frame(indptr, indices, boundary, r0, r1, size_cap - 1)
         ids, bit, low, nbr, _, deg = frame
         k = r1 - r0  # the roots come first in the frame
-        live.append((frame, (bit[:k], nbr[:k] & ~low[:k], low[:k], deg[:k], ids[:k, None])))
+        live.append((frame, (bit[:k], nbr[:k] & ~low[:k], low[:k], deg[:k], ())))
     for size in range(1, size_cap + 1):
         if size > 1:
             live = [(frame, _grow(frame, level, size == size_cap)) for frame, level in live]
             live = [(frame, level) for frame, level in live if level is not None]
         if not live:
             return
-        if len(live) == 1:  # no copy
-            yield live[0][1][3:]
-        else:
-            yield tuple(np.concatenate([level[i] for _, level in live]) for i in (3, 4))
+        boundaries = [level[3] for _, level in live]
+        yield (boundaries[0] if len(live) == 1 else np.concatenate(boundaries),
+               partial(_orders, [(frame[0], level[3].size, level[4]) for frame, level in live]))
+
+
+def _orders(frames: list, rows: np.ndarray) -> np.ndarray:
+    """The joining orders of the given rows of a level, numbered across its
+    frames in turn, each frame given as (its ids, its row count, its links)."""
+    out, lo = np.empty((rows.size, len(frames[0][2]) + 1), np.int64), 0
+    for ids, m, links in frames:
+        at = (lo <= rows) & (rows < lo + m)
+        r, lo = rows[at] - lo, lo + m
+        for j in range(len(links), 0, -1):  # each row's parents, back to its root
+            out[at, j] = ids.take(links[j - 1][1].take(r))
+            r = links[j - 1][0].take(r)
+        out[at, 0] = ids.take(r)  # a root's row is its frame position
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +219,11 @@ def isoperimetric_beta(cluster: ClusterGraph, supergraph: ClusterGraph | None = 
         n = int(cluster.meta.get("n", 1))
     boundary = None
     if supergraph is not None:
-        embed = np.array([supergraph.index_of(coord) for coord in cluster.coords])
+        try:
+            embed = np.array([supergraph.index_of(coord) for coord in cluster.coords])
+        except KeyError as err:
+            raise ValueError(f"the {supergraph.n_vertices}-vertex supergraph lacks the cluster's"
+                             f" coordinate {tuple(map(int, err.args[0]))}") from None
         boundary = (*induced_csr(*supergraph.csr, embed), supergraph.degrees[embed])
     if cluster.n_vertices == 1:
         return IsoperimetryReport(0.0, 1, [0], c, gamma, n, degenerate=True)
@@ -223,7 +241,7 @@ def isoperimetric_beta(cluster: ClusterGraph, supergraph: ClusterGraph | None = 
         least = float(ratios.min())
         if least == np.inf:
             continue
-        first = min(orders.take(np.flatnonzero(ratios == least), axis=0).tolist())
+        first = min(orders(np.flatnonzero(ratios == least)).tolist())
         if best is None or (least, first) < best:
             best = (least, first)
     if best is None:

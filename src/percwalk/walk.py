@@ -7,9 +7,9 @@ MASK_WIDTH = 64 vertices; past that, on equal-degree balls (the full lattice
 seen from the origin), an enumerator of the equally likely paths that keeps one
 column of positions per step instead of the paths, in the ball's own ids of the
 smallest unsigned type, with one-byte visit counts and keys, counted by bincount
-over blocks of at most 65,536 paths.  Both are capped at EXACT_BYTES (1 GiB):
-each sweep step's arrays and held states, or the enumerator's columns and
-counts.
+over blocks of at most 65,536 paths, the last step's gathered per block.  Both
+are capped at EXACT_BYTES (1 GiB): each sweep step's arrays and held states, or
+the enumerator's columns through step n - 1 and counts of steps n - 2 and n - 1.
 
 The Monte Carlo estimator runs chunks of 65,536 chains as column-vectorized
 trajectories, chunk k keyed (master seed, k), and spreads them over the cores
@@ -63,7 +63,7 @@ __all__ = [
     "killed_operator_report",
 ]
 
-EXACT_BYTES = 2**30  # a merged-sweep step's arrays, or the path enumerator's columns and counts
+EXACT_BYTES = 2**30  # a merged-sweep step's arrays, or what the path enumerator holds
 MC_BYTES = 2**23  # the trajectory buffers of every Monte Carlo tile walked at once
 MASK_WIDTH = 64  # vertices a uint64 visited mask holds
 # a merged-sweep step's bytes per path extension: 8-byte source, vertex, probability, mask and
@@ -190,14 +190,15 @@ def _uniform_path_laws(cluster: ClusterGraph, n: int) -> list:
     N_t and keys 2 N_t + pinned one byte each up to n = 126.  Each column is
     gathered, compared, counted by bincount and scanned for its keys' first
     paths in blocks of g^k <= 65,536 paths, since take() and bincount() copy
-    their indices to intp.  The columns and the last step's counts may take at
-    most EXACT_BYTES.  Values are (number of paths) * g^-t, which for
-    g = 6 (Z^3) may differ from the path-by-path sum in the last bits."""
+    their indices to intp; column n is only gathered block by block from its
+    parents.  The columns before it and the counts of steps n - 2 and n - 1
+    may take at most EXACT_BYTES.  Values are (number of paths) * g^-t, which
+    for g = 6 (Z^3) may differ from the path-by-path sum in the last bits."""
     keep, csr, _, ids, origin = _reachable_ball(cluster, n)
     degs = cluster.degrees[cluster.distances_from_origin() <= n - 1]
     g = int(degs.min())
-    # every step offers at least g moves; the counts of steps n - 1 and n live together
-    needed = ids.itemsize * sum(g**t for t in range(n + 1)) + 2 * g**n
+    # every step offers at least g moves; the counts of steps n - 2 and n - 1 live together
+    needed = ids.itemsize * sum(g**t for t in range(n)) + sum(g**t for t in range(max(n - 2, 0), n))
     if needed > EXACT_BYTES:
         raise BudgetExceededError(needed, EXACT_BYTES)
     if degs.max() != g:
@@ -214,7 +215,7 @@ def _uniform_path_laws(cluster: ClusterGraph, n: int) -> list:
     distinct = np.zeros(1, dtype=np.min_scalar_type(2 * n + 3))  # N_t per path; holds keys too
     cols, laws = [], []
     for t in range(n + 1):
-        if t:
+        if 0 < t < n:
             parents, x = x, np.empty((x.size, g), dtype=ids)
             for lo in range(0, parents.size, span):
                 nbr.take(parents[lo: lo + span], axis=0, out=x[lo: lo + span], mode="clip")
@@ -222,8 +223,13 @@ def _uniform_path_laws(cluster: ClusterGraph, n: int) -> list:
             distinct = np.repeat(distinct, g)
         counts = np.zeros(2 * n + 4, dtype=np.int64)
         order = []  # keys by first path
-        for lo in range(0, x.size, span):
-            block, visits = x[lo: lo + span], distinct[lo: lo + span]
+        for lo in range(0, g**t, span):
+            if 0 < t == n:  # the last step: this block's paths alone, from their parents in x
+                up = slice(lo // g, (lo + span) // g)
+                block = nbr.take(x[up], axis=0, mode="clip").ravel()
+                visits = np.repeat(distinct[up], g)
+            else:
+                block, visits = x[lo: lo + span], distinct[lo: lo + span]
             fresh = np.ones(block.size, dtype=bool)
             for j, col in enumerate(cols):
                 s = g ** (t - j)

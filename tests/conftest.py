@@ -642,14 +642,19 @@ def lists_of(indptr, indices) -> list:
     return [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
 
 
+def level_rows(levels) -> list:
+    """(joining order, boundary) of every subset in the levels of
+    ``isoperimetry._connected_levels``, each level's orders rebuilt for all its
+    rows, sorted by the order as Python compares lists: a prefix before its
+    extensions, the order of ``connected_subsets_dfs``."""
+    return sorted((order, b) for boundaries, orders in levels
+                  for order, b in zip(orders(np.arange(boundaries.size)).tolist(),
+                                      boundaries.tolist()))
+
+
 def level_pairs(levels) -> list:
-    """(bitmask, boundary) of every subset in the levels of
-    ``isoperimetry._connected_levels``, sorted by the list of its vertices in
-    joining order, as Python compares lists: a prefix before its extensions,
-    the order of ``connected_subsets_dfs``."""
-    rows = sorted((order, b) for boundaries, orders in levels
-                  for order, b in zip(orders.tolist(), boundaries.tolist()))
-    return [(sum(1 << v for v in order), b) for order, b in rows]
+    """(bitmask, boundary) of every subset of ``level_rows``, in its order."""
+    return [(sum(1 << v for v in order), b) for order, b in level_rows(levels)]
 
 
 def beta_oracle(cluster: ClusterGraph, supergraph, c: float, gamma: float,

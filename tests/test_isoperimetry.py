@@ -14,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from percwalk import harness, isoperimetry as iso, percolation as perc, wreath as wr
 from conftest import (SubsetSelection, beta_oracle, boundary_oracle, boundary_size,
                       connected_subsets_dfs, connected_subsets_oracle, csr_of,
-                      flip_closure_oracle, folner_oracle, level_pairs, lists_of, make_graph)
+                      flip_closure_oracle, folner_oracle, level_pairs, level_rows, lists_of,
+                      make_graph, traced_peak)
 
 
 def grid_graph(nx: int, ny: int):
@@ -107,7 +108,7 @@ class TestConnectedEnumeration:
     def test_size_cap(self):
         graph = grid_graph(3, 2)
         levels = list(iso._connected_levels(*graph.csr, 3))
-        assert [orders.shape[1] for _, orders in levels] == [1, 2, 3]
+        assert [orders(np.arange(b.size)).shape[1] for b, orders in levels] == [1, 2, 3]
         pairs = level_pairs(levels)
         assert pairs == list(connected_subsets_dfs(graph.adjacency, 3))
         for mask, _ in pairs:
@@ -130,8 +131,11 @@ class TestConnectedEnumeration:
         path = [[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)]
         levels = list(iso._connected_levels(*csr_of(path), 2))
         assert [len(b) for b, _ in levels] == [n, n - 1]
-        rows = sorted((order, b) for boundaries, orders in levels
-                      for order, b in zip(orders.tolist(), boundaries.tolist()))
+        # rows of several frames, out of order, rebuild as in the whole level
+        _, orders = levels[1]
+        picked = np.array([n - 2, 0, 128, 127, 300, 129, 20_000, 255, 256])
+        assert (orders(picked) == orders(np.arange(n - 1))[picked]).all()
+        rows = level_rows(levels)
         assert [order for order, _ in rows if len(order) == 1] == [[v] for v in range(n)]
         assert [order for order, _ in rows if len(order) == 2] == \
             [[v, v + 1] for v in range(n - 1)]
@@ -232,6 +236,21 @@ class TestIsoperimetricBeta:
         # leaves by one edge; in the box a vertex leaves by 4, a pair by 6
         assert (internal.beta, internal.argmin_vertices) == (1 / 2 ** 0.5, [0, 1])
         assert (relative.beta, relative.argmin_vertices) == (4.0, [0])
+
+    def test_supergraph_lacking_a_coordinate_is_named(self):
+        message = r"^the 9-vertex supergraph lacks the cluster's coordinate \(-3, -3\)$"
+        with pytest.raises(ValueError, match=message):
+            iso.isoperimetric_beta(full_box(3), full_box(1))
+
+    def test_widest_level_is_not_held_whole(self):
+        # isoperimetry-small's first box-4 cluster (72 vertices) at cap 8: rows
+        # linked to their parents, with orders rebuilt only for the rows tied at
+        # the least ratio, peak at 1.9 MiB; copying every level's (m, k) order
+        # matrix peaked at 3.9 MiB
+        seed = harness.DEFAULT_SEEDS["isoperimetry-small"]
+        cluster = harness._sampled_origin_clusters(2, 4, 0.7, 1, seed, 2)[0]
+        _, peak = traced_peak(lambda: iso.isoperimetric_beta(cluster, None, 1.0, 0.125, 8, 4))
+        assert peak <= 2.5 * 2**20
 
     def test_json_schema(self):
         report = iso.isoperimetric_beta(grid_graph(2, 2), None, 1.0, 0.125, 4, 2)

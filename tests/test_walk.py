@@ -156,9 +156,19 @@ class TestExactLaplace:
     def test_path_enumerator_memory(self):
         cluster = full_lattice(10)
         _, peak = traced_peak(lambda: walk.exact_visited_laws(cluster, 10))
-        # one-byte columns and counts peak near 3 MiB; int32 columns, int16 keys
-        # and whole-column bincount took 18.4 MiB, the path matrix ~80 MB
+        # one-byte columns and counts peak near 1.4 MiB (3 MiB with the last
+        # column built whole); int32 columns, int16 keys and whole-column
+        # bincount took 18.4 MiB, the path matrix ~80 MB
         assert peak < 8 * 2**20
+
+    def test_last_path_step_is_walked_per_block(self):
+        # Z^2, n = 12: the 4^12 last positions and their counts, 16 MiB each,
+        # are gathered block by block from their parents; the peak is 15.8 MiB,
+        # and 62.8 MiB when both were built whole
+        cluster = full_lattice(12)
+        cluster.distances_from_origin()  # the cluster's cache, not the enumerator's
+        _, peak = traced_peak(lambda: walk.exact_visited_distribution(cluster, 12))
+        assert peak <= 20 * 2**20
 
     def test_wide_unequal_ball_names_the_mask_width(self):
         cluster = full_lattice(4)  # the box's sides, of degree 3, lie at distance 4
@@ -181,16 +191,18 @@ class TestExactLaplace:
             assert got[key] == pytest.approx(want[key], abs=1e-12)
 
     def test_byte_budget_names_the_bytes(self):
-        # 4^14 paths of 2-byte ids (421-vertex ball): 2 (4^15 - 1) / 3 + 2 4^14 bytes
-        cluster = full_lattice(14)
-        message = "enumeration needs about 1.25e+09 bytes, budget is 1073741824 bytes"
+        # 4^16 paths of 2-byte ids (545-vertex ball): columns 0..15, 2 (4^16 - 1) / 3
+        # bytes, and the counts of steps 14 and 15, 4^14 + 4^15 bytes; n = 15 needs
+        # 1,051,372,202 bytes and fits
+        cluster = full_lattice(16)
+        message = "enumeration needs about 4.21e+09 bytes, budget is 1073741824 bytes"
 
         def raises():
             with pytest.raises(walk.BudgetExceededError, match=f"^{re.escape(message)}$") as err:
-                walk.exact_visited_distribution(cluster, 14)
+                walk.exact_visited_distribution(cluster, 16)
             return err
         err, peak = traced_peak(raises)
-        assert (err.value.needed, err.value.budget) == (1252698794, walk.EXACT_BYTES)
+        assert (err.value.needed, err.value.budget) == (4205488810, walk.EXACT_BYTES)
         assert peak < 2**20  # raised before the columns are allocated
 
     def test_sweep_budget_names_the_bytes(self, monkeypatch):
