@@ -116,12 +116,13 @@ def _grow(frame: tuple, level: tuple, final: bool) -> tuple | None:
     for j in range(1, hits.shape[1]):
         count += hits[:, j]
     b = b.take(p) + bdeg.take(c) - 2 * count
+    links += ((p.astype(np.uint32), c.astype(np.min_scalar_type(bit.shape[0] - 1))),)
     if final:
-        return None, None, None, b, links + ((p, c),)
+        return None, None, None, b, links
     lows, C = low.take(c, axis=0), C.take(p, axis=0)
     B = B.take(p, axis=0) | (C & lows)
     C = (C & ~lows) | (nbr.take(c, axis=0) & ~B)
-    return S | bit.take(c, axis=0), C, B, b, links + ((p, c),)
+    return S | bit.take(c, axis=0), C, B, b, links
 
 
 def _connected_levels(indptr: np.ndarray, indices: np.ndarray, size_cap: int,

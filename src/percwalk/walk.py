@@ -26,12 +26,13 @@ prefixes in place, shortest first, and counting the changes between sorted rows
 in row blocks of 16.  Ids and counts are stored in the smallest unsigned type
 that holds them (often one byte).
 One builder, ``_ball_kernel``, makes the killed walk's kernel P on the same
-ball cut (``_reachable_ball``); lambda1 comes from one Lanczos (``eigsh``) solve
-of its symmetrised form, built only there, from a fixed start, so it does not
-depend on the core count.  Only that solve is capped (at _EIGEN_CAP vertices):
-a ball holding the whole cluster kills nothing and has lambda1 = 0 with no
-solve.  The ball cut gives an isolated origin a self-loop of degree 1, so a
-walk from it visits one site, returns at every t and is never killed.
+ball cut (``_reachable_ball``); lambda1, the least eigenvalue of I - diag(s) P
+diag(1/s), built only there, comes to full precision from one shift-invert
+(``eigsh``, sigma = 0) solve on its SuperLU factor from a fixed start, on any
+core count.  Only that factor is capped, at 12 bytes per stored nonzero within
+EXACT_BYTES: a ball holding the whole cluster kills nothing and has lambda1 = 0
+with no solve.  The ball cut gives an isolated origin a self-loop of degree 1,
+so a walk from it visits one site, returns at every t and is never killed.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from percwalk.percolation import ClusterGraph, csr_rows, induced_csr
 
@@ -63,22 +64,21 @@ __all__ = [
     "killed_operator_report",
 ]
 
-EXACT_BYTES = 2**30  # a merged-sweep step's arrays, or what the path enumerator holds
+EXACT_BYTES = 2**30  # a merged-sweep step's arrays, what the path enumerator holds, a killed LU
 MC_BYTES = 2**23  # the trajectory buffers of every Monte Carlo tile walked at once
 MASK_WIDTH = 64  # vertices a uint64 visited mask holds
 # a merged-sweep step's bytes per path extension: 8-byte source, vertex, probability, mask and
 # order, their 3 sorted copies and 1 gathered mask (tracemalloc: 68-70 B on d = 2 clusters)
 _SWEEP_BYTES = 9 * 8
 _STATE_BYTES = 3 * 8  # per state the step holds meanwhile: its vertex, mask and probability
-_EIGEN_CAP = 20000  # vertices of a killed ball the eigensolve takes
 
 
 class BudgetExceededError(RuntimeError):
-    """An exact backend would need more than EXACT_BYTES."""
+    """An exact backend, or the killed walk's LU factor, would need more than EXACT_BYTES."""
 
-    def __init__(self, needed: float, budget: int):
+    def __init__(self, needed: float, budget: int, what: str = "enumeration"):
         self.needed, self.budget = needed, budget
-        super().__init__(f"enumeration needs about {needed:.3g} bytes, budget is {budget} bytes")
+        super().__init__(f"{what} needs about {needed:.3g} bytes, budget is {budget} bytes")
 
 
 class BallTooWideError(RuntimeError):
@@ -351,7 +351,8 @@ def _map_chunks(cluster: ClusterGraph, n_max: int, samples: int, seed: int, redu
                 if w < chunk:  # seek to row step, column a of the stream
                     at = step * chunk + a
                     bits.advance(at // 4 - counter)
-                    bits.random_raw(at % 4)
+                    if at % 4:
+                        bits.random_raw(at % 4)
                     counter = -(-(at + w) // 4)  # once this row is drawn
                 cur = block[step]
                 rng.random(out=u_k)
@@ -393,16 +394,17 @@ def mc_visited_samples(cluster: ClusterGraph, n_list: Sequence[int],
     size = int((cluster.distances_from_origin() <= n_max).sum())  # the ball _map_chunks builds
     if size > MASK_WIDTH:
         def count(first, traj):
+            diff = np.empty((16, traj.shape[1]), bool)  # one block of row compares
             for n in sorted(out):
                 # sorting a prefix in place keeps each longer prefix's sites
                 block = traj[: n + 1]
                 block.sort(axis=0)
                 distinct = out[n][first: first + traj.shape[1]]
                 distinct[:] = 1
-                for lo in range(0, n, 16):  # a (16, width) bool block per compare
+                for lo in range(0, n, 16):
                     hi = min(lo + 16, n)
-                    np.add(distinct, np.count_nonzero(block[lo + 1: hi + 1] != block[lo: hi],
-                                                      axis=0), out=distinct, casting="unsafe")
+                    rows = np.not_equal(block[lo + 1: hi + 1], block[lo: hi], out=diff[: hi - lo])
+                    distinct += rows.sum(axis=0, dtype=distinct.dtype)
     else:
         bit = np.uint64(1) << np.arange(size, dtype=np.uint64)  # by ball id
 
@@ -542,16 +544,21 @@ def killed_operator_report(cluster: ClusterGraph, r: int,
     half = int(np.count_nonzero(dist <= r // 2))
 
     if ball.size == cluster.n_vertices:
-        top = 1.0  # no edge leaves the ball, so P is stochastic and nothing is killed
-    elif ball.size > _EIGEN_CAP:
-        raise ValueError(f"ball has {ball.size} vertices, over the eigensolve cap of {_EIGEN_CAP}")
+        lambda1 = 0.0  # no edge leaves the ball: P is stochastic, L singular, nothing killed
     else:
-        # A = diag(s) P diag(1/s), entries 1 / (s_u s_v), symmetric as built; sqrt(deg),
-        # the unkilled Perron vector, as a fixed start makes ARPACK repeatable
-        A = sp.csr_matrix((1.0 / (np.repeat(s, np.diff(P.indptr)) * s[P.indices]), P.indices,
+        # A = diag(s) P diag(1/s), entries 1 / (s_u s_v), is symmetric, so the arrays of P's
+        # CSR are A's CSC; L = I - A
+        A = sp.csc_matrix((1.0 / (np.repeat(s, np.diff(P.indptr)) * s[P.indices]), P.indices,
                            P.indptr), shape=P.shape)
-        top = float(eigsh(A, k=1, which="LA", v0=s, return_eigenvectors=False)[0])
-    lambda1 = 1.0 - top
+        L = sp.eye(ball.size, format="csc") - A
+        lu = splu(L)
+        if 12 * lu.nnz > EXACT_BYTES:  # 8-byte values and 4-byte row ids, supernodes dense
+            raise BudgetExceededError(12 * lu.nnz, EXACT_BYTES,
+                                      f"the LU factor of the {ball.size}-vertex killed ball")
+        # the eigenvalue of L nearest 0 by shift-invert; sqrt(deg), the unkilled Perron
+        # vector, as a fixed start makes ARPACK repeatable
+        lambda1 = float(eigsh(L, k=1, sigma=0.0, which="LM", v0=s, return_eigenvectors=False,
+                              OPinv=LinearOperator(L.shape, lu.solve, dtype=float))[0])
 
     d = cluster.meta.get("d", cluster.coords.shape[1])
     paper_bound = 8.0 * d * ball.size / (r**2 * half)

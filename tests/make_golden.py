@@ -1,11 +1,12 @@
 """Golden SHA-256 hashes of every artifact the ten recipes write at defaults.
 
 ``python tests/make_golden.py`` (with ``src`` on ``PYTHONPATH``) rewrites
-``tests/golden.sha256``; ``tests/test_golden.py`` compares fresh runs
-against it.  ``report.txt`` is hashed without its ``wall_clock_s:`` line.
-The header records the Python, numpy and scipy versions the hashes were
-made with.  The manifest is test data: a change that rewrites it names the
-files that changed, and why, in CHANGES.md.
+``tests/golden.sha256`` and prints the names whose hashes changed, appeared
+or vanished against the manifest it replaces; ``tests/test_golden.py``
+compares fresh runs against it.  ``report.txt`` is hashed without its
+``wall_clock_s:`` line.  The header records the Python, numpy and scipy
+versions the hashes were made with.  The manifest is test data: a change
+that rewrites it names the files that changed, and why, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -66,8 +67,16 @@ def main() -> int:
              "# Rewrite with: PYTHONPATH=src python tests/make_golden.py",
              f"# versions: {versions()}"]
     lines += [f"{digest}  {name}" for name, digest in sorted(hashes.items())]
+    old = read_manifest()[1] if MANIFEST.exists() else {}
     MANIFEST.write_text("\n".join(lines) + "\n")
     print(f"wrote {len(hashes)} hashes to {MANIFEST}")
+    for name in sorted(old.keys() | hashes.keys()):
+        if name not in old:
+            print(f"appeared: {name}")
+        elif name not in hashes:
+            print(f"vanished: {name}")
+        elif old[name] != hashes[name]:
+            print(f"changed: {name}")
     return 0
 
 

@@ -367,12 +367,12 @@ class TestMonteCarloStream:
             oracle_counts(cluster, [1, n_max], 400, 13, range(400))
 
     def test_ball_of_64_vertices_is_not_sorted(self, monkeypatch):
-        # the sort path counts distinct sites with count_nonzero, the mask path never
+        # the sort path compares sorted rows with not_equal, the mask path never
         small, large = reversed_path(64), reversed_path(65)
 
         def no_sort_count(*args, **kwargs):
             raise AssertionError("sort-path count")
-        monkeypatch.setattr(walk.np, "count_nonzero", no_sort_count)
+        monkeypatch.setattr(walk.np, "not_equal", no_sort_count)
         walk.mc_visited_samples(small, [63], 10, 0)
         with pytest.raises(AssertionError, match="sort-path count"):
             walk.mc_visited_samples(large, [64], 10, 0)
@@ -735,15 +735,26 @@ class TestKilledOperator:
         assert calls == [3]
         assert report.survival == walk.survival_probabilities(cluster, 3, [9, 4, 0])
 
-    def test_every_killed_ball_uses_lanczos(self, monkeypatch):
-        sizes = []
+    def test_every_killed_ball_uses_shift_invert(self, monkeypatch):
+        calls = []
         real = walk.eigsh
-        monkeypatch.setattr(walk, "eigsh",
-                            lambda A, **kw: sizes.append(A.shape[0]) or real(A, **kw))
+        monkeypatch.setattr(walk, "eigsh", lambda L, **kw: calls.append(
+            (L.shape[0], kw["sigma"], kw["which"], L.format)) or real(L, **kw))
         small = walk.killed_operator_report(full_lattice(12), 11, [0])
         large = walk.killed_operator_report(full_lattice(13), 12, [0])
         assert (small.ball_size, large.ball_size) == (265, 313)
-        assert sizes == [265, 313]
+        assert calls == [(265, 0.0, "LM", "csc"), (313, 0.0, "LM", "csc")]
+
+    @pytest.mark.parametrize("r", [1, 5, 10, 20, 40, 100])
+    def test_lambda1_of_the_diamond(self, r):
+        """The full-lattice chemical ball is the diamond |x| + |y| <= r: in the
+        coordinates (x + y, x - y) the walk is two independent +-1 walks killed
+        outside [-r, r]^2, so lambda1 = sin^2(pi / (2 r + 2)).  The r = 100 ball
+        has 2 r^2 + 2 r + 1 = 20201 vertices."""
+        report = walk.killed_operator_report(full_lattice(r + 1), r, [0])
+        exact = np.sin(np.pi / (2 * r + 2)) ** 2
+        assert report.ball_size == 2 * r * r + 2 * r + 1
+        assert abs(report.lambda1 - exact) <= 1e-13 * exact
 
     def test_lambda1_does_not_depend_on_the_thread_count(self):
         """The r = 10 full-lattice ball (221 vertices) in a child interpreter held
@@ -762,14 +773,20 @@ class TestKilledOperator:
                                capture_output=True, text=True)
         assert float(child.stdout) == here.lambda1
 
-    def test_eigensolve_cap_is_named(self):
-        # the r = 100 diamond has 2 r^2 + 2 r + 1 = 20201 vertices
-        with pytest.raises(ValueError, match=r"^ball has 20201 vertices, over the "
-                                             r"eigensolve cap of 20000$"):
-            walk.killed_operator_report(full_lattice(101), 100, [0])
+    def test_factor_budget_is_named(self, monkeypatch):
+        # the LU factor of the r = 20 diamond (841 vertices) holds a few hundred kB
+        monkeypatch.setattr(walk, "EXACT_BYTES", 100000)
+        with pytest.raises(walk.BudgetExceededError,
+                           match=r"^the LU factor of the 841-vertex killed ball needs about "
+                                 r"[0-9.e+]+ bytes, budget is 100000 bytes$") as err:
+            walk.killed_operator_report(full_lattice(21), 20, [0])
+        assert err.value.budget == 100000 < err.value.needed
+        monkeypatch.setattr(walk, "EXACT_BYTES", err.value.needed)  # just enough
+        assert walk.killed_operator_report(full_lattice(21), 20, [0]).ball_size == 841
 
-    def test_cap_skips_a_ball_holding_the_whole_cluster(self):
-        # 161^2 = 25921 vertices, over the cap, but no eigensolve runs
+    def test_cap_skips_a_ball_holding_the_whole_cluster(self, monkeypatch):
+        # 161^2 = 25921 vertices and no byte to spare, but no factor is made
+        monkeypatch.setattr(walk, "EXACT_BYTES", 0)
         cluster = full_lattice(80)
         report = walk.killed_operator_report(cluster, 160, [0])
         assert (report.ball_size, report.lambda1) == (cluster.n_vertices, 0.0) == (25921, 0.0)
@@ -872,8 +889,8 @@ def test_one_sweep_equals_per_step_laws_property(seed, p, box, n_max):
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        p=st.floats(min_value=0.6, max_value=1.0), r=st.integers(min_value=1, max_value=22))
-@example(seed=0, p=1.0, r=11)  # 265 vertices: Lanczos
-@example(seed=0, p=1.0, r=12)  # 313 vertices: Lanczos
+@example(seed=0, p=1.0, r=11)  # 265 vertices: shift-invert
+@example(seed=0, p=1.0, r=12)  # 313 vertices: shift-invert
 @example(seed=889, p=0.75, r=1)  # isolated origin
 def test_killed_lambda1_property(seed, p, r):
     cluster = sampled_cluster(14, p, seed)
