@@ -226,16 +226,19 @@ def _recipe_identity_sweep(ctx):
     n_max = ctx.get("n_max", 5)
     rows = []
     worst = 0.0
-    for base_id, cluster in small_cluster_collection():
-        laws = walk.exact_visited_laws(cluster, 2 * n_max)
+    collection = small_cluster_collection()
+    every_laws = walk.exact_visited_laws_batch([cluster for _, cluster in collection], 2 * n_max)
+    for (base_id, cluster), laws in zip(collection, every_laws):
         graph = wr.build_wreath(cluster)
-        for alpha in alphas:
-            kernel = wr.LamplighterKernel(graph, alpha)
-            v = np.zeros(graph.n_vertices)
-            v[graph.origin_state] = 1.0
-            for n in range(1, n_max + 1):
-                v = kernel.step(kernel.step(v))
-                lhs = float(v[graph.origin_state])
+        kernel = wr.LamplighterKernel(graph, alphas)  # every alpha in one step
+        v = np.zeros((len(alphas), graph.n_vertices))
+        v[:, graph.origin_state] = 1.0
+        returns = np.empty((len(alphas), n_max))  # at alpha, after 2, 4, .., 2 n_max steps
+        for n in range(n_max):
+            v = kernel.step(kernel.step(v))
+            returns[:, n] = v[:, graph.origin_state]
+        for alpha, row in zip(alphas, returns.tolist()):
+            for n, lhs in enumerate(row, 1):
                 rhs = walk._laplace_of(laws[2 * n], alpha, pinned=True)
                 gap = abs(lhs - rhs)
                 worst = max(worst, gap)
@@ -278,9 +281,9 @@ def _recipe_confinement(ctx):
     picked = _sampled_origin_clusters(2, box_n, p, n_clusters, master, 4)
     all_ok = True
     worst = 0.0
-    for i, cluster in enumerate(picked):
+    every_laws = walk.exact_visited_laws_batch(picked, max(n_list))
+    for i, (cluster, exact_laws) in enumerate(zip(picked, every_laws)):
         counts = walk.mc_visited_samples(cluster, n_list, samples, seeds[i])
-        exact_laws = walk.exact_visited_laws(cluster, max(n_list))
         for alpha in alphas:
             entries = []
             for n in n_list:
@@ -629,8 +632,9 @@ def _recipe_lemma45(ctx):
     worst_ratio = 0.0
     rows = []
     radius = {n: bounds.surrogate_optimal_r(n, 2)[0] for n in range(1, n_max + 1)}
-    for base_id, cluster in small_cluster_collection():
-        laws = walk.exact_visited_laws(cluster, 2 * n_max)
+    collection = small_cluster_collection()
+    every_laws = walk.exact_visited_laws_batch([cluster for _, cluster in collection], 2 * n_max)
+    for (base_id, cluster), laws in zip(collection, every_laws):
         survival = {}  # n -> P(sigma_r > n) at r = radius[n], one kernel per radius
         for r in sorted(set(radius.values())):
             survival.update(walk.survival_probabilities(

@@ -7,9 +7,12 @@ MASK_WIDTH = 64 vertices; past that, on equal-degree balls (the full lattice
 seen from the origin), an enumerator of the equally likely paths that keeps one
 column of positions per step instead of the paths, in the ball's own ids of the
 smallest unsigned type, with one-byte visit counts and keys, counted by bincount
-over blocks of at most 65,536 paths, the last step's gathered per block.  Both
-are capped at EXACT_BYTES (1 GiB): each sweep step's arrays and held states, or
-the enumerator's columns through step n - 1 and counts of steps n - 2 and n - 1.
+over blocks of at most 65,536 paths, the last step's gathered per block.  One
+sweep serves a whole batch of clusters: it runs over the disjoint union of
+their balls, each ball's masks in its own bits, and splits every step's laws
+per cluster by one bincount.  Both backends are capped at EXACT_BYTES (1 GiB):
+each sweep step's arrays and held states over the whole union, or the
+enumerator's columns through step n - 1 and counts of steps n - 2 and n - 1.
 
 The Monte Carlo estimator runs chunks of 65,536 chains as column-vectorized
 trajectories, chunk k keyed (master seed, k), and spreads them over the cores
@@ -55,6 +58,7 @@ __all__ = [
     "BudgetExceededError",
     "BallTooWideError",
     "exact_visited_laws",
+    "exact_visited_laws_batch",
     "exact_visited_distribution",
     "exact_laplace",
     "mc_laplace",
@@ -71,6 +75,7 @@ MASK_WIDTH = 64  # vertices a uint64 visited mask holds
 # order, their 3 sorted copies and 1 gathered mask (tracemalloc: 68-70 B on d = 2 clusters)
 _SWEEP_BYTES = 9 * 8
 _STATE_BYTES = 3 * 8  # per state the step holds meanwhile: its vertex, mask and probability
+_KEYS = 2 * MASK_WIDTH + 2  # a merged sweep's law keys 2 N_t + pinned per cluster, N_t <= 64
 
 
 class BudgetExceededError(RuntimeError):
@@ -142,37 +147,53 @@ def _reachable_ball(cluster: ClusterGraph, n: int):
             np.min_scalar_type(keep.size - 1), int(np.searchsorted(keep, cluster.origin)))
 
 
-def _merged_state_laws(cluster: ClusterGraph, n: int) -> list:
-    """Joint laws of (N_t, X_t) for t = 0..n as {(count, pinned): prob} via
-    bitmask states, one sweep to n cut to the chemical ball of radius n (the
-    cut keeps the degree of every vertex the walk can leave from).  Local ids
-    rise with the cluster's ids, so states sort as in the ball of any t <= n."""
-    _, (indptr, indices), deg, _, origin = _reachable_ball(cluster, n)
-
-    verts = np.array([origin], dtype=np.int64)
-    masks = np.array([np.uint64(1) << np.uint64(origin)], dtype=np.uint64)
-    probs = np.array([1.0])
-    laws = []
-    for step in range(n + 1):
-        law = {}
-        for key, pr in zip(zip(np.bitwise_count(masks).tolist(), (verts == origin).tolist()),
-                           probs.tolist()):
-            law[key] = law.get(key, 0.0) + pr
-        laws.append(law)
-        if step == n:
+def _merged_state_laws(clusters: Sequence[ClusterGraph], horizons: Sequence[int]) -> list:
+    """Joint laws of (N_t, X_t) for t = 0..horizons[i] of each cluster i as
+    {(count, pinned): prob}, by one bitmask sweep over the disjoint union of
+    their chemical balls of radius horizons[i] (the cut keeps the degree of
+    every vertex the walk can leave from), ball i's vertices after ball i - 1's
+    and its masks in its own bits.  Local ids rise with the cluster's ids, so
+    one cluster's states sort as in its ball alone, and as in the ball of any
+    t <= its horizon; a cluster's states leave the sweep after its horizon."""
+    keeps, csrs, degs, _, origins = zip(*map(_reachable_ball, clusters, horizons))
+    sizes = np.array([keep.size for keep in keeps])
+    first = np.cumsum(sizes) - sizes  # each ball's first union id
+    arcs = np.cumsum([0] + [idx.size for _, idx in csrs])
+    indptr = np.concatenate([[0]] + [ptr[1:] + k for (ptr, _), k in zip(csrs, arcs)])
+    indices = np.concatenate([idx + f for (_, idx), f in zip(csrs, first)])
+    deg = np.concatenate(degs)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    bit = np.uint64(1) << (np.arange(sizes.sum()) - first[owner]).astype(np.uint64)
+    verts = first + origins
+    tag = owner * _KEYS  # a state's law key is tag[vertex] + 2 N_t
+    tag[verts] += 1
+    masks, probs = bit[verts], np.ones(sizes.size)
+    laws, top = [[{} for _ in range(h + 1)] for h in horizons], max(horizons)
+    for step in range(top + 1):
+        keys = tag[verts] + 2 * np.bitwise_count(masks)
+        earliest = np.full(sizes.size * _KEYS, verts.size)
+        np.minimum.at(earliest, keys, np.arange(verts.size))  # each key's first state
+        found = np.flatnonzero(earliest < verts.size)
+        found = found[np.argsort(earliest[found])]  # the order a dict filled state by state has
+        for key, pr in zip(found.tolist(), np.bincount(keys, probs)[found].tolist()):
+            laws[key // _KEYS][step][(key % _KEYS >> 1, bool(key & 1))] = pr
+        if step == top:
             return laws
+        if step in horizons:  # the laws of these clusters end here
+            alive = np.asarray(horizons)[owner[verts]] > step
+            verts, masks, probs = verts[alive], masks[alive], probs[alive]
         needed = (_SWEEP_BYTES * int((indptr[verts + 1] - indptr[verts]).sum())
                   + _STATE_BYTES * verts.size)
         if needed > EXACT_BYTES:
             raise BudgetExceededError(needed, EXACT_BYTES)
-        verts, masks, probs = _sweep_step(indptr, indices, deg, verts, masks, probs)
+        verts, masks, probs = _sweep_step(indptr, indices, deg, bit, verts, masks, probs)
 
 
-def _sweep_step(indptr, indices, deg, verts, masks, probs):
+def _sweep_step(indptr, indices, deg, bit, verts, masks, probs):
     """The merged sweep's states one move on, sorted by (mask, vertex); its temporaries die here."""
     src, new_verts = csr_rows(indptr, indices, verts)
     new_probs = (probs / deg[verts])[src]
-    new_masks = masks[src] | (np.uint64(1) << new_verts.astype(np.uint64))
+    new_masks = masks[src] | bit[new_verts]
     order = np.lexsort((new_verts, new_masks))
     new_verts, new_masks, new_probs = new_verts[order], new_masks[order], new_probs[order]
     heads = np.flatnonzero(np.r_[True, (np.diff(new_masks) != 0) | (np.diff(new_verts) != 0)])
@@ -254,15 +275,29 @@ def exact_visited_laws(cluster: ClusterGraph, n_max: int) -> list:
 
     The law at t comes from the merged sweep while the radius-t chemical ball
     has at most MASK_WIDTH vertices, and from the path enumerator past that;
-    each backend makes one pass, to the last t it serves."""
-    if cluster.is_empty or cluster.origin is None or n_max < 0:
+    each backend makes one pass, to the last t it serves: the batch of one of
+    ``exact_visited_laws_batch``, which sweeps many clusters at once."""
+    return exact_visited_laws_batch([cluster], n_max)[0]
+
+
+def exact_visited_laws_batch(clusters: Sequence[ClusterGraph], n_max: int) -> list:
+    """[exact_visited_laws(cluster, n_max) for cluster in clusters], equal
+    item for item and in dict order, from one merged sweep over the disjoint
+    union of the clusters' balls.  Each cluster is swept to the last t whose
+    radius-t ball has at most MASK_WIDTH vertices; a cluster whose ball passes
+    that before n_max goes on alone in the path enumerator.  The sweep's byte
+    check counts the moves and states of the whole union."""
+    if n_max < 0 or any(c.is_empty or c.origin is None for c in clusters):
         raise ValueError("need a nonempty cluster with an origin, and n >= 0")
-    dist = cluster.distances_from_origin()
-    sizes = np.cumsum(np.bincount(dist, minlength=n_max + 1))[: n_max + 1]
-    merged = int(np.count_nonzero(sizes <= MASK_WIDTH))  # balls only grow with t
-    laws = _merged_state_laws(cluster, merged - 1)
-    if merged <= n_max:
-        laws += _uniform_path_laws(cluster, n_max)[merged:]
+    if not clusters:
+        return []
+    merged = [int(np.count_nonzero(  # balls only grow with t
+        np.cumsum(np.bincount(c.distances_from_origin(), minlength=n_max + 1))[: n_max + 1]
+        <= MASK_WIDTH)) for c in clusters]
+    laws = _merged_state_laws(clusters, [m - 1 for m in merged])
+    for cluster, m, law in zip(clusters, merged, laws):
+        if m <= n_max:
+            law += _uniform_path_laws(cluster, n_max)[m:]
     return laws
 
 

@@ -7,7 +7,9 @@ each of the two lamps at the ends of the move afresh, off with probability
 switch-walk-switch lamplighter walk.  No transition matrix is stored;
 ``LamplighterKernel.step`` applies the kernel to a mass vector edge by edge,
 each move being a sum over the two lamps it touches followed by their
-reweighting.  ``return_probability`` is the left side of the identity
+reweighting.  A kernel built on a sequence of alphas steps them all at once:
+its mass vectors carry alpha as their leading axis, and lamp axes are counted
+from the end.  ``return_probability`` is the left side of the identity
 P(back at (origin, all off) after 2n) = E[alpha^{N_2n} 1{X_2n = origin}] for
 n >= 1, which the ``identity-sweep`` recipe checks against the walk layer.
 """
@@ -15,6 +17,7 @@ n >= 1, which the ``identity-sweep`` recipe checks against the walk layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -80,56 +83,53 @@ def build_wreath(base: ClusterGraph) -> WreathGraph:
     return WreathGraph(base)
 
 
-def _lamp_weights(m: int, a: int, b: int, alpha: float, scale: float) -> np.ndarray:
-    """``scale`` times (alpha, 1 - alpha) on the axes of lamps a and b.
-
-    A lamp law over m sites is an array of shape ``(2,) * m`` whose flat
-    index is the bitmask, so lamp bit a is axis ``m - 1 - a``.
-    """
-    w = np.array([alpha, 1.0 - alpha])
-    wa = w.reshape([2 if axis == m - 1 - a else 1 for axis in range(m)])
-    wb = w.reshape([2 if axis == m - 1 - b else 1 for axis in range(m)])
-    return wa * wb * scale
-
-
 @dataclass
 class LamplighterKernel:
-    """The lamplighter walk at parameter alpha, applied by ``step``."""
+    """The lamplighter walk at parameter alpha, applied by ``step``.  alpha is
+    a float, or a 1-D sequence whose kernels ``step`` applies at once to mass
+    vectors that carry alpha as their leading axis."""
 
     wreath: WreathGraph
-    alpha: float
-    # (a, b, lamp axes of a and b, weights / deg(a)) per directed base edge
+    alpha: float | Sequence[float]
+    # (a, b, lamp axes of a and b from the end, weights / deg(a)) per directed base edge
     _moves: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
+        alpha = np.asarray(self.alpha, dtype=float)
+        if alpha.ndim > 1 or not np.all((0.0 < alpha) & (alpha < 1.0)):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.wreath.base.n_edges() == 0:
             raise ValueError("lamplighter kernel needs a base with at least one edge")
         m = self.wreath.m
         indptr, indices = self.wreath.base.csr
+        # a lamp law over m sites is an array of shape (2,) * m whose flat index is the
+        # bitmask, so lamp bit a is axis m - 1 - a, or -1 - a from the end; lamp[a] holds
+        # (alpha, 1 - alpha) on that axis, after alpha's own
+        w = np.stack([alpha, 1.0 - alpha], axis=-1)
+        lamp = [w.reshape(alpha.shape + (1,) * (m - 1 - a) + (2,) + (1,) * a) for a in range(m)]
         self._moves = [
-            (a, b, (m - 1 - a, m - 1 - b),
-             _lamp_weights(m, a, b, self.alpha, 1.0 / (indptr[a + 1] - indptr[a])))
+            (a, b, (-1 - a, -1 - b), lamp[a] * lamp[b] * (1.0 / (indptr[a + 1] - indptr[a])))
             for a in range(m) for b in indices[indptr[a]:indptr[a + 1]].tolist()]
 
     def step(self, v: np.ndarray) -> np.ndarray:
-        """P^T v: the mass vector ``v`` (indexed ``a * 2^m + f``) one step on.
+        """P^T v: the mass vectors ``v`` (last axis indexed ``a * 2^m + f``,
+        the first that of alpha if it is a sequence) one step on.
 
         The mass at position a is viewed as a lamp law of shape ``(2,) * m``.
         A move a -> b sums it over the lamps at a and b and spreads the sum
         over their four settings with the move's weights.
         """
         m = self.wreath.m
-        mass = np.reshape(v, (m,) + (2,) * m)
+        # the base axis swaps with the first, which puts alpha's axis just before the lamps
+        mass = np.swapaxes(np.reshape(v, v.shape[:-1] + (m,) + (2,) * m), 0, -1 - m)
         out = np.zeros(mass.shape)
         for a, b, axes, weights in self._moves:
             out[b] += mass[a].sum(axis=axes, keepdims=True) * weights
-        return out.reshape(-1)
+        return np.swapaxes(out, 0, -1 - m).reshape(v.shape)
 
 
 def reversible_measure(kernel: LamplighterKernel) -> np.ndarray:
-    """m(a, f) = nu(a) ((1-alpha)/alpha)^{number of lamps on}."""
+    """m(a, f) = nu(a) ((1-alpha)/alpha)^{number of lamps on}, for a kernel of one alpha."""
     g = kernel.wreath
     deg = np.maximum(g.base.degrees, 1).astype(np.float64)
     ratio = (1.0 - kernel.alpha) / kernel.alpha
@@ -140,7 +140,7 @@ def reversible_measure(kernel: LamplighterKernel) -> np.ndarray:
 
 
 def return_probability(kernel: LamplighterKernel, steps: int) -> float:
-    """Exact probability of being back at (origin, all lamps off) after ``steps``."""
+    """Exact probability of being back at (origin, all lamps off) after ``steps``, one alpha."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     g = kernel.wreath

@@ -113,6 +113,21 @@ def uniform_path_laws_by_unique(cluster: ClusterGraph, n: int) -> list:
     return laws
 
 
+def merged_sweep_key_order(cluster: ClusterGraph, n: int) -> list:
+    """Per t = 0..n, the keys (N_t, X_t == origin) of the walk's law in the
+    order of their first reachable state (visited mask, X_t), states sorted
+    ascending with masks as Python ints over cluster ids (which order as the
+    merged sweep's ball-local masks do): the reference for the key order of
+    walk._merged_state_laws.  An isolated origin steps to itself."""
+    adjacency = cluster.adjacency
+    states, out = {(1 << cluster.origin, cluster.origin)}, []
+    for _ in range(n + 1):
+        keys = [(mask.bit_count(), v == cluster.origin) for mask, v in sorted(states)]
+        out.append(list(dict.fromkeys(keys)))
+        states = {(mask | 1 << w, w) for mask, v in states for w in adjacency[v] or [v]}
+    return out
+
+
 def nash_ode_oracle(profile: NashProfile, t_max: float, n_samples: int = 2000,
                     rtol: float = 1e-10, max_step: float = np.inf) -> OdeSolution:
     """Integrate a' = -a / (8 F_inv(4/a)^2) from a(0) = 1 up to t_max by RK45,

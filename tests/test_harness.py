@@ -123,16 +123,18 @@ class TestRun:
         assert strip(a) == strip(b)
 
     @pytest.mark.parametrize("recipe, checks", [("identity-sweep", 0), ("lemma45", 5)])
-    def test_one_exact_sweep_per_cluster(self, monkeypatch, recipe, checks):
-        # one sweep to 2 * n_max per cluster of the collection, where one per n
-        # made 200 (identity-sweep) and 206 (lemma45); lemma45 adds one per
-        # doubling check on the full lattice
+    def test_one_exact_sweep_per_recipe(self, monkeypatch, recipe, checks):
+        # one sweep to 2 * n_max over the whole collection, where one per
+        # cluster made 40 and one per n made 200 (identity-sweep) and 206
+        # (lemma45); lemma45 adds one per doubling check on the full lattice,
+        # before it
         sweeps = []
         merged = walk._merged_state_laws
-        monkeypatch.setattr(walk, "_merged_state_laws",
-                            lambda *args: sweeps.append(args[1]) or merged(*args))
+        monkeypatch.setattr(walk, "_merged_state_laws", lambda clusters, horizons:
+                            sweeps.append(horizons) or merged(clusters, horizons))
         run(ExperimentSpec(recipe, {}))
-        assert len(sweeps) == len(small_cluster_collection()) + checks
+        assert len(sweeps) == 1 + checks
+        assert sweeps[-1] == [10] * len(small_cluster_collection())
 
     def test_unread_param_named(self, tmp_path):
         spec = ExperimentSpec("nash-curve", {"t_mx": 10.0, "d_list": [2]}, tmp_path)

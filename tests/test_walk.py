@@ -19,8 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from percwalk import percolation as perc, walk
 from conftest import (bfs_oracle, killed_lambda1_oracle, laplace_oracle, make_graph,
-                      mc_counts_oracle, traced_peak, uniform_path_laws_by_unique,
-                      uniform_paths_oracle, visited_dist_oracle)
+                      mc_counts_oracle, merged_sweep_key_order, traced_peak,
+                      uniform_path_laws_by_unique, uniform_paths_oracle, visited_dist_oracle)
 
 
 def full_lattice(n: int, d: int = 2) -> perc.ClusterGraph:
@@ -153,6 +153,31 @@ class TestExactLaplace:
         for t, law in enumerate(laws):
             assert list(law.items()) == list(walk.exact_visited_distribution(cluster, t).items())
 
+    @settings(max_examples=25, deadline=None)
+    @given(mix=st.lists(st.one_of(st.integers(0, 300), st.sampled_from(["isolated", "Z2", "Z3"])),
+                        min_size=1, max_size=7),
+           p=st.sampled_from([0.5, 0.7, 0.9]), n_max=st.integers(0, 7))
+    # the radius-t balls of Z^2 pass MASK_WIDTH at t = 6 and those of Z^3 at t = 4, so
+    # these clusters' merged horizons differ and both hand over to the path enumerator
+    @example(mix=["isolated", 3, "Z2", 4, "Z3"], p=0.7, n_max=7)
+    @example(mix=["Z2"], p=0.7, n_max=6)
+    def test_batch_equals_each_cluster_alone(self, mix, p, n_max):
+        special = {"isolated": sampled_cluster(14, 0.75, 889), "Z2": full_lattice(7),
+                   "Z3": full_lattice(7, 3)}
+        clusters = [special[x] if isinstance(x, str) else sampled_cluster(3, p, x) for x in mix]
+        batch = walk.exact_visited_laws_batch(clusters, n_max)
+        assert len(batch) == len(clusters)
+        for cluster, laws in zip(clusters, batch, strict=True):
+            alone = walk.exact_visited_laws(cluster, n_max)
+            assert [list(law.items()) for law in laws] == [list(law.items()) for law in alone]
+            sizes = np.cumsum(np.bincount(cluster.distances_from_origin()))[: n_max + 1]
+            merged = int(np.count_nonzero(sizes <= walk.MASK_WIDTH))
+            assert [list(law) for law in laws[:merged]] == merged_sweep_key_order(cluster,
+                                                                                  merged - 1)
+
+    def test_batch_of_none(self):
+        assert walk.exact_visited_laws_batch([], 4) == []
+
     def test_path_enumerator_memory(self):
         cluster = full_lattice(10)
         _, peak = traced_peak(lambda: walk.exact_visited_laws(cluster, 10))
@@ -216,6 +241,19 @@ class TestExactLaplace:
         assert err.value.needed == needed == 4704
         assert len(walk.exact_visited_laws(full_lattice(2), 2)) == 3  # 16 moves fit
 
+    def test_sweep_budget_counts_the_whole_union(self, monkeypatch):
+        # to t = 2 the 5 x 5 box from its centre checks 4 and 16 moves from 1 and 4
+        # states: 16 * 72 + 4 * 24 = 1,248 bytes fit alone, twice that not
+        # (so does the 7 x 7 box)
+        monkeypatch.setattr(walk, "EXACT_BYTES", 2000)
+        pair = [full_lattice(2), full_lattice(3)]
+        assert [len(walk.exact_visited_laws(box, 2)) for box in pair] == [3, 3]
+        needed = 2 * (16 * walk._SWEEP_BYTES + 4 * walk._STATE_BYTES)
+        message = f"enumeration needs about {needed:.3g} bytes, budget is 2000 bytes"
+        with pytest.raises(walk.BudgetExceededError, match=f"^{re.escape(message)}$") as err:
+            walk.exact_visited_laws_batch(pair, 2)
+        assert err.value.needed == needed == 2496
+
     def test_sweep_step_stays_within_its_bytes(self, monkeypatch):
         # a step runs from its csr_rows call, which returns one row per path
         # extension, to the next step's; its tracemalloc peak above the memory
@@ -232,7 +270,7 @@ class TestExactLaplace:
             moves.append(src.size)
             return src, ids
         monkeypatch.setattr(walk, "csr_rows", step)
-        traced_peak(lambda: walk._merged_state_laws(cluster, 14))
+        traced_peak(lambda: walk._merged_state_laws([cluster], [14]))
         # the last step, which also builds the last law, is left out
         assert moves[-5:-1] == [1229, 2481, 4776, 9672]
         assert all(peak <= walk._SWEEP_BYTES * m for m, peak in zip(moves[-5:-1], peaks[-4:]))
@@ -250,9 +288,9 @@ class TestExactLaplace:
             checked.append(walk._SWEEP_BYTES * moves + walk._STATE_BYTES * verts.size)
             return real(indptr, indices, verts)
         monkeypatch.setattr(walk, "csr_rows", step)
-        laws, peak = traced_peak(lambda: walk._merged_state_laws(cluster, 14))
-        assert len(laws) == 15 and max(checked) == 72 * 18641 + 24 * 6915
-        assert peak <= max(checked)  # ~0.91 of it
+        laws, peak = traced_peak(lambda: walk._merged_state_laws([cluster], [14]))
+        assert len(laws[0]) == 15 and max(checked) == 72 * 18641 + 24 * 6915
+        assert peak <= max(checked)  # ~0.95 of it
 
     def test_budget_guard(self):
         cluster = full_lattice(30)  # n = 40 needs at least 3^40 bytes, over 2^30

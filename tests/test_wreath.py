@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from percwalk import wreath as wr
+from percwalk.harness import small_cluster_collection
 from percwalk.walk import exact_laplace
 from conftest import lamplighter_matrix_oracle, lists_of, make_graph, wreath_neighbours_oracle
 
@@ -135,8 +136,44 @@ class TestKernel:
     def test_rejects_bad_alpha_and_edgeless_base(self, k2):
         with pytest.raises(ValueError):
             wr.LamplighterKernel(wr.build_wreath(k2), 1.0)
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got \[0.3, 1.0\]$"):
+            wr.LamplighterKernel(wr.build_wreath(k2), [0.3, 1.0])
+        with pytest.raises(ValueError):
+            wr.LamplighterKernel(wr.build_wreath(k2), [[0.3, 0.5]])
         with pytest.raises(ValueError):
             wr.LamplighterKernel(wr.build_wreath(single_vertex()), 0.5)
+
+
+class TestAlphaAxis:
+    @pytest.mark.parametrize("which", ["collection", "path12"])
+    def test_vector_alpha_equals_scalar_kernels(self, which):
+        # bit for bit: the criterion-1 collection, and the 12-vertex path of the
+        # benchmark's lamplighter job, from point masses and from dense vectors
+        alphas = [0.3, 0.5, 0.7]
+        bases = ([c for _, c in small_cluster_collection()] if which == "collection"
+                 else [base_path(12)])
+        rng = np.random.default_rng(5)
+        for base in bases:
+            g = wr.build_wreath(base)
+            vector = wr.LamplighterKernel(g, alphas)
+            scalars = [wr.LamplighterKernel(g, a) for a in alphas]
+            point = np.zeros((len(alphas), g.n_vertices))
+            point[:, g.origin_state] = 1.0
+            for v in (point, rng.random((len(alphas), g.n_vertices))):
+                each = list(v)
+                for _ in range(6):
+                    v = vector.step(v)
+                    each = [k.step(x) for k, x in zip(scalars, each)]
+                    assert v.shape == (len(alphas), g.n_vertices)
+                    assert all(np.array_equal(row, x) for row, x in zip(v, each))
+
+    def test_scalar_alpha_steps_several_vectors(self):
+        kernel = wr.LamplighterKernel(wr.build_wreath(grid_block(2)), 0.4)
+        v = np.random.default_rng(2).random((2, 3, kernel.wreath.n_vertices))
+        out = kernel.step(v)
+        assert out.shape == v.shape
+        assert all(np.array_equal(out[i, j], kernel.step(v[i, j]))
+                   for i in range(2) for j in range(3))
 
 
 class TestOperatorAgainstMatrix:
